@@ -13,9 +13,7 @@ from .partitions import (
     CountTable,
     GeneralParams,
     count_table,
-    general_A_count,
     general_A_series,
-    general_B_count,
     general_B_series,
     is_valid_A,
     is_valid_B,
@@ -70,9 +68,7 @@ __all__ = [
     "all_passed",
     "conj433_check",
     "count_table",
-    "general_A_count",
     "general_A_series",
-    "general_B_count",
     "general_B_series",
     "is_valid_A",
     "is_valid_B",

@@ -12,16 +12,7 @@ import json
 import sys
 
 from . import partitions, recurrence, verify
-from .partitions import B0_433, GeneralParams
-
-_SUITE_DEFAULT_N = {
-    "lemma1": 6,
-    "link": 5,
-    "lemma2": 4,
-    "lemma3": 4,
-    "lemma4": 4,
-    "oracle": 4,
-}
+from .partitions import GeneralParams
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +25,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites; one JSON report line per check")
     p.add_argument(
         "--suite",
-        choices=["all", "lemma1", "lemma2", "lemma3", "lemma4", "link", "oracle", "theorem3"],
+        choices=["all", *verify.SUITES, "theorem3"],
         default="all",
     )
     p.add_argument("--n-max", type=int, default=None, help="largest level checked (suite default if omitted)")
@@ -55,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--extra", choices=["none", "b0-433", "b0-533"], default="none")
+    p.add_argument("--extra", choices=["none", *verify.EXTRA_CASES], default="none")
     p.add_argument("--n-max", type=int, default=40)
 
     p = sub.add_parser("product", help="truncated product of the side-A generating factors")
@@ -81,26 +72,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.suite == "all":
         overrides = {}
         if args.n_max is not None:
-            overrides = {
-                "n_max_lemmas": args.n_max,
-                "n_max_fourth_order": args.n_max,
-                "n_max_oracle": args.n_max,
-            }
+            overrides = {entry.level_field: args.n_max for entry in verify.SUITES.values()}
         cfg = verify.SuiteConfig(q_max_theorem=args.q_max, **overrides)
         return _emit(verify.run_all(cfg))
     if args.suite == "theorem3":
         return _emit([verify.theorem3_check(args.q_max)])
-    n_max = args.n_max if args.n_max is not None else _SUITE_DEFAULT_N[args.suite]
-    memo = recurrence.SeriesMemo()
-    suites = {
-        "lemma1": verify.suite_lemma1,
-        "lemma2": verify.suite_lemma2,
-        "lemma3": verify.suite_lemma3,
-        "lemma4": verify.suite_lemma4,
-        "link": verify.suite_link,
-        "oracle": verify.suite_oracle,
-    }
-    return _emit(suites[args.suite](n_max, memo))
+    n_max = args.n_max
+    if n_max is None:
+        n_max = verify.SUITES[args.suite].top_level(verify.SuiteConfig())
+    return _emit(verify.suite(args.suite, n_max))
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
@@ -128,17 +108,8 @@ def _cmd_series(args: argparse.Namespace) -> int:
 
 def _cmd_general(args: argparse.Namespace) -> int:
     gp = GeneralParams(args.lam, args.k, args.a)
-    if args.extra == "none":
-        report = verify.theorem1_check(gp, args.n_max)
-    elif args.extra == B0_433:
-        if gp != GeneralParams(4, 3, 3):
-            raise verify.ConfigError("--extra b0-433 requires --lambda 4 --k 3 --a 3")
-        report = verify.conj433_check(args.n_max)
-    else:
-        if gp != GeneralParams(5, 3, 3):
-            raise verify.ConfigError("--extra b0-533 requires --lambda 5 --k 3 --a 3")
-        report = verify.thm2_consistency(args.n_max)
-    return _emit([report])
+    extra = None if args.extra == "none" else args.extra
+    return _emit([verify.general_case(gp, extra, args.n_max)])
 
 
 def _cmd_product(args: argparse.Namespace) -> int:

@@ -217,12 +217,35 @@ class CountTable:
         return f"CountTable({len(self.entries)} triples)"
 
 
-def count_table(side: str, n_max: int) -> CountTable:
-    """Exhaustive counts of all valid side-A or side-B partitions of N <= n_max.
+def _search(
+    max_part: int,
+    n_max: int,
+    valid: Callable[[list[int]], bool],
+    visit: Callable[[list[int], int], None],
+) -> None:
+    """Depth-first search over weakly decreasing lists of positive parts.
 
-    Depth-first generation of weakly decreasing parts; a prefix failing the
-    side predicate cannot extend to a valid partition, so it is pruned.
+    Calls `visit(parts, total)` on every list with parts <= max_part and sum
+    total <= n_max whose every prefix passes `valid`, the empty list first.
+    Larger parts are tried first.  A prefix failing `valid` cannot extend to
+    a valid list, so it is pruned; `parts` is shared and mutated, so `visit`
+    must not keep it.
     """
+    parts: list[int] = []
+
+    def extend(max_next: int, total: int) -> None:
+        visit(parts, total)
+        for p in range(min(max_next, n_max - total), 0, -1):
+            parts.append(p)
+            if valid(parts):
+                extend(p, total + p)
+            parts.pop()
+
+    extend(max_part, 0)
+
+
+def count_table(side: str, n_max: int) -> CountTable:
+    """Exhaustive counts of all valid side-A or side-B partitions of N <= n_max."""
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if n_max < 0:
@@ -230,19 +253,12 @@ def count_table(side: str, n_max: int) -> CountTable:
     valid = is_valid_A if side == "A" else is_valid_B
     prof = profile_A if side == "A" else profile_B
     entries: dict[tuple[int, int, int], int] = {}
-    parts: list[int] = []
 
-    def extend(max_next: int, total: int) -> None:
-        mu, nu = prof(parts)
-        key = (mu, nu, total)
+    def record(parts: list[int], total: int) -> None:
+        key = (*prof(parts), total)
         entries[key] = entries.get(key, 0) + 1
-        for p in range(min(max_next, n_max - total), 0, -1):
-            parts.append(p)
-            if valid(parts):
-                extend(p, total + p)
-            parts.pop()
 
-    extend(n_max, 0)
+    _search(n_max, n_max, valid, record)
     return CountTable(entries)
 
 
@@ -323,24 +339,18 @@ def s_oracle_dfs(n: int, j: int) -> TriPoly:
         return ZERO
     top_floor = 6 * n
     terms: dict[tuple[int, int, int], int] = {}
-    parts: list[int] = []
 
-    def record(total: int) -> None:
+    def record(parts: list[int], total: int) -> None:
         top = tuple(p - top_floor for p in parts if p > top_floor)
         if _CLASS_OF_OFFSETS[top] <= j:
-            mu, nu = profile_B(parts)
-            key = (mu, nu, total)
+            key = (*profile_B(parts), total)
             terms[key] = terms.get(key, 0) + 1
 
-    def extend(max_next: int, total: int) -> None:
-        record(total)
-        for p in range(max_next, 0, -1):
-            parts.append(p)
-            if is_valid_B(parts):
-                extend(p, total + p)
-            parts.pop()
-
-    extend(6 * n + 6, 0)
+    # Parts two apart differ by at least 6, so a valid partition with parts
+    # <= 6n+6 sums to at most 6(n+1)(n+2); adding one more part keeps the
+    # sum below the bound, which therefore never cuts the search.
+    top_part = 6 * n + 6
+    _search(top_part, top_part * (top_part + 1), is_valid_B, record)
     return TriPoly(terms)
 
 
@@ -427,58 +437,14 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     return True
 
 
-def _count_exact(n: int, valid: Callable[[list[int]], bool]) -> int:
-    parts: list[int] = []
-    count = 0
-
-    def extend(max_next: int, remaining: int) -> None:
-        nonlocal count
-        if remaining == 0:
-            count += 1
-            return
-        for p in range(min(max_next, remaining), 0, -1):
-            parts.append(p)
-            if valid(parts):
-                extend(p, remaining - p)
-            parts.pop()
-
-    extend(n, n)
-    return count
-
-
 def _series_counts(n_max: int, valid: Callable[[list[int]], bool]) -> list[int]:
     counts = [0] * (n_max + 1)
-    parts: list[int] = []
 
-    def extend(max_next: int, total: int) -> None:
+    def record(parts: list[int], total: int) -> None:
         counts[total] += 1
-        for p in range(min(max_next, n_max - total), 0, -1):
-            parts.append(p)
-            if valid(parts):
-                extend(p, total + p)
-            parts.pop()
 
-    extend(n_max, 0)
+    _search(n_max, n_max, valid, record)
     return counts
-
-
-def general_A_count(gp: GeneralParams, n: int) -> int:
-    """Partitions of n obeying the residue and repetition rules of family A."""
-    _validate_params(gp)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    rules = _general_a_rules(gp)
-    return _count_exact(n, lambda parts: _is_valid_general_A(parts, rules))
-
-
-def general_B_count(gp: GeneralParams, n: int, extra: str | None = None) -> int:
-    """Partitions of n in family B, optionally with an extra restriction set."""
-    _validate_params(gp)
-    validate_extra(gp, extra)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    lam, k, a = gp
-    return _count_exact(n, lambda parts: _is_valid_general_B(parts, lam, k, a, extra))
 
 
 def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:

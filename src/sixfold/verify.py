@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from . import partitions, recurrence
 from .partitions import B0_433, B0_533, CountTable, GeneralParams, count_table
@@ -91,74 +91,80 @@ def _residual_report(
 # ------------------------------------------------------------------ suites
 
 
-def suite_oracle(n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """Recurrence value of every series against brute-force enumeration.
+Residual = Callable[[int, SeriesMemo, PTables], TriPoly]
 
-    The check for class j reports as identity Rec(16+j).
+
+class Suite(NamedTuple):
+    """Per-level identities that run together.
+
+    `checks` lists (identity, residual) pairs in emit order; each residual
+    is zero when its identity holds at level n.  The default top level is
+    the SuiteConfig field `level_field` plus `offset`.
     """
+
+    level_field: str
+    offset: int
+    checks: tuple[tuple[str, Residual], ...]
+
+    def top_level(self, cfg: "SuiteConfig") -> int:
+        return getattr(cfg, self.level_field) + self.offset
+
+
+def _oracle_check(j: int) -> tuple[str, Residual]:
+    """Recurrence value of class j against brute force, as Rec(16+j)."""
+    return f"Rec{16 + j}", lambda n, memo, tables: memo.s(n, j) - partitions.s_oracle(n, j)
+
+
+# Residuals look up recurrence.* at call time, so a wrapped or patched
+# function is the one that runs.
+SUITES: dict[str, Suite] = {
+    "lemma1": Suite(
+        "n_max_lemmas",
+        0,
+        (
+            ("J", lambda n, memo, tables: recurrence.J_poly(n, memo)),
+            ("K", lambda n, memo, tables: recurrence.K_poly(n, memo)),
+        ),
+    ),
+    "lemma2": Suite(
+        "n_max_fourth_order",
+        0,
+        (("Lemma2", lambda n, memo, tables: recurrence.lemma2_residual(n, memo, tables)),),
+    ),
+    "lemma3": Suite(
+        "n_max_fourth_order",
+        0,
+        (("Lemma3", lambda n, memo, tables: recurrence.lemma3_residual(n, memo, tables)),),
+    ),
+    "lemma4": Suite(
+        "n_max_fourth_order",
+        0,
+        (("Lemma4", lambda n, memo, tables: recurrence.lemma4_residual(n, memo)),),
+    ),
+    # Link(n) involves K(n+1), so it stops one level below J and K.
+    "link": Suite(
+        "n_max_lemmas",
+        -1,
+        (("Link", lambda n, memo, tables: recurrence.link_residual(n, memo)),),
+    ),
+    "oracle": Suite("n_max_oracle", 0, tuple(_oracle_check(j) for j in range(16))),
+}
+
+
+def suite(
+    name: str,
+    n_max: int,
+    memo: SeriesMemo | None = None,
+    tables: PTables = DEFAULT_P_TABLES,
+) -> list[Report]:
+    """Reports of suite `name` for every level 0..n_max, level by level."""
     memo = memo or SeriesMemo()
     out = []
     for n in range(n_max + 1):
-        for j in range(16):
+        for identity, residual in SUITES[name].checks:
             t0 = time.perf_counter()
-            residual = memo.s(n, j) - partitions.s_oracle(n, j)
-            out.append(_residual_report(f"Rec{16 + j}", n, residual, t0))
+            out.append(_residual_report(identity, n, residual(n, memo, tables), t0))
     return out
-
-
-def suite_lemma1(n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """J(n) and K(n) are the zero polynomial."""
-    memo = memo or SeriesMemo()
-    out = []
-    for n in range(n_max + 1):
-        t0 = time.perf_counter()
-        out.append(_residual_report("J", n, recurrence.J_poly(n, memo), t0))
-        t0 = time.perf_counter()
-        out.append(_residual_report("K", n, recurrence.K_poly(n, memo), t0))
-    return out
-
-
-def suite_link(n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """The identity linking J(n), K(n) and K(n+1) vanishes."""
-    memo = memo or SeriesMemo()
-    return [
-        _residual_report("Link", n, recurrence.link_residual(n, memo), time.perf_counter())
-        for n in range(n_max + 1)
-    ]
-
-
-def suite_lemma2(
-    n_max: int, memo: SeriesMemo | None = None, tables: PTables = DEFAULT_P_TABLES
-) -> list[Report]:
-    memo = memo or SeriesMemo()
-    return [
-        _residual_report(
-            "Lemma2", n, recurrence.lemma2_residual(n, memo, tables), time.perf_counter()
-        )
-        for n in range(n_max + 1)
-    ]
-
-
-def suite_lemma3(
-    n_max: int, memo: SeriesMemo | None = None, tables: PTables = DEFAULT_P_TABLES
-) -> list[Report]:
-    memo = memo or SeriesMemo()
-    return [
-        _residual_report(
-            "Lemma3", n, recurrence.lemma3_residual(n, memo, tables), time.perf_counter()
-        )
-        for n in range(n_max + 1)
-    ]
-
-
-def suite_lemma4(n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    memo = memo or SeriesMemo()
-    return [
-        _residual_report(
-            "Lemma4", n, recurrence.lemma4_residual(n, memo), time.perf_counter()
-        )
-        for n in range(n_max + 1)
-    ]
 
 
 def suite_product(q_max: int) -> list[Report]:
@@ -288,6 +294,36 @@ def thm2_consistency(n_max: int) -> Report:
     )
 
 
+# An extra restriction set belongs to one parameter triple and one check.
+EXTRA_CASES: dict[str, tuple[GeneralParams, Callable[[int], Report]]] = {
+    B0_433: (GeneralParams(4, 3, 3), conj433_check),
+    B0_533: (GeneralParams(5, 3, 3), thm2_consistency),
+}
+
+
+def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> None:
+    if n_max < 0:
+        raise ConfigError(f"general case {gp}: n_max must be >= 0")
+    if extra is None:
+        _check_theorem1_params(gp)
+        return
+    if extra not in EXTRA_CASES:
+        raise ConfigError(f"unknown extra restriction set {extra!r}")
+    required = EXTRA_CASES[extra][0]
+    if gp != required:
+        lam, k, a = required
+        raise ConfigError(f"extra {extra!r} requires lam={lam} k={k} a={a}, got {gp}")
+
+
+def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
+    """Report of one general-family case: Theorem1 without an extra
+    restriction set, else the check that the set belongs to."""
+    _check_general_case(gp, extra, n_max)
+    if extra is None:
+        return theorem1_check(gp, n_max)
+    return EXTRA_CASES[extra][1](n_max)
+
+
 # --------------------------------------------------------------- full runs
 
 
@@ -311,63 +347,28 @@ class SuiteConfig:
     n_max_oracle: int = 4
     q_max_theorem: int = 50
     general_cases: tuple[tuple[GeneralParams, str | None, int], ...] = DEFAULT_GENERAL_CASES
-    parallelism: int = 1
 
     def validate(self) -> None:
         for name in ("n_max_lemmas", "n_max_fourth_order", "n_max_oracle", "q_max_theorem"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.parallelism < 1:
-            raise ConfigError("parallelism must be >= 1")
-        for gp, extra, n_max in self.general_cases:
-            if n_max < 0:
-                raise ConfigError(f"general case {gp}: n_max must be >= 0")
-            if extra is None:
-                _check_theorem1_params(gp)
-            else:
-                try:
-                    partitions.validate_extra(gp, extra)
-                except ValueError as exc:
-                    raise ConfigError(str(exc)) from exc
-
-
-def _general_case_report(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
-    if extra is None:
-        return theorem1_check(gp, n_max)
-    if extra == B0_433:
-        return conj433_check(n_max)
-    return thm2_consistency(n_max)
+        for case in self.general_cases:
+            _check_general_case(*case)
 
 
 def run_all(cfg: SuiteConfig) -> list[Report]:
     """Run every suite; report content is a pure function of cfg.
 
-    Suites run independently (optionally on a thread pool); each builds
-    series values in its own memo or a shared one, and the merged report
-    list is sorted canonically by (identity, n).
+    The per-level suites share one memo; the merged report list is sorted
+    canonically by (identity, n).
     """
     cfg.validate()
     memo = SeriesMemo()
-    tasks = [
-        lambda: suite_oracle(cfg.n_max_oracle, memo),
-        lambda: suite_lemma1(cfg.n_max_lemmas, memo),
-        lambda: suite_link(cfg.n_max_lemmas - 1, memo),
-        lambda: suite_lemma2(cfg.n_max_fourth_order, memo),
-        lambda: suite_lemma3(cfg.n_max_fourth_order, memo),
-        lambda: suite_lemma4(cfg.n_max_fourth_order, memo),
-        lambda: suite_product(cfg.q_max_theorem),
-        lambda: [theorem3_check(cfg.q_max_theorem)],
-    ]
-    for gp, extra, n_max in cfg.general_cases:
-        tasks.append(
-            lambda gp=gp, extra=extra, n_max=n_max: [_general_case_report(gp, extra, n_max)]
-        )
-
-    if cfg.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            chunks = list(pool.map(lambda task: task(), tasks))
-    else:
-        chunks = [task() for task in tasks]
-    reports = [r for chunk in chunks for r in chunk]
+    reports = []
+    for name, entry in SUITES.items():
+        reports += suite(name, entry.top_level(cfg), memo)
+    reports += suite_product(cfg.q_max_theorem)
+    reports.append(theorem3_check(cfg.q_max_theorem))
+    reports += [general_case(*case) for case in cfg.general_cases]
     reports.sort(key=lambda r: (_ORDER_INDEX[r.identity], r.n))
     return reports

@@ -31,7 +31,7 @@ from sixfold.recurrence import (
     mutate_rec_rules,
     product_truncated,
 )
-from sixfold.verify import all_passed, suite_lemma2, suite_oracle, theorem3_check
+from sixfold.verify import all_passed, suite, theorem3_check
 
 
 def _conclude(name: str, failures: list, note: str) -> None:
@@ -164,11 +164,11 @@ def test_criterion_9_mutation_sensitivity():
     missed = []
     for _ in range(4):
         tables, note = mutate_p_tables(DEFAULT_P_TABLES, rng)
-        if all_passed(suite_lemma2(2, SeriesMemo(), tables)):
+        if all_passed(suite("lemma2", 2, SeriesMemo(), tables)):
             missed.append(note)
     for _ in range(4):
         rules, note = mutate_rec_rules(REC_RULES, rng)
-        if all_passed(suite_oracle(2, SeriesMemo(rules))):
+        if all_passed(suite("oracle", 2, SeriesMemo(rules))):
             missed.append(note)
     _conclude(
         "criterion 9 (mutation sensitivity, 8 random single-term mutations)",

@@ -4,6 +4,7 @@ import pytest
 
 from helpers import DISPLAY_S0_15
 from sixfold.cli import main
+from sixfold.verify import SUITES
 
 S0_15_TEXT = (
     "1*a^0*b^0*q^0 + 1*a^1*b^0*q^1 + 1*a^1*b^0*q^2 + 1*a^2*b^0*q^3 + "
@@ -94,6 +95,31 @@ def test_verify_lemma3_reports_the_level0_finding(capsys):
     assert [obj["pass"] for obj in parsed] == [False, True, True]
     assert "FAIL Lemma3 n=0" in err
     assert "1*a^1*b^1*q^0" in err
+
+
+def _verdict_rows(out):
+    rows = [json.loads(line) for line in out.strip().splitlines()]
+    return [(r["identity"], r["n"], r["pass"], r["residual_terms"]) for r in rows]
+
+
+def test_suite_choices_and_defaults_come_from_the_registry(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    choices = ",".join(["all", *SUITES, "theorem3"])
+    assert f"--suite {{{choices}}}" in capsys.readouterr().out
+
+    _, out, _ = run_cli(capsys, "verify", "--suite", "all")
+    full = _verdict_rows(out)
+    top = {identity: n for identity, n, _, _ in full}  # rows ascend in n
+    assert [top[i] for i in ("J", "K", "Link", "Lemma2", "Lemma3", "Lemma4", "Rec31")] == [
+        6, 6, 5, 4, 4, 4, 4
+    ]
+    # a single suite without --n-max checks exactly what --suite all checks
+    for name, entry in SUITES.items():
+        identities = {identity for identity, _ in entry.checks}
+        _, out, _ = run_cli(capsys, "verify", "--suite", name)
+        rows = _verdict_rows(out)
+        assert sorted(rows) == sorted(row for row in full if row[0] in identities), name
 
 
 def test_verify_determinism_modulo_timing(capsys):

@@ -10,9 +10,7 @@ from sixfold.partitions import (
     CountTable,
     GeneralParams,
     count_table,
-    general_A_count,
     general_A_series,
-    general_B_count,
     general_B_series,
     is_valid_A,
     is_valid_B,
@@ -225,39 +223,32 @@ def test_every_refined_partition_classifies_per_window():
 
 
 def test_general_a_count_examples():
-    assert general_A_count(GeneralParams(5, 3, 3), 7) == 3  # {7}, {5,2}, {4,2,1}
-    assert general_A_count(GeneralParams(5, 3, 3), 0) == 1
-    assert general_A_count(GeneralParams(3, 2, 2), 4) == 1  # {3,1}
+    assert general_A_series(GeneralParams(5, 3, 3), 7)[7] == 3  # {7}, {5,2}, {4,2,1}
+    assert general_A_series(GeneralParams(5, 3, 3), 0)[0] == 1
+    assert general_A_series(GeneralParams(3, 2, 2), 4)[4] == 1  # {3,1}
 
 
 def test_general_b_count_examples():
-    assert general_B_count(GeneralParams(5, 3, 3), 7, extra=B0_533) == 3  # {7},{6,1},{5,2}
-    assert general_B_count(GeneralParams(5, 3, 3), 0, extra=B0_533) == 1
-    assert general_B_count(GeneralParams(2, 2, 2), 3) == 1  # {3}
-    assert general_B_count(GeneralParams(2, 2, 2), 6) == 2  # {6}, {5,1}
+    assert general_B_series(GeneralParams(5, 3, 3), 7, extra=B0_533)[7] == 3  # {7},{6,1},{5,2}
+    assert general_B_series(GeneralParams(5, 3, 3), 0, extra=B0_533)[0] == 1
+    assert general_B_series(GeneralParams(2, 2, 2), 3)[3] == 1  # {3}
+    assert general_B_series(GeneralParams(2, 2, 2), 6)[6] == 2  # {6}, {5,1}
 
 
 def test_general_extra_must_match_lambda():
     with pytest.raises(ValueError):
-        general_B_count(GeneralParams(5, 3, 3), 7, extra=B0_433)
+        general_B_series(GeneralParams(5, 3, 3), 7, extra=B0_433)
     with pytest.raises(ValueError):
-        general_B_count(GeneralParams(4, 3, 3), 7, extra=B0_533)
+        general_B_series(GeneralParams(4, 3, 3), 7, extra=B0_533)
     with pytest.raises(ValueError):
-        general_B_count(GeneralParams(4, 3, 3), 7, extra="b0-999")
-
-
-def test_general_series_agree_with_pointwise_counts():
-    gp = GeneralParams(5, 3, 3)
-    series = general_A_series(gp, 12)
-    assert series == [general_A_count(gp, n) for n in range(13)]
-    series_b = general_B_series(gp, 12, extra=B0_533)
-    assert series_b == [general_B_count(gp, n, extra=B0_533) for n in range(13)]
+        general_B_series(GeneralParams(4, 3, 3), 7, extra="b0-999")
 
 
 def test_refined_table_sums_match_extra_family():
     totals = count_table("B", 15).totals_by_n()
+    series = general_B_series(GeneralParams(5, 3, 3), 15, extra=B0_533)
     for n in range(16):
-        assert totals.get(n, 0) == general_B_count(GeneralParams(5, 3, 3), n, extra=B0_533)
+        assert totals.get(n, 0) == series[n]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))

@@ -1,8 +1,10 @@
 import json
 import random
+import time
 
 import pytest
 
+from sixfold import recurrence
 from sixfold.partitions import B0_433, B0_533, GeneralParams
 from sixfold.recurrence import DEFAULT_P_TABLES, SeriesMemo, mutate_p_tables
 from sixfold.verify import (
@@ -12,11 +14,7 @@ from sixfold.verify import (
     all_passed,
     conj433_check,
     run_all,
-    suite_lemma1,
-    suite_lemma2,
-    suite_lemma3,
-    suite_link,
-    suite_oracle,
+    suite,
     suite_product,
     theorem1_check,
     theorem3_check,
@@ -63,24 +61,19 @@ def test_run_all_small_config_all_green_but_the_known_finding():
     assert fails == [("Lemma3", 0)]
 
 
-def test_run_all_is_deterministic_and_parallelism_invariant():
-    sequential = run_all(SMALL)
-    import dataclasses
-
-    threaded = run_all(dataclasses.replace(SMALL, parallelism=4))
-    assert _stripped(sequential) == _stripped(threaded)
-    assert _stripped(sequential) == _stripped(run_all(SMALL))
+def test_run_all_is_deterministic():
+    assert _stripped(run_all(SMALL)) == _stripped(run_all(SMALL))
 
 
 def test_oracle_suite_bound_semantics():
-    reports = suite_oracle(0)
+    reports = suite("oracle", 0)
     assert len(reports) == 16
     assert {r.identity for r in reports} == {f"Rec{k}" for k in range(16, 32)}
     assert all(r.n == 0 and r.passed for r in reports)
 
 
 def test_lemma1_suite_emits_j_and_k_per_level(memo):
-    reports = suite_lemma1(2, memo)
+    reports = suite("lemma1", 2, memo)
     assert [(r.identity, r.n) for r in reports] == [
         ("J", 0), ("K", 0), ("J", 1), ("K", 1), ("J", 2), ("K", 2)
     ]
@@ -88,8 +81,20 @@ def test_lemma1_suite_emits_j_and_k_per_level(memo):
 
 
 def test_link_suite(memo):
-    assert all_passed(suite_link(2, memo))
-    assert suite_link(-1, memo) == []
+    assert all_passed(suite("link", 2, memo))
+    assert suite("link", -1, memo) == []
+
+
+def test_residual_time_is_charged_to_its_report(monkeypatch):
+    link_residual = recurrence.link_residual
+
+    def slow_link_residual(n, memo=None):
+        time.sleep(0.05)
+        return link_residual(n, memo)
+
+    monkeypatch.setattr(recurrence, "link_residual", slow_link_residual)
+    (report,) = suite("link", 0)
+    assert report.identity == "Link" and report.ms >= 50
 
 
 def test_product_suite(memo):
@@ -131,13 +136,16 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         run_all(SuiteConfig(n_max_lemmas=-1))
     with pytest.raises(ConfigError):
-        run_all(SuiteConfig(parallelism=0))
-    with pytest.raises(ConfigError):
         run_all(
             SuiteConfig(general_cases=((GeneralParams(4, 3, 3), B0_533, 10),))
         )
     with pytest.raises(ConfigError):
         run_all(SuiteConfig(general_cases=((GeneralParams(3, 2, 2), None, 10),)))
+    # an extra restriction set runs only with its own parameters
+    with pytest.raises(ConfigError):
+        run_all(SuiteConfig(general_cases=((GeneralParams(4, 4, 3), B0_433, 10),)))
+    with pytest.raises(ConfigError):
+        run_all(SuiteConfig(general_cases=((GeneralParams(5, 9, 9), B0_533, 10),)))
 
 
 def test_run_all_default_surfaces_the_level0_finding():
@@ -153,7 +161,7 @@ def test_run_all_default_surfaces_the_level0_finding():
 def test_failed_reports_carry_term_diffs(memo):
     rng = random.Random(99)
     tables, _ = mutate_p_tables(DEFAULT_P_TABLES, rng)
-    reports = suite_lemma2(1, SeriesMemo(), tables)
+    reports = suite("lemma2", 1, SeriesMemo(), tables)
     failed = [r for r in reports if not r.passed]
     assert failed
     for r in failed:
@@ -164,9 +172,9 @@ def test_failed_reports_carry_term_diffs(memo):
 def test_mutating_p_tables_fails_lemma2_only_where_injected():
     rng = random.Random(5)
     tables, _ = mutate_p_tables(DEFAULT_P_TABLES, rng)
-    assert not all_passed(suite_lemma2(2, SeriesMemo(), tables))
+    assert not all_passed(suite("lemma2", 2, SeriesMemo(), tables))
     # the untouched suites stay green
     memo = SeriesMemo()
-    assert all_passed(suite_lemma1(2, memo))
-    assert all_passed(suite_oracle(1, memo))
-    assert all_passed(suite_lemma3(2, memo)[1:])  # level 0 finding aside
+    assert all_passed(suite("lemma1", 2, memo))
+    assert all_passed(suite("oracle", 1, memo))
+    assert all_passed(suite("lemma3", 2, memo)[1:])  # level 0 finding aside
