@@ -1,8 +1,8 @@
 """Exact verification engine for a mod-6 family of partition identities.
 
-Two independent computation paths — brute-force partition enumeration and a
-system of window-class recurrences — are compared term by term over exact
-integer polynomials.  See the README for the catalogue of verified
+Two independent computation paths — partition enumeration straight from the
+membership predicates and a system of window-class recurrences — are
+compared term by term over exact integer polynomials.  See the README for the catalogue of verified
 identities and the CLI reference.
 """
 

@@ -2,7 +2,8 @@
 
 Data goes to stdout (report JSON lines, CSV/JSON tables, canonical
 polynomial text); diagnostics go to stderr.  Exit status: 0 all checks
-passed, 1 at least one check failed, 2 configuration error.
+passed, 1 at least one check failed, 2 configuration error, 3 internal
+error (any other exception, reported as one `internal error:` line).
 """
 
 from __future__ import annotations
@@ -133,6 +134,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # exit 1 must keep meaning "a check failed"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

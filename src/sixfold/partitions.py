@@ -1,4 +1,4 @@
-"""Brute-force ground truth for the two partition families.
+"""Enumerated ground truth for the two partition families.
 
 Side A: partitions into distinct parts congruent to 1, 2, 4 or 5 mod 6;
 parts in residues {1, 2} count toward the a-statistic (mu), parts in
@@ -10,9 +10,14 @@ apart differ by at least 6 (strictly when the upper part is a multiple of
 {0, 1, 2} count toward mu and {0, 4, 5} toward nu, multiples of 6 counting
 in both.
 
-Everything here is computed by exhaustive enumeration and serves as the
-oracle against which the recurrence engine is checked.  Correctness of both
-oracle paths deliberately concentrates in is_valid_A / is_valid_B.
+Everything here counts every valid partition, straight from the predicates,
+and serves as the oracle against which the recurrence engine is checked.
+Side A, the general families and s_oracle_dfs use an exhaustive search over
+part lists.  Side B's count table and s_oracle use a transfer matrix over
+six-wide windows (_window_dp), whose transitions are read from is_valid_B
+itself: one step per window, costing time in proportion to the number of
+distinct terms rather than to the number of partitions.  Correctness of
+every oracle path deliberately concentrates in is_valid_A / is_valid_B.
 """
 
 from __future__ import annotations
@@ -245,61 +250,151 @@ def _search(
 
 
 def count_table(side: str, n_max: int) -> CountTable:
-    """Exhaustive counts of all valid side-A or side-B partitions of N <= n_max."""
+    """Exact counts of all valid side-A or side-B partitions of N <= n_max.
+
+    Side A is counted by exhaustive search; side B by the window transfer
+    matrix (see _window_dp) over the windows that hold parts <= n_max.
+    """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    valid = is_valid_A if side == "A" else is_valid_B
-    prof = profile_A if side == "A" else profile_B
     entries: dict[tuple[int, int, int], int] = {}
+    if side == "B":
+        for _, terms in _window_dp((n_max - 1) // 6 + 1, n_max):
+            for key, c in terms.items():
+                entries[key] = entries.get(key, 0) + c
+        return CountTable(entries)
 
     def record(parts: list[int], total: int) -> None:
-        key = (*prof(parts), total)
+        key = (*profile_A(parts), total)
         entries[key] = entries.get(key, 0) + 1
 
-    _search(n_max, n_max, valid, record)
+    _search(n_max, n_max, is_valid_A, record)
     return CountTable(entries)
 
 
 # --------------------------------------------------------- windowed series
 
 
-@lru_cache(maxsize=32)
+def _triple_table(base: int = 0) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """allowed[c1][c2]: the classes c3 for which is_valid_B accepts the
+    parts of classes c1, c2, c3 placed at windows base, base+1, base+2."""
+    placed = [
+        [tuple(off + 6 * (base + k) for off in cls) for cls in WINDOW_CLASSES]
+        for k in range(3)
+    ]
+    return tuple(
+        tuple(
+            tuple(
+                c3
+                for c3 in range(16)
+                if is_valid_B([*placed[2][c3], *placed[1][c2], *placed[0][c1]])
+            )
+            for c2 in range(16)
+        )
+        for c1 in range(16)
+    )
+
+
+@lru_cache(maxsize=None)
+def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """(class of the last window, moves) per state; state 0 is the start.
+
+    A state is the class c of the last window placed together with the row
+    of classes allowed in the window above it, which is all the future
+    depends on; the (previous class, class) pairs sharing a row merge into
+    one state.  moves[s] lists (next class, next state).  Built on first
+    use, from 4096 calls of is_valid_B.
+    """
+    allowed = _triple_table()
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    states: list[tuple[int, tuple[int, ...]]] = []
+
+    def state(prev: int, cls: int) -> int:
+        key = (cls, allowed[prev][cls])
+        if key not in index:
+            index[key] = len(states)
+            states.append(key)
+        return index[key]
+
+    state(0, 0)  # windows -2 and -1, both empty
+    moves = []
+    for cls, row in states:  # grows while it is walked
+        moves.append(tuple((nxt, state(cls, nxt)) for nxt in row))
+    return tuple(cls for cls, _ in states), tuple(moves)
+
+
+_CLASS_WEIGHTS = tuple((*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES)
+
+
+def _window_dp(
+    windows: int, q_max: int | None = None
+) -> list[tuple[int, dict[tuple[int, int, int], int]]]:
+    """Valid side-B partitions with parts in windows 0..windows-1, by the
+    transfer-matrix method over windows.
+
+    Returns (class of window windows-1, terms) per final automaton state,
+    the terms a (mu, nu, N) -> count dict; terms with N > q_max are dropped
+    as soon as they are produced.  With no windows the one state is the
+    empty partition.
+
+    Soundness: a partition is valid exactly when every three consecutive
+    windows of it are, and the triple table taken at windows 0..2 holds at
+    every position, because every constraint of is_valid_B is local:
+
+    * a window [6i+1, 6i+6] of a valid partition holds at most 2 parts
+      (three would differ by at most 5), so its parts are one of the 16
+      WINDOW_CLASSES;
+    * a repeated part is a single value;
+    * the two-apart difference rule fails only on parts[i] - parts[i+2] <= 6,
+      so the three parts involved span at most 2 adjacent windows;
+    * f(6j+3), f(6j+2)+f(6j+4) and f(6j+5)+f(6j+7) span at most 2
+      windows; the widest cap, f(6j-1)+f(6j)+f(6j+6)+f(6j+7), spans the 3
+      windows j-1, j and j+1;
+    * the caps repeat every 6, so shifting every part by 6 keeps validity:
+      is_valid_B skips the j = 0 instance of the widest cap, f(6)+f(7) <= 3,
+      and it can never fail, since the two-apart rule allows at most two 6s
+      and 7 cannot repeat.
+
+    A slice of three consecutive windows is a contiguous run of the sorted
+    parts, so every violated constraint shows in the slice holding its
+    windows, and a slice that fails fails in the whole partition too.  The
+    start state stands for two empty windows below window 0, so the first
+    two steps check windows 0 and 0..1 on their own.  The table is read
+    only from is_valid_B, profile_B and WINDOW_CLASSES.
+    """
+    classes, moves = _window_automaton()
+    layer: dict[int, dict[tuple[int, int, int], int]] = {0: {(0, 0, 0): 1}}
+    for i in range(windows):
+        nxt: dict[int, dict[tuple[int, int, int], int]] = {}
+        for s, terms in layer.items():
+            for cls, t in moves[s]:
+                mu, nu, total, size = _CLASS_WEIGHTS[cls]
+                dq = total + 6 * i * size
+                out = nxt.setdefault(t, {})
+                get = out.get
+                for (a, b, e), c in terms.items():
+                    e += dq
+                    if q_max is None or e <= q_max:
+                        key = (a + mu, b + nu, e)
+                        out[key] = get(key, 0) + c
+        layer = {t: terms for t, terms in nxt.items() if terms}
+    return [(classes[s], terms) for s, terms in layer.items()]
+
+
+@lru_cache(maxsize=1)
 def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
     """Cumulative generating polynomials, indexed by top-window class.
 
-    Enumerates the window-class tuples over windows 0..n (top window
-    chosen first, then descending, pruning any prefix that already fails
-    is_valid_B), buckets valid partitions by their top-window class and
-    returns the 16 cumulative sums.
+    Runs the window transfer matrix over windows 0..n, buckets the final
+    states by the class of window n and returns the 16 cumulative sums.
     """
-    window_values = [
-        tuple(tuple(off + 6 * i for off in cls) for cls in WINDOW_CLASSES)
-        for i in range(n + 1)
-    ]
     buckets: list[dict[tuple[int, int, int], int]] = [{} for _ in range(16)]
-    parts: list[int] = []
-
-    def descend(i: int, bucket: dict[tuple[int, int, int], int]) -> None:
-        if i < 0:
-            mu, nu = profile_B(parts)
-            key = (mu, nu, sum(parts))
-            bucket[key] = bucket.get(key, 0) + 1
-            return
-        values = window_values[i]
-        keep = len(parts)
-        for cls in range(16):
-            parts.extend(values[cls])
-            if is_valid_B(parts):
-                descend(i - 1, bucket)
-            del parts[keep:]
-
-    for top in range(16):
-        parts.extend(window_values[n][top])
-        if is_valid_B(parts):
-            descend(n - 1, buckets[top])
-        parts.clear()
+    for cls, terms in _window_dp(n + 1):
+        bucket = buckets[cls]
+        for key, c in terms.items():
+            bucket[key] = bucket.get(key, 0) + c
 
     series: list[TriPoly] = []
     acc: dict[tuple[int, int, int], int] = {}
@@ -312,7 +407,7 @@ def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
 
 def s_oracle(n: int, j: int) -> TriPoly:
     """Generating polynomial of valid side-B partitions with parts <= 6n+6
-    and top-window class <= j, by exhaustive class-tuple enumeration.
+    and top-window class <= j, by the window transfer matrix (_window_dp).
 
     By convention the value is 1 at n == -1 and 0 below.
     """
@@ -328,8 +423,8 @@ def s_oracle(n: int, j: int) -> TriPoly:
 def s_oracle_dfs(n: int, j: int) -> TriPoly:
     """Second, independent oracle path: plain descending-part search.
 
-    Must agree with s_oracle exactly; the two enumerations share only the
-    is_valid_B predicate.
+    Must agree with s_oracle exactly; the two paths share only is_valid_B,
+    profile_B and the window catalogue.  Exponential in n, so keep n small.
     """
     if not 0 <= j <= 15:
         raise ValueError(f"window class must be in 0..15, got {j}")

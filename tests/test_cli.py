@@ -3,6 +3,7 @@ import json
 import pytest
 
 from helpers import DISPLAY_S0_15
+from sixfold import recurrence
 from sixfold.cli import main
 from sixfold.verify import SUITES
 
@@ -47,6 +48,16 @@ def test_series_base_level(capsys):
 def test_series_rejects_bad_level(capsys):
     code, _, err = run_cli(capsys, "series", "--n", "-2", "--j", "7")
     assert code == 2 and "error:" in err
+
+
+def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
+    # a fresh memo's recursive fill overflows the interpreter stack near n = 61
+    monkeypatch.setattr(recurrence, "_DEFAULT_MEMO", recurrence.SeriesMemo())
+    code, out, err = run_cli(capsys, "series", "--n", "70", "--j", "15", "--source", "recurrence")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_counts_csv_contains_reference_row(capsys):

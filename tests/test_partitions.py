@@ -3,12 +3,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import B2_Q9, DISPLAY_S0_9_SHORT, DISPLAY_S0_15
+from sixfold import partitions
 from sixfold.partitions import (
     B0_433,
     B0_533,
     ClassificationError,
     CountTable,
     GeneralParams,
+    WINDOW_CLASSES,
     count_table,
     general_A_series,
     general_B_series,
@@ -72,6 +74,33 @@ def test_is_valid_B_cross_window_caps():
     assert is_valid_B([13, 6, 6])  # f5+f6+f12+f13 = 3 exactly
 
 
+# Part lists <= 60: arbitrary ones, and ones built from a class per window
+# 0..9, which pass is_valid_B far more often.
+_PART_LISTS = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=60), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=15), max_size=10).map(
+        lambda classes: [
+            off + 6 * i for i, c in enumerate(classes) for off in WINDOW_CLASSES[c]
+        ]
+    ),
+).map(lambda values: sorted(values, reverse=True))
+
+
+@given(_PART_LISTS)
+def test_is_valid_B_is_local_to_three_windows(parts):
+    top = (parts[0] - 1) // 6 if parts else 0
+    slices = [
+        [p for p in parts if i <= (p - 1) // 6 <= i + 2] for i in range(max(top - 1, 1))
+    ]
+    assert is_valid_B(parts) == all(is_valid_B(s) for s in slices)
+
+
+def test_triple_table_is_the_same_at_every_position():
+    table = partitions._triple_table(0)
+    for i in range(1, 11):
+        assert partitions._triple_table(i) == table, i
+
+
 def test_profile_B():
     assert profile_B([6]) == (1, 1)
     assert profile_B([5, 2]) == (1, 1)
@@ -117,6 +146,18 @@ def test_count_table_b_small_values():
     assert table.count(1, 1, 6) == 2  # {6}, {5,1}
     assert table.count(1, 1, 5) == 1  # {4,1}
     assert table.count(0, 0, 0) == 1
+
+
+@pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40])
+def test_count_table_b_equals_the_part_search(q_max):
+    entries: dict[tuple[int, int, int], int] = {}
+
+    def record(parts, total):
+        key = (*profile_B(parts), total)
+        entries[key] = entries.get(key, 0) + 1
+
+    partitions._search(q_max, q_max, is_valid_B, record)
+    assert count_table("B", q_max).entries == entries
 
 
 def test_count_table_zero_bound():
@@ -186,6 +227,8 @@ def test_two_oracle_paths_agree():
     for n in range(-1, 3):
         for j in range(16):
             assert s_oracle(n, j) == s_oracle_dfs(n, j), (n, j)
+    for j in (0, 9, 15):
+        assert s_oracle(3, j) == s_oracle_dfs(3, j), (3, j)
 
 
 def test_s_oracle_class15_coefficients_match_count_table():
