@@ -34,7 +34,6 @@ from .recurrence import (
     link_residual,
     p_poly,
     product_truncated,
-    s_rec,
 )
 from .verify import (
     ConfigError,
@@ -85,7 +84,6 @@ __all__ = [
     "run_all",
     "s_oracle",
     "s_oracle_dfs",
-    "s_rec",
     "theorem1_check",
     "theorem3_check",
     "thm2_consistency",

@@ -99,7 +99,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.source == "oracle":
         poly = partitions.s_oracle(args.n, args.j)
     else:
-        poly = recurrence.s_rec(args.n, args.j)
+        poly = recurrence.SeriesMemo().s(args.n, args.j)
     if args.format == "text":
         print(poly.to_text())
     else:

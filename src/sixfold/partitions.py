@@ -63,9 +63,14 @@ WINDOW_CLASSES: tuple[tuple[int, ...], ...] = (
 
 _CLASS_OF_OFFSETS = {offsets: idx for idx, offsets in enumerate(WINDOW_CLASSES)}
 
-# Extra multiplicity restriction sets for the two refined B-families.
+# Extra multiplicity restriction sets for the two refined B-families, each
+# with the one parameter triple it belongs to.
 B0_433 = "b0-433"
 B0_533 = "b0-533"
+EXTRA_PARAMS: dict[str, GeneralParams] = {
+    B0_433: GeneralParams(4, 3, 3),
+    B0_533: GeneralParams(5, 3, 3),
+}
 
 
 # ------------------------------------------------------------- predicates
@@ -458,14 +463,14 @@ def _validate_params(gp: GeneralParams) -> None:
 
 
 def validate_extra(gp: GeneralParams, extra: str | None) -> None:
-    """Check that an extra restriction set is consistent with gp.lam."""
+    """Check that an extra restriction set belongs to the parameters gp."""
     if extra is None:
         return
-    if extra not in (B0_433, B0_533):
+    if extra not in EXTRA_PARAMS:
         raise ValueError(f"unknown extra restriction set {extra!r}")
-    required = 4 if extra == B0_433 else 5
-    if gp.lam != required:
-        raise ValueError(f"extra {extra!r} requires lam = {required}, got lam = {gp.lam}")
+    if gp != EXTRA_PARAMS[extra]:
+        lam, k, a = EXTRA_PARAMS[extra]
+        raise ValueError(f"extra {extra!r} requires lam={lam} k={k} a={a}, got {gp}")
 
 
 def _general_a_rules(gp: GeneralParams):

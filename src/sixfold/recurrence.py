@@ -50,45 +50,41 @@ REC_RULES: tuple[tuple[RuleTerm, ...], ...] = (
 
 
 class SeriesMemo:
-    """Memoized table of windowed series values.
+    """Memoized table of windowed series values, filled in (n, j) order.
 
-    The cache is reference-transparent: an entry is only ever written with
-    the value derived from the rules, so concurrent duplicate fills are
-    harmless.  A memo built from mutated rules must not be shared with
-    pristine ones.
+    Every rule term refers to a lower level (dn >= 1), and rule j adds to
+    S(n, j - 1), so S(n, j) depends only on entries before it in the order
+    (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
+    earlier entry in that order before its own, which keeps the stack
+    depth fixed at every level.  Entries are only ever written with the
+    value derived from the rules.  A memo built from mutated rules must not
+    be shared with pristine ones.
     """
 
     def __init__(self, rules: tuple[tuple[RuleTerm, ...], ...] = REC_RULES):
+        if any(dn < 1 for rule in rules for *_, dn, _ in rule):
+            raise ValueError("every rule term must refer to a lower level (dn >= 1)")
         self.rules = rules
-        self._table: dict[tuple[int, int], TriPoly] = {}
+        self._table: list[TriPoly] = []  # S(n, j) at index 16n + j
 
     def s(self, n: int, j: int) -> TriPoly:
         """S(n, j) per the recurrence rules; 1 at n == -1, 0 below."""
         if not 0 <= j <= 15:
             raise ValueError(f"window class must be in 0..15, got {j}")
-        if n == -1:
-            return ONE
-        if n < -1:
-            return ZERO
-        key = (n, j)
-        got = self._table.get(key)
-        if got is not None:
-            return got
+        if n < 0:
+            return ONE if n == -1 else ZERO
+        index = 16 * n + j
+        if index < len(self._table):
+            return self._table[index]
+        for earlier in range(len(self._table), index):
+            self.s(*divmod(earlier, 16))
         acc = self.s(n, j - 1) if j else ZERO
         for coeff, e_a, e_b, slope, offset, dn, jref in self.rules[j]:
             series = self.s(n - dn, jref)
             if series:
                 acc = acc + monomial(coeff, e_a, e_b, slope * n + offset) * series
-        self._table[key] = acc
+        self._table.append(acc)
         return acc
-
-
-_DEFAULT_MEMO = SeriesMemo()
-
-
-def s_rec(n: int, j: int, memo: SeriesMemo | None = None) -> TriPoly:
-    """S(n, j) from the recurrence rules (shared default memo when none given)."""
-    return (memo or _DEFAULT_MEMO).s(n, j)
 
 
 # ------------------------------------------------------ auxiliary p1..p3
@@ -291,19 +287,18 @@ _LEMMA4_FACTORS = (
 # ------------------------------------------------- vanishing combinations
 
 
-def J_poly(n: int, memo: SeriesMemo | None = None) -> TriPoly:
+def J_poly(n: int, memo: SeriesMemo) -> TriPoly:
     """First vanishing combination of series values; zero for every n >= 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
     six = 6 * n
-    out = m.s(n, 9)
-    out = out - one_minus_q(six) * _window_bracket(six) * m.s(n - 1, 15)
-    out = out - monomial(1, 0, 0, six) * _j_bracket(n) * m.s(n - 1, 9)
-    s2 = m.s(n - 2, 9)
+    out = memo.s(n, 9)
+    out = out - one_minus_q(six) * _window_bracket(six) * memo.s(n - 1, 15)
+    out = out - monomial(1, 0, 0, six) * _j_bracket(n) * memo.s(n - 1, 9)
+    s2 = memo.s(n - 2, 9)
     if s2:
         out = out + one_minus_q(six) * monomial(1, 1, 1, 18 * n - 3) * _J_INNER * s2
-    s3 = m.s(n - 3, 9)
+    s3 = memo.s(n - 3, 9)
     if s3:
         out = out + (
             monomial(1, 3, 3, 24 * n - 12) * one_minus_q(six) * one_minus_q(six - 6) * s3
@@ -311,27 +306,25 @@ def J_poly(n: int, memo: SeriesMemo | None = None) -> TriPoly:
     return out
 
 
-def K_poly(n: int, memo: SeriesMemo | None = None) -> TriPoly:
+def K_poly(n: int, memo: SeriesMemo) -> TriPoly:
     """Second vanishing combination of series values; zero for every n >= 0."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
     six = 6 * n
-    out = m.s(n, 9) - m.s(n, 15)
-    out = out + monomial(1, 1, 1, six + 6) * one_minus_q(six) * m.s(n - 1, 15)
-    out = out + monomial(1, 1, 1, 12 * n + 6) * _K_INNER * m.s(n - 1, 9)
-    s2 = m.s(n - 2, 9)
+    out = memo.s(n, 9) - memo.s(n, 15)
+    out = out + monomial(1, 1, 1, six + 6) * one_minus_q(six) * memo.s(n - 1, 15)
+    out = out + monomial(1, 1, 1, 12 * n + 6) * _K_INNER * memo.s(n - 1, 9)
+    s2 = memo.s(n - 2, 9)
     if s2:
         out = out - monomial(1, 3, 3, 18 * n + 6) * one_minus_q(six) * s2
     return out
 
 
-def link_residual(n: int, memo: SeriesMemo | None = None) -> TriPoly:
+def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """Combination of J(n), K(n) and K(n+1) that vanishes identically,
     independently of J and K themselves being zero."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
     bracket = (
         ONE
         + monomial(1, 1, 0, 6 * n + 2)
@@ -339,9 +332,9 @@ def link_residual(n: int, memo: SeriesMemo | None = None) -> TriPoly:
         + monomial(1, 0, 1, 6 * n + 5)
     )
     return (
-        monomial(1, 2, 1, 12 * n + 19) * J_poly(n, m)
-        - K_poly(n + 1, m)
-        + monomial(1, 1, 0, 6 * n + 13) * bracket * K_poly(n, m)
+        monomial(1, 2, 1, 12 * n + 19) * J_poly(n, memo)
+        - K_poly(n + 1, memo)
+        + monomial(1, 1, 0, 6 * n + 13) * bracket * K_poly(n, memo)
     )
 
 
@@ -349,22 +342,21 @@ def link_residual(n: int, memo: SeriesMemo | None = None) -> TriPoly:
 
 
 def lemma2_residual(
-    n: int, memo: SeriesMemo | None = None, tables: PTables = DEFAULT_P_TABLES
+    n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
 ) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-9 series."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
     six = 6 * n
-    lhs = _window_bracket(six - 6) * m.s(n, 9)
-    rhs = p_poly(1, n, tables) * m.s(n - 1, 9)
-    s2 = m.s(n - 2, 9)
+    lhs = _window_bracket(six - 6) * memo.s(n, 9)
+    rhs = p_poly(1, n, tables) * memo.s(n - 1, 9)
+    s2 = memo.s(n - 2, 9)
     if s2:
         rhs = rhs + one_minus_q(six) * p_poly(2, n, tables) * s2
-    s3 = m.s(n - 3, 9)
+    s3 = memo.s(n - 3, 9)
     if s3:
         rhs = rhs + p_poly(3, n, tables) * one_minus_q(six) * one_minus_q(six - 6) * s3
-    s4 = m.s(n - 4, 9)
+    s4 = memo.s(n - 4, 9)
     if s4:
         rhs = rhs + (
             monomial(1, 4, 4, 30 * n - 36)
@@ -378,7 +370,7 @@ def lemma2_residual(
 
 
 def lemma3_residual(
-    n: int, memo: SeriesMemo | None = None, tables: PTables = DEFAULT_P_TABLES
+    n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
 ) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-15 series.
 
@@ -389,14 +381,13 @@ def lemma3_residual(
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
     six = 6 * n
-    lhs = _window_bracket(six - 6) * m.s(n, 15)
-    rhs = p_poly(1, n - 1, tables).shift(6, 6) * m.s(n - 1, 15)
-    s2 = m.s(n - 2, 15)
+    lhs = _window_bracket(six - 6) * memo.s(n, 15)
+    rhs = p_poly(1, n - 1, tables).shift(6, 6) * memo.s(n - 1, 15)
+    s2 = memo.s(n - 2, 15)
     if s2:
         rhs = rhs + one_minus_q(six - 6) * p_poly(2, n - 1, tables).shift(6, 6) * s2
-    s3 = m.s(n - 3, 15)
+    s3 = memo.s(n - 3, 15)
     if s3:
         rhs = rhs + (
             one_minus_q(six - 6)
@@ -404,7 +395,7 @@ def lemma3_residual(
             * p_poly(3, n - 1, tables).shift(6, 6)
             * s3
         )
-    s4 = m.s(n - 4, 15)
+    s4 = memo.s(n - 4, 15)
     if s4:
         rhs = rhs + (
             monomial(1, 4, 4, 30 * n - 18)
@@ -417,12 +408,11 @@ def lemma3_residual(
     return lhs - rhs
 
 
-def lemma4_residual(n: int, memo: SeriesMemo | None = None) -> TriPoly:
+def lemma4_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """Class-15 series minus its product form over the shifted class-9 series."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    m = memo or _DEFAULT_MEMO
-    return m.s(n, 15) - _LEMMA4_FACTORS * m.s(n - 1, 9).shift(6, 6)
+    return memo.s(n, 15) - _LEMMA4_FACTORS * memo.s(n - 1, 9).shift(6, 6)
 
 
 # ------------------------------------------------------- truncated product

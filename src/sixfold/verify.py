@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import partitions, recurrence
-from .partitions import B0_433, B0_533, CountTable, GeneralParams, count_table
+from .partitions import B0_433, B0_533, EXTRA_PARAMS, CountTable, GeneralParams, count_table
 from .poly import TriPoly
 from .recurrence import DEFAULT_P_TABLES, PTables, SeriesMemo
 
@@ -227,77 +227,63 @@ def _check_theorem1_params(gp: GeneralParams) -> None:
         raise ConfigError(f"params {gp} violate lam/2 <= a <= k and k >= lam")
 
 
-def theorem1_check(gp: GeneralParams, n_max: int) -> Report:
-    """Pointwise equality of the two general families for all n <= n_max."""
-    _check_theorem1_params(gp)
+def _family_report(
+    identity: str,
+    key: int,
+    gp: GeneralParams,
+    extra: str | None,
+    n_max: int,
+    detail: str,
+    table_sums: bool = False,
+) -> Report:
+    """Pointwise A = B (or B0, with `extra`) for all n <= n_max; with
+    `table_sums`, also the refined side-B table's row sums against B0."""
     if n_max < 0:
         raise ConfigError(f"n_max must be >= 0, got {n_max}")
     t0 = time.perf_counter()
     left = partitions.general_A_series(gp, n_max)
-    right = partitions.general_B_series(gp, n_max)
-    bad = [n for n in range(n_max + 1) if left[n] != right[n]]
+    right = partitions.general_B_series(gp, n_max, extra=extra)
+    totals = count_table("B", n_max).totals_by_n() if table_sums else {}
+    name = "B" if extra is None else "B0"
+    bad = []
+    for n in range(n_max + 1):
+        if left[n] != right[n]:
+            bad.append(f"n={n}: A={left[n]} {name}={right[n]}")
+        if table_sums and totals.get(n, 0) != right[n]:
+            bad.append(f"n={n}: refined-table-sum={totals.get(n, 0)} {name}={right[n]}")
     return Report(
-        "Theorem1",
-        100 * gp.lam + 10 * gp.k + gp.a,
-        not bad,
-        len(bad),
-        _elapsed_ms(t0),
-        detail=f"lam={gp.lam} k={gp.k} a={gp.a}, all n <= {n_max}",
-        diff=tuple(f"n={n}: A={left[n]} B={right[n]}" for n in bad[:20]),
+        identity, key, not bad, len(bad), _elapsed_ms(t0), detail=detail, diff=tuple(bad[:20])
     )
+
+
+def theorem1_check(gp: GeneralParams, n_max: int) -> Report:
+    """Pointwise equality of the two general families for all n <= n_max."""
+    _check_theorem1_params(gp)
+    key = 100 * gp.lam + 10 * gp.k + gp.a
+    detail = f"lam={gp.lam} k={gp.k} a={gp.a}, all n <= {n_max}"
+    return _family_report("Theorem1", key, gp, None, n_max, detail)
 
 
 def conj433_check(n_max: int) -> Report:
     """Family A at (4,3,3) against family B with the b0-433 extras."""
-    if n_max < 0:
-        raise ConfigError(f"n_max must be >= 0, got {n_max}")
-    t0 = time.perf_counter()
-    gp = GeneralParams(4, 3, 3)
-    left = partitions.general_A_series(gp, n_max)
-    right = partitions.general_B_series(gp, n_max, extra=B0_433)
-    bad = [n for n in range(n_max + 1) if left[n] != right[n]]
-    return Report(
-        "Conj433",
-        n_max,
-        not bad,
-        len(bad),
-        _elapsed_ms(t0),
-        detail=f"(4,3,3) with extras, all n <= {n_max}",
-        diff=tuple(f"n={n}: A={left[n]} B0={right[n]}" for n in bad[:20]),
-    )
+    detail = f"(4,3,3) with extras, all n <= {n_max}"
+    gp = EXTRA_PARAMS[B0_433]
+    return _family_report("Conj433", n_max, gp, B0_433, n_max, detail)
 
 
 def thm2_consistency(n_max: int) -> Report:
     """Family A at (5,3,3) against family B with the b0-533 extras, and the
     refined (mu, nu, N) table's row sums against the same family."""
-    if n_max < 0:
-        raise ConfigError(f"n_max must be >= 0, got {n_max}")
-    t0 = time.perf_counter()
-    gp = GeneralParams(5, 3, 3)
-    left = partitions.general_A_series(gp, n_max)
-    right = partitions.general_B_series(gp, n_max, extra=B0_533)
-    totals = count_table("B", n_max).totals_by_n()
-    bad = []
-    for n in range(n_max + 1):
-        if left[n] != right[n]:
-            bad.append(f"n={n}: A={left[n]} B0={right[n]}")
-        if totals.get(n, 0) != right[n]:
-            bad.append(f"n={n}: refined-table-sum={totals.get(n, 0)} B0={right[n]}")
-    return Report(
-        "Thm2Consistency",
-        n_max,
-        not bad,
-        len(bad),
-        _elapsed_ms(t0),
-        detail=f"pointwise A = B0 and refined-table row sums, all n <= {n_max}",
-        diff=tuple(bad[:20]),
-    )
+    detail = f"pointwise A = B0 and refined-table row sums, all n <= {n_max}"
+    gp = EXTRA_PARAMS[B0_533]
+    return _family_report("Thm2Consistency", n_max, gp, B0_533, n_max, detail, table_sums=True)
 
 
-# An extra restriction set belongs to one parameter triple and one check.
-EXTRA_CASES: dict[str, tuple[GeneralParams, Callable[[int], Report]]] = {
-    B0_433: (GeneralParams(4, 3, 3), conj433_check),
-    B0_533: (GeneralParams(5, 3, 3), thm2_consistency),
+# Each extra restriction set has one check; its parameter triple is
+# partitions.EXTRA_PARAMS.
+EXTRA_CASES: dict[str, Callable[[int], Report]] = {
+    B0_433: conj433_check,
+    B0_533: thm2_consistency,
 }
 
 
@@ -307,12 +293,10 @@ def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Non
     if extra is None:
         _check_theorem1_params(gp)
         return
-    if extra not in EXTRA_CASES:
-        raise ConfigError(f"unknown extra restriction set {extra!r}")
-    required = EXTRA_CASES[extra][0]
-    if gp != required:
-        lam, k, a = required
-        raise ConfigError(f"extra {extra!r} requires lam={lam} k={k} a={a}, got {gp}")
+    try:
+        partitions.validate_extra(gp, extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
@@ -321,7 +305,7 @@ def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
     _check_general_case(gp, extra, n_max)
     if extra is None:
         return theorem1_check(gp, n_max)
-    return EXTRA_CASES[extra][1](n_max)
+    return EXTRA_CASES[extra](n_max)
 
 
 # --------------------------------------------------------------- full runs

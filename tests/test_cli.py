@@ -51,12 +51,14 @@ def test_series_rejects_bad_level(capsys):
 
 
 def test_internal_error_exits_3_without_traceback(capsys, monkeypatch):
-    # a fresh memo's recursive fill overflows the interpreter stack near n = 61
-    monkeypatch.setattr(recurrence, "_DEFAULT_MEMO", recurrence.SeriesMemo())
-    code, out, err = run_cli(capsys, "series", "--n", "70", "--j", "15", "--source", "recurrence")
+    def broken_fill(self, n, j):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(recurrence.SeriesMemo, "s", broken_fill)
+    code, out, err = run_cli(capsys, "series", "--n", "1", "--j", "15", "--source", "recurrence")
     assert code == 3
     assert out == ""
-    assert err.startswith("internal error: RecursionError: ")
+    assert err.startswith("internal error: RuntimeError: ")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 

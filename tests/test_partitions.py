@@ -284,6 +284,8 @@ def test_general_extra_must_match_lambda():
     with pytest.raises(ValueError):
         general_B_series(GeneralParams(4, 3, 3), 7, extra=B0_533)
     with pytest.raises(ValueError):
+        general_B_series(GeneralParams(4, 4, 3), 7, extra=B0_433)  # right lam, wrong k
+    with pytest.raises(ValueError):
         general_B_series(GeneralParams(4, 3, 3), 7, extra="b0-999")
 
 

@@ -1,4 +1,6 @@
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -28,7 +30,6 @@ from sixfold.recurrence import (
     mutate_rec_rules,
     p_poly,
     product_truncated,
-    s_rec,
 )
 
 
@@ -60,8 +61,25 @@ def test_memo_is_reference_transparent(memo):
     assert SeriesMemo().s(1, 7) == first
 
 
-def test_s_rec_default_memo_matches_explicit(memo):
-    assert s_rec(1, 15) == memo.s(1, 15)
+def test_fresh_memo_fill_keeps_the_stack_shallow(memo):
+    # a recursive fill needs about 16 frames per level
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        fresh = SeriesMemo().s(6, 15)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert fresh == memo.s(6, 15)
+
+
+def test_every_rule_term_refers_to_a_lower_level():
+    # dn >= 1 is what makes the (n, j) fill order of SeriesMemo valid
+    mutated = [mutate_rec_rules(REC_RULES, random.Random(seed))[0] for seed in range(5)]
+    for rules in [REC_RULES, *mutated]:
+        assert all(dn >= 1 for rule in rules for *_, dn, _ in rule)
+    same_level = (((1, 0, 0, 0, 0, 0, 15),),) + REC_RULES[1:]
+    with pytest.raises(ValueError, match="dn >= 1"):
+        SeriesMemo(same_level)
 
 
 def test_s_rec_rejects_bad_class(memo):
