@@ -9,8 +9,6 @@ identities and the CLI reference.
 from .partitions import (
     B0_433,
     B0_533,
-    ClassificationError,
-    CountTable,
     GeneralParams,
     count_table,
     general_A_series,
@@ -21,7 +19,6 @@ from .partitions import (
     profile_B,
     s_oracle,
     s_oracle_dfs,
-    window_class,
 )
 from .poly import ONE, ZERO, TriPoly, monomial, one_minus_q
 from .recurrence import (
@@ -52,9 +49,7 @@ __version__ = "0.1.0"
 __all__ = [
     "B0_433",
     "B0_533",
-    "ClassificationError",
     "ConfigError",
-    "CountTable",
     "GeneralParams",
     "J_poly",
     "K_poly",
@@ -87,5 +82,4 @@ __all__ = [
     "theorem1_check",
     "theorem3_check",
     "thm2_consistency",
-    "window_class",
 ]

@@ -30,7 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p.add_argument("--n-max", type=int, default=None, help="largest level checked (suite default if omitted)")
-    p.add_argument("--q-max", type=int, default=50, help="q bound for the table/product checks")
+    q_max = verify.SuiteConfig().q_max_theorem
+    p.add_argument("--q-max", type=int, default=q_max, help="q bound for the table/product checks")
 
     p = sub.add_parser("counts", help="exhaustive (mu, nu, N) count table for one side")
     p.add_argument("--side", choices=["A", "B"], required=True)
@@ -85,11 +86,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
-    table = partitions.count_table(args.side, args.n_max)
+    terms = partitions.count_table(args.side, args.n_max).terms()
     if args.format == "csv":
-        print(table.to_csv())
+        print("\n".join(["mu,nu,N,count", *(f"{mu},{nu},{n},{c}" for c, mu, nu, n in terms)]))
     else:
-        print(json.dumps(table.to_json_rows()))
+        print(json.dumps([[mu, nu, n, str(c)] for c, mu, nu, n in terms]))
     return 0
 
 

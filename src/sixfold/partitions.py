@@ -12,6 +12,11 @@ in both.
 
 Everything here counts every valid partition, straight from the predicates,
 and serves as the oracle against which the recurrence engine is checked.
+The count tables and the windowed series are refined generating
+polynomials (TriPoly): the coefficient of a^mu b^nu q^N is the number of
+valid partitions of N with statistics (mu, nu), so each comparison with
+the recurrence side is an exact residual.
+
 Side A, the general families and s_oracle_dfs use an exhaustive search over
 part lists.  Side B's count table and s_oracle use a transfer matrix over
 six-wide windows (_window_dp), whose transitions are read from is_valid_B
@@ -23,13 +28,9 @@ every oracle path deliberately concentrates in is_valid_A / is_valid_B.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO
-
-
-class ClassificationError(ValueError):
-    """Raised when a window's parts match no catalogued window class."""
 
 
 class GeneralParams(NamedTuple):
@@ -145,86 +146,7 @@ def profile_B(parts: Sequence[int]) -> tuple[int, int]:
     return mu, nu
 
 
-def window_class(window_parts: Iterable[int]) -> int:
-    """Class index 0..15 of the parts lying in a single window [6i+1, 6i+6].
-
-    Raises ClassificationError when the parts span more than one window or
-    match no catalogued class (for example a part at offset 3, or three
-    parts in one window).
-    """
-    parts = sorted(window_parts, reverse=True)
-    if not parts:
-        return 0
-    if parts[-1] <= 0:
-        raise ClassificationError(f"window parts must be positive, got {parts}")
-    i = (parts[0] - 1) // 6
-    if (parts[-1] - 1) // 6 != i:
-        raise ClassificationError(f"parts {parts} do not lie in a single window")
-    offsets = tuple(p - 6 * i for p in parts)
-    cls = _CLASS_OF_OFFSETS.get(offsets)
-    if cls is None:
-        raise ClassificationError(f"window parts {parts} match no class")
-    return cls
-
-
 # ------------------------------------------------------------ count tables
-
-
-class CountTable:
-    """Exact partition counts keyed by (mu, nu, N)."""
-
-    def __init__(self, entries: dict[tuple[int, int, int], int] | None = None):
-        self.entries = dict(entries or {})
-
-    def count(self, mu: int, nu: int, n: int) -> int:
-        return self.entries.get((mu, nu, n), 0)
-
-    def rows(self) -> list[tuple[int, int, int, int]]:
-        """(mu, nu, N, count) rows sorted by (N, mu, nu)."""
-        return [
-            (mu, nu, n, self.entries[(mu, nu, n)])
-            for (mu, nu, n) in sorted(self.entries, key=lambda k: (k[2], k[0], k[1]))
-        ]
-
-    def totals_by_n(self) -> dict[int, int]:
-        """Counts summed over (mu, nu), keyed by N."""
-        out: dict[int, int] = {}
-        for (_, _, n), c in self.entries.items():
-            out[n] = out.get(n, 0) + c
-        return out
-
-    def to_csv(self) -> str:
-        lines = ["mu,nu,N,count"]
-        lines += [f"{mu},{nu},{n},{c}" for mu, nu, n, c in self.rows()]
-        return "\n".join(lines)
-
-    def to_json_rows(self) -> list[list]:
-        return [[mu, nu, n, str(c)] for mu, nu, n, c in self.rows()]
-
-    def diff(self, other: "CountTable", limit: int = 20) -> list[str]:
-        """Mismatching triples against `other`, at most `limit` lines."""
-        keys = sorted(
-            set(self.entries) | set(other.entries), key=lambda k: (k[2], k[0], k[1])
-        )
-        out = []
-        for key in keys:
-            lhs, rhs = self.entries.get(key, 0), other.entries.get(key, 0)
-            if lhs != rhs:
-                out.append(f"(mu={key[0]}, nu={key[1]}, N={key[2]}): {lhs} != {rhs}")
-                if len(out) == limit:
-                    break
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, CountTable):
-            return self.entries == other.entries
-        return NotImplemented
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __repr__(self) -> str:
-        return f"CountTable({len(self.entries)} triples)"
 
 
 def _search(
@@ -254,8 +176,10 @@ def _search(
     extend(max_part, 0)
 
 
-def count_table(side: str, n_max: int) -> CountTable:
-    """Exact counts of all valid side-A or side-B partitions of N <= n_max.
+def count_table(side: str, n_max: int) -> TriPoly:
+    """Refined generating polynomial of the valid side-A or side-B
+    partitions of N <= n_max: the coefficient of a^mu b^nu q^N counts
+    those of size N with statistics (mu, nu).
 
     Side A is counted by exhaustive search; side B by the window transfer
     matrix (see _window_dp) over the windows that hold parts <= n_max.
@@ -269,14 +193,14 @@ def count_table(side: str, n_max: int) -> CountTable:
         for _, terms in _window_dp((n_max - 1) // 6 + 1, n_max):
             for key, c in terms.items():
                 entries[key] = entries.get(key, 0) + c
-        return CountTable(entries)
+        return TriPoly(entries)
 
     def record(parts: list[int], total: int) -> None:
         key = (*profile_A(parts), total)
         entries[key] = entries.get(key, 0) + 1
 
     _search(n_max, n_max, is_valid_A, record)
-    return CountTable(entries)
+    return TriPoly(entries)
 
 
 # --------------------------------------------------------- windowed series

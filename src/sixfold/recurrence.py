@@ -321,8 +321,8 @@ def K_poly(n: int, memo: SeriesMemo) -> TriPoly:
 
 
 def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
-    """Combination of J(n), K(n) and K(n+1) that vanishes identically,
-    independently of J and K themselves being zero."""
+    """Combination of J(n), K(n) and K(n+1) that vanishes because each of
+    them does: its verdict at level n follows from those of J and K."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     bracket = (

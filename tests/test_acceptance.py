@@ -166,8 +166,10 @@ def test_criterion_8_general_family_desk_checks():
     refined = general_B_series(gp, 40, extra=B0_533)
     if general_A_series(gp, 40) != refined:
         failures.append(("Thm2", gp))
-    totals = count_table("B", 40).totals_by_n()
-    if [totals.get(n, 0) for n in range(41)] != refined:
+    totals = [0] * 41
+    for c, _, _, n in count_table("B", 40).terms():
+        totals[n] += c
+    if totals != refined:
         failures.append(("Thm2Consistency", "refined table sums"))
     _conclude(
         "criterion 8 (general families, 8 desk checks, all n <= 40)",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from helpers import DISPLAY_S0_15
 from sixfold import recurrence
 from sixfold.cli import main
-from sixfold.verify import SUITES
+from sixfold.verify import SUITES, SuiteConfig
 
 S0_15_TEXT = (
     "1*a^0*b^0*q^0 + 1*a^1*b^0*q^1 + 1*a^1*b^0*q^2 + 1*a^2*b^0*q^3 + "
@@ -68,6 +69,33 @@ def test_counts_csv_contains_reference_row(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "mu,nu,N,count"
     assert "1,1,6,2" in lines
+
+
+def test_counts_csv_and_json(capsys):
+    _, out, _ = run_cli(capsys, "counts", "--side", "B", "--n-max", "6", "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0] == "mu,nu,N,count"
+    assert "1,1,6,2" in lines
+    ns = [int(line.split(",")[2]) for line in lines[1:]]
+    assert ns == sorted(ns)
+    _, out, _ = run_cli(capsys, "counts", "--side", "B", "--n-max", "6", "--format", "json")
+    assert [1, 1, 6, "2"] in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "side, n_max, fmt, digest",
+    [
+        ("B", 40, "csv", "e9d4b98c761e8c413cd8de9f8cb025f7f84ec9e8543979ce671231dde7215dae"),
+        ("A", 40, "json", "34fc02881bfe37c247e3cb6912542972402fb15d19412f81e599db6fa4d0bc2a"),
+        ("A", 0, "csv", "89c19a687bb3f4bc67378ef169a4bba5c82344c8012d664e813da2533fd857e8"),
+        ("B", 0, "json", "da47fa0478fcb2907bbda82b8f30321c24a85033184867197500b69cedece165"),
+    ],
+    ids=["B-40-csv", "A-40-json", "A-0-csv", "B-0-json"],
+)
+def test_counts_output_bytes_are_pinned(capsys, side, n_max, fmt, digest):
+    code, out, _ = run_cli(capsys, "counts", "--side", side, "--n-max", str(n_max), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_counts_json(capsys):
@@ -133,6 +161,8 @@ def test_suite_choices_and_defaults_come_from_the_registry(capsys):
         _, out, _ = run_cli(capsys, "verify", "--suite", name)
         rows = _verdict_rows(out)
         assert sorted(rows) == sorted(row for row in full if row[0] in identities), name
+    _, out, _ = run_cli(capsys, "verify", "--suite", "theorem3")
+    assert json.loads(out)["n"] == SuiteConfig().q_max_theorem
 
 
 def test_verify_determinism_modulo_timing(capsys):

@@ -7,8 +7,6 @@ from sixfold import partitions
 from sixfold.partitions import (
     B0_433,
     B0_533,
-    ClassificationError,
-    CountTable,
     GeneralParams,
     WINDOW_CLASSES,
     count_table,
@@ -20,9 +18,8 @@ from sixfold.partitions import (
     profile_B,
     s_oracle,
     s_oracle_dfs,
-    window_class,
 )
-from sixfold.poly import ONE
+from sixfold.poly import ONE, TriPoly
 
 
 # ----------------------------------------------------------- side A
@@ -108,44 +105,22 @@ def test_profile_B():
     assert profile_B([12, 6, 5, 1]) == (3, 3)
 
 
-# ------------------------------------------------------ window classes
-
-
-def test_window_class_rows():
-    assert window_class([]) == 0
-    assert window_class([17, 16]) == 9  # 6i+5, 6i+4 at i=2
-    assert window_class([6, 6]) == 15
-    assert window_class([1]) == 1
-    assert window_class([12, 7]) == 11  # 6i+6, 6i+1 at i=1
-
-
-def test_window_class_errors():
-    with pytest.raises(ClassificationError):
-        window_class([9])  # offset 3 appears in no row
-    with pytest.raises(ClassificationError):
-        window_class([5, 2, 1])  # three parts in one window
-    with pytest.raises(ClassificationError):
-        window_class([7, 5])  # spans two windows
-    with pytest.raises(ClassificationError):
-        window_class([4, 4])  # repeated non-multiple of 6
-
-
 # -------------------------------------------------------- count tables
 
 
 def test_count_table_a_small_values():
     table = count_table("A", 6)
-    assert table.count(0, 1, 5) == 1  # {5}
-    assert table.count(1, 1, 5) == 1  # {4,1}
-    assert table.count(1, 1, 6) == 2  # {5,1}, {4,2}
-    assert table.count(0, 0, 0) == 1
+    assert table.coeff(0, 1, 5) == 1  # {5}
+    assert table.coeff(1, 1, 5) == 1  # {4,1}
+    assert table.coeff(1, 1, 6) == 2  # {5,1}, {4,2}
+    assert table.coeff(0, 0, 0) == 1
 
 
 def test_count_table_b_small_values():
     table = count_table("B", 6)
-    assert table.count(1, 1, 6) == 2  # {6}, {5,1}
-    assert table.count(1, 1, 5) == 1  # {4,1}
-    assert table.count(0, 0, 0) == 1
+    assert table.coeff(1, 1, 6) == 2  # {6}, {5,1}
+    assert table.coeff(1, 1, 5) == 1  # {4,1}
+    assert table.coeff(0, 0, 0) == 1
 
 
 @pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40])
@@ -157,12 +132,12 @@ def test_count_table_b_equals_the_part_search(q_max):
         entries[key] = entries.get(key, 0) + 1
 
     partitions._search(q_max, q_max, is_valid_B, record)
-    assert count_table("B", q_max).entries == entries
+    assert count_table("B", q_max) == TriPoly(entries)
 
 
 def test_count_table_zero_bound():
     for side in ("A", "B"):
-        assert count_table(side, 0).entries == {(0, 0, 0): 1}
+        assert count_table(side, 0) == TriPoly({(0, 0, 0): 1})
 
 
 def test_count_table_rejects_bad_args():
@@ -170,25 +145,6 @@ def test_count_table_rejects_bad_args():
         count_table("C", 5)
     with pytest.raises(ValueError):
         count_table("A", -1)
-
-
-def test_count_table_csv_and_json():
-    table = count_table("B", 6)
-    csv = table.to_csv()
-    lines = csv.splitlines()
-    assert lines[0] == "mu,nu,N,count"
-    assert "1,1,6,2" in lines
-    ns = [int(line.split(",")[2]) for line in lines[1:]]
-    assert ns == sorted(ns)
-    assert [1, 1, 6, "2"] in table.to_json_rows()
-
-
-def test_count_table_diff_lists_offending_triples():
-    lhs = CountTable({(0, 0, 0): 1, (1, 1, 6): 2})
-    rhs = CountTable({(0, 0, 0): 1, (1, 1, 6): 3, (1, 0, 1): 1})
-    lines = lhs.diff(rhs)
-    assert len(lines) == 2
-    assert any("N=6" in line for line in lines)
 
 
 # ------------------------------------------------------ windowed series
@@ -235,7 +191,7 @@ def test_s_oracle_class15_coefficients_match_count_table():
     n = 2
     table = count_table("B", 6 * n + 6)
     series = s_oracle(n, 15)
-    for (mu, nu, total), c in table.entries.items():
+    for c, mu, nu, total in table.terms():
         assert series.coeff(mu, nu, total) == c
 
 
@@ -258,8 +214,8 @@ def test_every_refined_partition_classifies_per_window():
         windows: dict[int, list[int]] = {}
         for p in partition:
             windows.setdefault((p - 1) // 6, []).append(p)
-        for group in windows.values():
-            assert 0 <= window_class(group) <= 15
+        for i, group in windows.items():  # each group descends with the partition
+            assert tuple(p - 6 * i for p in group) in WINDOW_CLASSES
 
 
 # ---------------------------------------------------- general families
@@ -290,10 +246,11 @@ def test_general_extra_must_match_lambda():
 
 
 def test_refined_table_sums_match_extra_family():
-    totals = count_table("B", 15).totals_by_n()
+    totals = [0] * 16
+    for c, _, _, n in count_table("B", 15).terms():
+        totals[n] += c
     series = general_B_series(GeneralParams(5, 3, 3), 15, extra=B0_533)
-    for n in range(16):
-        assert totals.get(n, 0) == series[n]
+    assert totals == series
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))

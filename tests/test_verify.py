@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from sixfold import recurrence
+from sixfold import partitions, recurrence, verify
 from sixfold.partitions import B0_433, B0_533, GeneralParams
+from sixfold.poly import monomial
 from sixfold.recurrence import DEFAULT_P_TABLES, SeriesMemo, mutate_p_tables
 from sixfold.verify import (
     ConfigError,
@@ -111,6 +112,44 @@ def test_theorem3_check_small():
 
 def test_theorem3_check_zero_bound():
     assert theorem3_check(0).passed  # both tables are {(0,0,0): 1}
+
+
+def _break_side_b_table(monkeypatch):
+    """Side B's table with (1,1,6) raised by 1, (2,0,3) set to 5 and
+    (0,1,5) removed, keyed (mu, nu, N)."""
+    original = partitions.count_table
+
+    def count_table(side, n_max):
+        table = original(side, n_max)
+        if side == "B":
+            table += (
+                monomial(1, 1, 1, 6)
+                + monomial(5 - table.coeff(2, 0, 3), 2, 0, 3)
+                - monomial(table.coeff(0, 1, 5), 0, 1, 5)
+            )
+        return table
+
+    monkeypatch.setattr(verify, "count_table", count_table)
+
+
+def test_theorem3_failure_report_is_pinned(monkeypatch):
+    _break_side_b_table(monkeypatch)
+    report = theorem3_check(20)
+    assert report.passed is False and report.residual_terms == 3
+    assert report.detail == "70 coefficient triples compared three ways"
+    assert report.diff == (
+        "A vs B (mu=2, nu=0, N=3): 1 != 5",
+        "A vs B (mu=0, nu=1, N=5): 1 != 0",
+        "A vs B (mu=1, nu=1, N=6): 2 != 3",
+        "B vs product (mu=2, nu=0, N=3): 5 != 1",
+        "B vs product (mu=0, nu=1, N=5): 0 != 1",
+        "B vs product (mu=1, nu=1, N=6): 3 != 2",
+    )
+    assert thm2_consistency(12).diff == (
+        "n=3: refined-table-sum=5 B0=1",
+        "n=5: refined-table-sum=1 B0=2",
+        "n=6: refined-table-sum=3 B0=2",
+    )
 
 
 def test_theorem1_check_packs_parameters():
