@@ -20,7 +20,7 @@ from .partitions import (
     s_oracle,
     s_oracle_dfs,
 )
-from .poly import ONE, ZERO, TriPoly, monomial, one_minus_q
+from .poly import ONE, ZERO, TriPoly, monomial
 from .recurrence import (
     SeriesMemo,
     J_poly,
@@ -71,7 +71,6 @@ __all__ = [
     "lemma4_residual",
     "link_residual",
     "monomial",
-    "one_minus_q",
     "p_poly",
     "product_truncated",
     "profile_A",

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
 
     p = sub.add_parser("product", help="truncated product of the side-A generating factors")
-    p.add_argument("--q-max", type=int, default=50)
+    p.add_argument("--q-max", type=int, default=q_max)
 
     return parser
 
@@ -69,8 +69,9 @@ def _emit(reports: list[verify.Report]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n_max is not None and args.n_max < 0:
-        raise verify.ConfigError("--n-max must be >= 0")
+    for flag, value in (("--n-max", args.n_max), ("--q-max", args.q_max)):
+        if value is not None and value < 0:
+            raise verify.ConfigError(f"{flag} must be >= 0")
     if args.suite == "all":
         overrides = {}
         if args.n_max is not None:

@@ -168,7 +168,3 @@ def monomial(coeff: int, e_a: int, e_b: int, e_q: int) -> TriPoly:
         return ZERO
     return TriPoly({(e_a, e_b, e_q): coeff})
 
-
-def one_minus_q(e: int) -> TriPoly:
-    """1 - q^e; the zero polynomial when e == 0."""
-    return ONE - monomial(1, 0, 0, e)

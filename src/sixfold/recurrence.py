@@ -2,17 +2,23 @@
 vanishing combinations J and K, the three auxiliary polynomials p1..p3,
 fourth-order residuals and the truncated generating product.
 
-The recurrence rules and the auxiliary polynomials are kept as plain data
-tables.  That makes the transcription reviewable term by term and lets the
-verification harness inject single-term mutations to confirm the suites
-actually notice a wrong coefficient or exponent.
+The recurrence rules and the identities J, K, Lemma2 and Lemma3 are plain
+data tables in one term format: a monomial times factor tables (p1..p3
+among them) times a series S(n - dn, j).  Every q exponent is
+q_slope*n + q_offset with q_slope a multiple of 6, so each term is a
+polynomial in a, b, q and x = q^(6n) times a series.  One evaluator,
+`_combination`, sums every such table, the memo's rules included.  That
+makes the transcription reviewable term by term and lets the verification
+harness inject single-term mutations into the rules and the p-tables to
+confirm the suites actually notice a wrong coefficient or exponent.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
-from .poly import ONE, TriPoly, ZERO, monomial, one_minus_q
+from .poly import ONE, TriPoly, ZERO, monomial
 
 # One rule term (coeff, e_a, e_b, q_slope, q_offset, dn, jref) contributes
 #   coeff * a^e_a * b^e_b * q^(q_slope*n + q_offset) * S(n - dn, jref).
@@ -78,13 +84,9 @@ class SeriesMemo:
             return self._table[index]
         for earlier in range(len(self._table), index):
             self.s(*divmod(earlier, 16))
-        acc = self.s(n, j - 1) if j else ZERO
-        for coeff, e_a, e_b, slope, offset, dn, jref in self.rules[j]:
-            series = self.s(n - dn, jref)
-            if series:
-                acc = acc + monomial(coeff, e_a, e_b, slope * n + offset) * series
-        self._table.append(acc)
-        return acc
+        value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
+        self._table.append(value)
+        return value
 
 
 # ------------------------------------------------------ auxiliary p1..p3
@@ -211,120 +213,135 @@ PTables = tuple[tuple[PolyTerm, ...], ...]
 DEFAULT_P_TABLES: PTables = (P1_TERMS, P2_TERMS, P3_TERMS)
 
 
-def p_poly(i: int, n: int, tables: PTables = DEFAULT_P_TABLES) -> TriPoly:
-    """Auxiliary polynomial p_i (i in 1..3) evaluated at level n.
+def _at(table: tuple[PolyTerm, ...], n: int, shift: int = 0) -> TriPoly:
+    """The table's polynomial at level n (q exponents may be negative at small
+    n), with a -> a*q^shift and b -> b*q^shift when shift is non-zero."""
+    acc = ZERO
+    for coeff, e_a, e_b, slope, offset in table:
+        acc = acc + monomial(coeff, e_a, e_b, slope * n + offset)
+    return acc.shift(shift, shift) if shift else acc
 
-    q exponents are q_slope*n + q_offset and may be negative at small n;
-    terms whose exponent triples coincide at a given n are merged.
-    """
+
+def p_poly(i: int, n: int, tables: PTables = DEFAULT_P_TABLES) -> TriPoly:
+    """Auxiliary polynomial p_i (i in 1..3) evaluated at level n."""
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i}")
+    return _at(tables[i - 1], n)
+
+
+# ------------------------------------------------------ identity terms
+
+WINDOW: tuple[PolyTerm, ...] = (  # 1 + a*q^(6n+1) + a*q^(6n+2) + b*q^(6n+4) + b*q^(6n+5)
+    (1, 0, 0, 0, 0),
+    (1, 1, 0, 6, 1),
+    (1, 1, 0, 6, 2),
+    (1, 0, 1, 6, 4),
+    (1, 0, 1, 6, 5),
+)
+
+ONE_MINUS_X: tuple[PolyTerm, ...] = (  # 1 - q^(6n); zero at n = 0
+    (1, 0, 0, 0, 0),
+    (-1, 0, 0, 6, 0),
+)
+
+J_BRACKET: tuple[PolyTerm, ...] = (
+    (1, 0, 0, 0, 0),
+    (1, 1, 0, 6, 1),
+    (1, 1, 0, 6, 2),
+    (1, 2, 0, 6, 3),
+    (1, 0, 1, 6, 4),
+    (1, 0, 1, 6, 5),
+    (1, 1, 1, 6, 5),
+    (1, 1, 1, 6, 6),
+    (1, 1, 1, 6, 7),
+    (1, 0, 2, 6, 9),
+)
+
+J_INNER: tuple[PolyTerm, ...] = (
+    (1, 2, 0, 0, 0),
+    (1, 1, 1, 0, 2),
+    (1, 1, 1, 0, 3),
+    (1, 1, 1, 0, 4),
+    (1, 2, 1, 0, 4),
+    (1, 2, 1, 0, 5),
+    (1, 0, 2, 0, 6),
+    (1, 1, 2, 0, 7),
+    (1, 1, 2, 0, 8),
+)
+
+K_INNER: tuple[PolyTerm, ...] = (
+    (1, 0, 0, 0, 0),
+    (1, 1, 0, 0, 1),
+    (1, 1, 0, 0, 2),
+    (1, 0, 1, 0, 4),
+    (1, 0, 1, 0, 5),
+    (1, 1, 1, 0, 6),
+)
+
+P1, P2, P3 = 1, 2, 3  # factor tables that name p_i in the `tables` argument
+
+# An identity term is a RuleTerm times factors (table, d) or (table, d, s):
+# the table at level n - d, with a -> a*q^s and b -> b*q^s when s is given.
+IdentityTerm = tuple[int | tuple[tuple[PolyTerm, ...] | int, ...], ...]
+
+
+def _combination(
+    terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
+) -> TriPoly:
+    """Sum of the terms at level n >= 0.  A term whose series is zero is
+    skipped before its factors are built; small factors are multiplied
+    first, and a polynomial part of 1 or -1 adds or subtracts the series."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     acc = ZERO
-    for coeff, e_a, e_b, slope, offset in tables[i - 1]:
-        acc = acc + monomial(coeff, e_a, e_b, slope * n + offset)
+    for coeff, e_a, e_b, slope, offset, dn, jref, *factors in terms:
+        series = memo.s(n - dn, jref)
+        if not series:
+            continue
+        small = monomial(coeff, e_a, e_b, slope * n + offset)
+        for table, d, *shift in factors:
+            small = small * _at(tables[table - 1] if isinstance(table, int) else table, n - d, *shift)
+        if small == ONE:
+            acc = acc + series
+        elif -small == ONE:
+            acc = acc - series
+        else:
+            acc = acc + small * series
     return acc
-
-
-# --------------------------------------------------------- fixed brackets
-
-
-def _window_bracket(base: int) -> TriPoly:
-    """1 + a*q^(base+1) + a*q^(base+2) + b*q^(base+4) + b*q^(base+5)."""
-    return (
-        ONE
-        + monomial(1, 1, 0, base + 1)
-        + monomial(1, 1, 0, base + 2)
-        + monomial(1, 0, 1, base + 4)
-        + monomial(1, 0, 1, base + 5)
-    )
-
-
-def _j_bracket(n: int) -> TriPoly:
-    six = 6 * n
-    return (
-        ONE
-        + monomial(1, 1, 0, six + 1)
-        + monomial(1, 1, 0, six + 2)
-        + monomial(1, 2, 0, six + 3)
-        + monomial(1, 0, 1, six + 4)
-        + monomial(1, 0, 1, six + 5)
-        + monomial(1, 1, 1, six + 5)
-        + monomial(1, 1, 1, six + 6)
-        + monomial(1, 1, 1, six + 7)
-        + monomial(1, 0, 2, six + 9)
-    )
-
-
-_J_INNER = (
-    monomial(1, 2, 0, 0)
-    + monomial(1, 1, 1, 2)
-    + monomial(1, 1, 1, 3)
-    + monomial(1, 1, 1, 4)
-    + monomial(1, 2, 1, 4)
-    + monomial(1, 2, 1, 5)
-    + monomial(1, 0, 2, 6)
-    + monomial(1, 1, 2, 7)
-    + monomial(1, 1, 2, 8)
-)
-
-_K_INNER = (
-    ONE
-    + monomial(1, 1, 0, 1)
-    + monomial(1, 1, 0, 2)
-    + monomial(1, 0, 1, 4)
-    + monomial(1, 0, 1, 5)
-    + monomial(1, 1, 1, 6)
-)
-
-_LEMMA4_FACTORS = (
-    (ONE + monomial(1, 1, 0, 1))
-    * (ONE + monomial(1, 1, 0, 2))
-    * (ONE + monomial(1, 0, 1, 4))
-    * (ONE + monomial(1, 0, 1, 5))
-)
 
 
 # ------------------------------------------------- vanishing combinations
 
+J_TERMS: tuple[IdentityTerm, ...] = (
+    (1, 0, 0, 0, 0, 0, 9),
+    (-1, 0, 0, 0, 0, 1, 15, (ONE_MINUS_X, 0), (WINDOW, 0)),
+    (-1, 0, 0, 6, 0, 1, 9, (J_BRACKET, 0)),
+    (1, 1, 1, 18, -3, 2, 9, (ONE_MINUS_X, 0), (J_INNER, 0)),
+    (1, 3, 3, 24, -12, 3, 9, (ONE_MINUS_X, 0), (ONE_MINUS_X, 1)),
+)
+
+K_TERMS: tuple[IdentityTerm, ...] = (
+    (1, 0, 0, 0, 0, 0, 9),
+    (-1, 0, 0, 0, 0, 0, 15),
+    (1, 1, 1, 6, 6, 1, 15, (ONE_MINUS_X, 0)),
+    (1, 1, 1, 12, 6, 1, 9, (K_INNER, 0)),
+    (-1, 3, 3, 18, 6, 2, 9, (ONE_MINUS_X, 0)),
+)
+
 
 def J_poly(n: int, memo: SeriesMemo) -> TriPoly:
     """First vanishing combination of series values; zero for every n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    six = 6 * n
-    out = memo.s(n, 9)
-    out = out - one_minus_q(six) * _window_bracket(six) * memo.s(n - 1, 15)
-    out = out - monomial(1, 0, 0, six) * _j_bracket(n) * memo.s(n - 1, 9)
-    s2 = memo.s(n - 2, 9)
-    if s2:
-        out = out + one_minus_q(six) * monomial(1, 1, 1, 18 * n - 3) * _J_INNER * s2
-    s3 = memo.s(n - 3, 9)
-    if s3:
-        out = out + (
-            monomial(1, 3, 3, 24 * n - 12) * one_minus_q(six) * one_minus_q(six - 6) * s3
-        )
-    return out
+    return _combination(J_TERMS, n, memo)
 
 
 def K_poly(n: int, memo: SeriesMemo) -> TriPoly:
     """Second vanishing combination of series values; zero for every n >= 0."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    six = 6 * n
-    out = memo.s(n, 9) - memo.s(n, 15)
-    out = out + monomial(1, 1, 1, six + 6) * one_minus_q(six) * memo.s(n - 1, 15)
-    out = out + monomial(1, 1, 1, 12 * n + 6) * _K_INNER * memo.s(n - 1, 9)
-    s2 = memo.s(n - 2, 9)
-    if s2:
-        out = out - monomial(1, 3, 3, 18 * n + 6) * one_minus_q(six) * s2
-    return out
+    return _combination(K_TERMS, n, memo)
 
 
 def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """Combination of J(n), K(n) and K(n+1) that vanishes because each of
     them does: its verdict at level n follows from those of J and K."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
     bracket = (
         ONE
         + monomial(1, 1, 0, 6 * n + 2)
@@ -340,33 +357,29 @@ def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
 
 # ------------------------------------------------- fourth-order residuals
 
+# Left-hand side last: it cancels the summed right-hand side in one addition.
+LEMMA2_TERMS: tuple[IdentityTerm, ...] = (
+    (-1, 0, 0, 0, 0, 1, 9, (P1, 0)),
+    (-1, 0, 0, 0, 0, 2, 9, (ONE_MINUS_X, 0), (P2, 0)),
+    (-1, 0, 0, 0, 0, 3, 9, (P3, 0), (ONE_MINUS_X, 0), (ONE_MINUS_X, 1)),
+    (-1, 4, 4, 30, -36, 4, 9, (ONE_MINUS_X, 0), (ONE_MINUS_X, 1), (ONE_MINUS_X, 2), (WINDOW, 0)),
+    (1, 0, 0, 0, 0, 0, 9, (WINDOW, 1)),
+)
+
+LEMMA3_TERMS: tuple[IdentityTerm, ...] = (
+    (-1, 0, 0, 0, 0, 1, 15, (P1, 1, 6)),
+    (-1, 0, 0, 0, 0, 2, 15, (ONE_MINUS_X, 1), (P2, 1, 6)),
+    (-1, 0, 0, 0, 0, 3, 15, (ONE_MINUS_X, 1), (ONE_MINUS_X, 2), (P3, 1, 6)),
+    (-1, 4, 4, 30, -18, 4, 15, (WINDOW, 0), (ONE_MINUS_X, 1), (ONE_MINUS_X, 2), (ONE_MINUS_X, 3)),
+    (1, 0, 0, 0, 0, 0, 15, (WINDOW, 1)),
+)
+
 
 def lemma2_residual(
     n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
 ) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-9 series."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    six = 6 * n
-    lhs = _window_bracket(six - 6) * memo.s(n, 9)
-    rhs = p_poly(1, n, tables) * memo.s(n - 1, 9)
-    s2 = memo.s(n - 2, 9)
-    if s2:
-        rhs = rhs + one_minus_q(six) * p_poly(2, n, tables) * s2
-    s3 = memo.s(n - 3, 9)
-    if s3:
-        rhs = rhs + p_poly(3, n, tables) * one_minus_q(six) * one_minus_q(six - 6) * s3
-    s4 = memo.s(n - 4, 9)
-    if s4:
-        rhs = rhs + (
-            monomial(1, 4, 4, 30 * n - 36)
-            * one_minus_q(six)
-            * one_minus_q(six - 6)
-            * one_minus_q(six - 12)
-            * _window_bracket(six)
-            * s4
-        )
-    return lhs - rhs
+    return _combination(LEMMA2_TERMS, n, memo, tables)
 
 
 def lemma3_residual(
@@ -374,38 +387,14 @@ def lemma3_residual(
 ) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-15 series.
 
-    The auxiliary polynomials enter at level n-1 with a and b both shifted
-    by q^6.  The identity holds for n >= 1 (checked exactly on levels 1..4).
-    At n = 0 the printed instance is false and this returns the documented
-    non-zero 19-term residual (README, known finding 2).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    six = 6 * n
-    lhs = _window_bracket(six - 6) * memo.s(n, 15)
-    rhs = p_poly(1, n - 1, tables).shift(6, 6) * memo.s(n - 1, 15)
-    s2 = memo.s(n - 2, 15)
-    if s2:
-        rhs = rhs + one_minus_q(six - 6) * p_poly(2, n - 1, tables).shift(6, 6) * s2
-    s3 = memo.s(n - 3, 15)
-    if s3:
-        rhs = rhs + (
-            one_minus_q(six - 6)
-            * one_minus_q(six - 12)
-            * p_poly(3, n - 1, tables).shift(6, 6)
-            * s3
-        )
-    s4 = memo.s(n - 4, 15)
-    if s4:
-        rhs = rhs + (
-            monomial(1, 4, 4, 30 * n - 18)
-            * _window_bracket(six)
-            * one_minus_q(six - 6)
-            * one_minus_q(six - 12)
-            * one_minus_q(six - 18)
-            * s4
-        )
-    return lhs - rhs
+    Holds for n >= 1 (checked exactly on levels 1..4).  At n = 0 the printed
+    instance is false and this returns the documented non-zero 19-term
+    residual (README, known finding 2)."""
+    return _combination(LEMMA3_TERMS, n, memo, tables)
+
+
+# (1 + a*q)(1 + a*q^2)(1 + b*q^4)(1 + b*q^5): 1 + t for each non-constant WINDOW term t
+_LEMMA4_FACTORS = math.prod((ONE + _at((t,), 0) for t in WINDOW[1:]), start=ONE)
 
 
 def lemma4_residual(n: int, memo: SeriesMemo) -> TriPoly:
@@ -432,9 +421,8 @@ def product_truncated(q_max: int, extra_windows: int = 0) -> TriPoly:
     windows = (q_max - 1) // 6 + 1 if q_max else 0
     out = ONE
     for n in range(windows + extra_windows):
-        six = 6 * n
-        for e_a, e_b, e in ((1, 0, six + 1), (1, 0, six + 2), (0, 1, six + 4), (0, 1, six + 5)):
-            out = (out * (ONE + monomial(1, e_a, e_b, e))).truncate(q_max)
+        for term in WINDOW[1:]:  # a*q^(6n+1), a*q^(6n+2), b*q^(6n+4), b*q^(6n+5)
+            out = (out * (ONE + _at((term,), n))).truncate(q_max)
     return out
 
 

@@ -163,6 +163,16 @@ def test_suite_choices_and_defaults_come_from_the_registry(capsys):
         assert sorted(rows) == sorted(row for row in full if row[0] in identities), name
     _, out, _ = run_cli(capsys, "verify", "--suite", "theorem3")
     assert json.loads(out)["n"] == SuiteConfig().q_max_theorem
+    _, default, _ = run_cli(capsys, "product")
+    _, explicit, _ = run_cli(capsys, "product", "--q-max", str(SuiteConfig().q_max_theorem))
+    assert default == explicit
+
+
+@pytest.mark.parametrize("suite", ["all", *SUITES, "theorem3"])
+def test_verify_rejects_a_negative_q_max_for_every_suite(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "0", "--q-max", "-7")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_verify_determinism_modulo_timing(capsys):

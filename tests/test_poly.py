@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DISPLAY_S0_15, poly_of
-from sixfold.poly import ONE, ZERO, TriPoly, monomial, one_minus_q
+from sixfold.poly import ONE, ZERO, TriPoly, monomial
 
 
 def test_monomial_single_term():
@@ -170,12 +170,7 @@ def test_operations_store_no_zero_coefficients(p, q):
         assert len(result.terms()) == len(result)
 
 
-def test_one_minus_q():
-    assert one_minus_q(0) == ZERO
-    assert one_minus_q(6) == poly_of([(1, 0, 0, 0), (-1, 0, 0, 6)])
-
-
 def test_int_operands_coerce():
     assert ONE + 1 == monomial(2, 0, 0, 0)
-    assert 1 - monomial(1, 0, 0, 6) == one_minus_q(6)
+    assert 1 - monomial(1, 0, 0, 6) == poly_of([(1, 0, 0, 0), (-1, 0, 0, 6)])
     assert 3 * monomial(1, 1, 0, 1) == monomial(3, 1, 0, 1)

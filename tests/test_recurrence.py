@@ -1,4 +1,6 @@
+import hashlib
 import inspect
+import json
 import random
 import sys
 
@@ -15,10 +17,19 @@ from sixfold.partitions import count_table, s_oracle
 from sixfold.poly import ONE, ZERO, monomial
 from sixfold.recurrence import (
     DEFAULT_P_TABLES,
+    J_BRACKET,
+    J_INNER,
+    J_TERMS,
+    K_INNER,
+    K_TERMS,
+    LEMMA2_TERMS,
+    LEMMA3_TERMS,
+    ONE_MINUS_X,
     P1_TERMS,
     P2_TERMS,
     P3_TERMS,
     REC_RULES,
+    WINDOW,
     J_poly,
     K_poly,
     SeriesMemo,
@@ -31,6 +42,7 @@ from sixfold.recurrence import (
     p_poly,
     product_truncated,
 )
+from sixfold.recurrence import _combination
 
 
 # -------------------------------------------------------------- series
@@ -244,6 +256,55 @@ def test_product_truncated_rejects_negative_bound():
         product_truncated(-1)
 
 
+# ------------------------------------------------ pinned non-zero residuals
+
+# Pristine residuals are all zero (except Lemma3 at n = 0), so they cannot
+# tell two transcriptions of an identity apart; residuals over mutated rules
+# or p-tables can.  Each digest is the SHA-256 of json.dumps(to_json_terms())
+# of the residual at n = 0..3 for mutation seeds 0..3, in (seed, n) order.
+RULE_MUTANT_DIGESTS = {
+    "J": (J_poly, "341c6f9a38bf23b8f12513c6099434aebb77d171fbb11c06e250e28977da6f12"),
+    "K": (K_poly, "290b513e13651004fbcc6330941f9db36abb0844687a2cf35770fe1fc4b464e0"),
+    "Link": (link_residual, "6587de84a6d1c3532596e04cb5e4af468d53888cf0dd4a47ea21538146ea957f"),
+    "Lemma2": (lemma2_residual, "4b8908df61d9d4a7580e1ec6598a8164f198ed5fb699ab9e3160b6c19ceeb51d"),
+    "Lemma3": (lemma3_residual, "ff4159f7411adde2505cfbc5696c038fffa61ad3c394def991ac558ec8012a5c"),
+    "Lemma4": (lemma4_residual, "76e19621ba7e84b7affda88abf22e043772e4007831470bb0b367937a08611d3"),
+}
+P_MUTANT_DIGESTS = {
+    "Lemma2": (lemma2_residual, "67585a44a2722d5773ba7b17cefef372ca1bb5eccc783af43e02063e169b40df"),
+    "Lemma3": (lemma3_residual, "4524627978b2aa715dc88f493b03152ac1d2be2b9b633889ef6d071184fc3509"),
+}
+
+
+def _residual_digest(residual, args_for_seed) -> str:
+    digest = hashlib.sha256()
+    for seed in range(4):
+        args = args_for_seed(random.Random(seed))
+        for n in range(4):
+            digest.update(json.dumps(residual(n, *args).to_json_terms()).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RULE_MUTANT_DIGESTS))
+def test_residuals_over_mutated_rules_are_pinned(name):
+    residual, expected = RULE_MUTANT_DIGESTS[name]
+
+    def args(rng):
+        return (SeriesMemo(mutate_rec_rules(REC_RULES, rng)[0]),)
+
+    assert _residual_digest(residual, args) == expected
+
+
+@pytest.mark.parametrize("name", sorted(P_MUTANT_DIGESTS))
+def test_residuals_over_mutated_p_tables_are_pinned(memo, name):
+    residual, expected = P_MUTANT_DIGESTS[name]
+
+    def args(rng):
+        return memo, mutate_p_tables(DEFAULT_P_TABLES, rng)[0]
+
+    assert _residual_digest(residual, args) == expected
+
+
 # --------------------------------------------------------- mutation hooks
 
 
@@ -267,3 +328,46 @@ def test_mutated_rules_change_the_series():
     pristine, perturbed = SeriesMemo(), SeriesMemo(mutated)
     assert any(pristine.s(n, j) != perturbed.s(n, j) for n in range(3) for j in range(16))
     assert note
+
+
+# Identity tables with the first level each claims, and their factor tables.
+IDENTITIES = ((J_TERMS, 0), (K_TERMS, 0), (LEMMA2_TERMS, 0), (LEMMA3_TERMS, 1))
+FACTOR_TABLES = (WINDOW, ONE_MINUS_X, J_BRACKET, J_INNER, K_INNER)
+
+
+def _bump(term: tuple, index: int, delta: int) -> tuple:
+    return term[:index] + (term[index] + delta,) + term[index + 1:]
+
+
+def _replace_factor(terms: tuple, old: tuple, new: tuple) -> tuple:
+    return tuple(term[:7] + tuple((new, *f[1:]) if f[0] is old else f for f in term[7:]) for term in terms)
+
+
+def _single_term_edits():
+    """(label, identities) for coeff + 1 and q_offset +/- 1 on every identity
+    term, and coeff + 1 on every factor-table term."""
+    for k, (terms, first) in enumerate(IDENTITIES):
+        for t, term in enumerate(terms):
+            for index, delta in ((0, 1), (4, 1), (4, -1)):
+                edited = terms[:t] + (_bump(term, index, delta),) + terms[t + 1:]
+                yield (k, t, index, delta), [(edited, first)]
+    for k, table in enumerate(FACTOR_TABLES):
+        for t in range(len(table)):
+            edited = table[:t] + (_bump(table[t], 0, 1),) + table[t + 1:]
+            yield ("factor", k, t), [
+                (_replace_factor(terms, table, edited), first) for terms, first in IDENTITIES
+            ]
+
+
+def test_single_term_edits_of_the_identity_tables_are_caught(memo):
+    def caught(identities):
+        return any(_combination(terms, n, memo) for terms, first in identities for n in range(first, 5))
+
+    assert not caught(IDENTITIES)
+    edits = list(_single_term_edits())
+    assert len(edits) == 92
+    for label, identities in edits:
+        assert caught(identities), label
+    # x = q^(6n): every term is a polynomial in a, b, q and x
+    tables = (*REC_RULES, *DEFAULT_P_TABLES, *FACTOR_TABLES, *(terms for terms, _ in IDENTITIES))
+    assert all(term[3] % 6 == 0 for table in tables for term in table)
