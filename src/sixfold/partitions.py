@@ -28,6 +28,7 @@ every oracle path deliberately concentrates in is_valid_A / is_valid_B.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO
@@ -319,19 +320,10 @@ def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
     Runs the window transfer matrix over windows 0..n, buckets the final
     states by the class of window n and returns the 16 cumulative sums.
     """
-    buckets: list[dict[tuple[int, int, int], int]] = [{} for _ in range(16)]
+    buckets = [ZERO] * 16
     for cls, terms in _window_dp(n + 1):
-        bucket = buckets[cls]
-        for key, c in terms.items():
-            bucket[key] = bucket.get(key, 0) + c
-
-    series: list[TriPoly] = []
-    acc: dict[tuple[int, int, int], int] = {}
-    for cls in range(16):
-        for key, c in buckets[cls].items():
-            acc[key] = acc.get(key, 0) + c
-        series.append(TriPoly(dict(acc)))
-    return tuple(series)
+        buckets[cls] = buckets[cls] + TriPoly(terms)
+    return tuple(accumulate(buckets))
 
 
 def s_oracle(n: int, j: int) -> TriPoly:

@@ -1,55 +1,189 @@
 """Exact sparse polynomials in a, b and q with unbounded integer coefficients.
 
-Terms are keyed by the exponent triple (e_a, e_b, e_q).  The a and b
-exponents are non-negative; the q exponent is a signed integer, which the
-auxiliary polynomials of the recurrence engine need at small levels.  All
-arithmetic is exact: coefficients are Python ints, so overflow and rounding
-are impossible.  Canonical term order is ascending (e_q, e_a, e_b).
+The a and b exponents are non-negative; the q exponent is a signed integer,
+which the auxiliary polynomials of the recurrence engine need at small
+levels.  All arithmetic is exact: coefficients are Python ints, so overflow
+and rounding are impossible.  Canonical term order is ascending
+(e_q, e_a, e_b).
+
+Layout (Kronecker substitution).  A polynomial is a dict of rows
+{(e_a, e_b): (q0, x)}: the row holds the coefficients c_0, c_1, ... of
+a^e_a * b^e_b * q^(q0 + i) as one Python int
+
+    x = sum_i c_i * 2^(W*i),   |c_i| < 2^(W-1),
+
+with the same slot width W for every row of a value.  Adding two rows is one
+int addition, a monomial times a row one int multiplication, and the product
+of two rows one int product, all done by CPython's big-int code instead of
+per term in Python.
+
+Injectivity.  Such an x is a balanced base-2^W numeral, and every integer has
+exactly one, so x determines its slots.  Substituting q = 2^W is a ring
+homomorphism from Z[q] to Z, so the int of a sum or product of rows is the
+sum or product of their ints.  The result therefore decodes to the right
+coefficients whenever each of them stays below 2^(W-1) in absolute value,
+whatever the intermediate ints were.  Every value carries an upper bound on
+|coefficient|, and its W is derived from it: the smallest 32 * 2^k with
+bound < 2^(W-1).  The bound of a result follows from its operands':
+
+* sum: b1 + b2;
+* product: the sum of the |coefficients| of one operand times the bound of
+  the other (each coefficient of the product sums at most one product per
+  term of the first operand);
+* monomial: |c|; negation, shift and truncate: unchanged.
+
+Operands of different widths are re-encoded to the wider one first.
+
+Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
+equal polynomials of equal width have equal rows, and zero is the empty
+dict.  Terms are decoded only to print, count or look one up: the biased
+value x + 2^(W-1) * sum_i 2^(W*i) has digits c_i + 2^(W-1) in [0, 2^W), so
+`to_bytes` and one array conversion read every slot in linear time.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+
 Key = tuple[int, int, int]  # (e_a, e_b, e_q)
+Row = tuple[int, int]  # (q0, x)
+
+
+def _width(bound: int) -> int:
+    """Smallest slot width 32 * 2^k whose balanced slots hold |c| <= bound."""
+    w = 32
+    while bound >> (w - 1):
+        w *= 2
+    assert bound < 1 << (w - 1)
+    return w
+
+
+def _bias(w: int, k: int) -> int:
+    """2^(w-1) in each of k slots of w bits."""
+    return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * k, "little")
+
+
+def _unpack(x: int, w: int):
+    """Biased slots c_i + 2^(w-1) of the row x, lowest first, in one pass
+    (the last slot may be padding, which reads as c = 0)."""
+    k = x.bit_length() // w + 1
+    raw = (x + _bias(w, k)).to_bytes(k * w // 8, "little")
+    if w > 64:
+        size = w // 8
+        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
+    units = array("I" if w == 32 else "Q", raw)
+    if sys.byteorder == "big":
+        units.byteswap()
+    return units
+
+
+def _encode(slots: dict[int, int], w: int) -> Row:
+    """Row of the non-zero coefficients {e_q: c}."""
+    q0 = min(slots)
+    half = 1 << (w - 1)
+    digits = [half] * (max(slots) - q0 + 1)
+    for e, c in slots.items():
+        digits[e - q0] = c + half
+    if w > 64:
+        raw = b"".join(u.to_bytes(w // 8, "little") for u in digits)
+    else:
+        units = array("I" if w == 32 else "Q", digits)
+        if sys.byteorder == "big":
+            units.byteswap()
+        raw = units.tobytes()
+    return q0, int.from_bytes(raw, "little") - _bias(w, len(digits))
+
+
+def _widen(x: int, w: int, w2: int) -> int:
+    """The row x re-encoded from w-bit to w2-bit slots (w2 > w): each biased
+    slot is copied, as whole 32-bit units, into the low end of a wider one."""
+    k = x.bit_length() // w + 1
+    units = array("I", (x + _bias(w, k)).to_bytes(k * w // 8, "little"))
+    m, m2 = w // 32, w2 // 32
+    out = array("I", bytes(4 * m2 * k))
+    for j in range(m):
+        out[j::m2] = units[j::m]
+    return int.from_bytes(out.tobytes(), "little") - (_bias(w2, k) >> (w2 - w))
+
+
+def _canon(q0: int, x: int, w: int) -> Row:
+    """The non-zero row (q0, x) with its zero low slots dropped."""
+    k = ((x & -x).bit_length() - 1) // w
+    return (q0 + k, x >> (k * w)) if k else (q0, x)
+
+
+def _make(rows: dict[tuple[int, int], Row], w: int, bound: int) -> "TriPoly":
+    p = object.__new__(TriPoly)
+    p._rows, p._w, p._bound, p._len = rows, w, bound, None
+    return p
 
 
 class TriPoly:
-    """Immutable sparse polynomial in a, b, q.
+    """Immutable sparse polynomial in a, b, q, stored as packed rows (see the
+    module docstring).
 
-    Stored terms never carry a zero coefficient or a duplicate exponent
-    key.  Instances are value objects, safe to share across threads; every
-    operation returns a new polynomial.  Use monomial()/ZERO/ONE to build
-    values; the constructor is internal and trusts its argument to be
-    normalized already.
+    `TriPoly({(e_a, e_b, e_q): coeff, ...})` builds a value from a term dict;
+    zero coefficients are dropped.  Instances are value objects, safe to
+    share across threads; every operation returns a new polynomial.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_rows", "_w", "_bound", "_len")
 
     def __init__(self, terms: dict[Key, int] | None = None):
-        self._terms = terms if terms is not None else {}
+        terms = terms or {}
+        grouped: dict[tuple[int, int], dict[int, int]] = {}
+        for (e_a, e_b, e_q), c in terms.items():
+            if c:
+                row = grouped.get((e_a, e_b))
+                if row is None:
+                    grouped[e_a, e_b] = row = {}
+                row[e_q] = c
+        bound = max(map(abs, terms.values()), default=0)
+        w = _width(bound)
+        self._rows = {key: _encode(slots, w) for key, slots in grouped.items()}
+        self._w, self._bound, self._len = w, bound, None
+
+    def _rows_at(self, w: int) -> dict[tuple[int, int], Row]:
+        if w == self._w:
+            return self._rows
+        return {key: (q0, _widen(x, self._w, w)) for key, (q0, x) in self._rows.items()}
+
+    def _decoded(self):
+        """(e_q, e_a, e_b, c) per term, rows in storage order."""
+        half = 1 << (self._w - 1)
+        for (e_a, e_b), (q0, x) in self._rows.items():
+            for i, u in enumerate(_unpack(x, self._w)):
+                if u != half:
+                    yield q0 + i, e_a, e_b, u - half
 
     # ------------------------------------------------------------ queries
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._rows
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __len__(self) -> int:
-        return len(self._terms)
+        if self._len is None:
+            half = 1 << (self._w - 1)
+            slots = [_unpack(x, self._w) for _, x in self._rows.values()]
+            self._len = sum(len(s) - s.count(half) for s in slots)
+        return self._len
 
     def coeff(self, e_a: int, e_b: int, e_q: int) -> int:
         """Coefficient of a^e_a * b^e_b * q^e_q; 0 when the term is absent."""
-        return self._terms.get((e_a, e_b, e_q), 0)
+        row = self._rows.get((e_a, e_b))
+        if row is None or e_q < row[0]:
+            return 0
+        slots = _unpack(row[1], self._w)
+        i = e_q - row[0]
+        return slots[i] - (1 << (self._w - 1)) if i < len(slots) else 0
 
     def terms(self) -> list[tuple[int, int, int, int]]:
         """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
-        return [
-            (c, ea, eb, eq)
-            for (ea, eb, eq), c in sorted(
-                self._terms.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1])
-            )
-        ]
+        return [(c, e_a, e_b, e_q) for e_q, e_a, e_b, c in sorted(self._decoded())]
 
     # ---------------------------------------------------- ring operations
 
@@ -58,23 +192,34 @@ class TriPoly:
             other = monomial(other, 0, 0, 0)
         if not isinstance(other, TriPoly):
             return NotImplemented
-        if not self._terms:
+        if not self._rows:
             return other
-        if not other._terms:
+        if not other._rows:
             return self
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
+        bound = self._bound + other._bound
+        w = _width(bound)
+        out = dict(self._rows_at(w))
+        for key, (q2, x2) in other._rows_at(w).items():
+            if key not in out:
+                out[key] = q2, x2
+                continue
+            q1, x1 = out[key]
+            if q1 < q2:
+                out[key] = q1, x1 + (x2 << w * (q2 - q1))
+            elif q2 < q1:
+                out[key] = q2, (x1 << w * (q1 - q2)) + x2
+            elif x1 + x2:
+                out[key] = _canon(q1, x1 + x2, w)
             else:
                 del out[key]
-        return TriPoly(out)
+        return _make(out, w, bound)
 
     __radd__ = __add__
 
     def __neg__(self) -> "TriPoly":
-        return TriPoly({k: -c for k, c in self._terms.items()})
+        return _make(
+            {key: (q0, -x) for key, (q0, x) in self._rows.items()}, self._w, self._bound
+        )
 
     def __sub__(self, other: "TriPoly | int") -> "TriPoly":
         if isinstance(other, int):
@@ -91,21 +236,34 @@ class TriPoly:
             other = monomial(other, 0, 0, 0)
         if not isinstance(other, TriPoly):
             return NotImplemented
-        if not self._terms or not other._terms:
+        if not self._rows or not other._rows:
             return ZERO
-        small, big = self._terms, other._terms
-        if len(small) > len(big):
-            small, big = big, small
-        out: dict[Key, int] = {}
-        for (ea1, eb1, eq1), c1 in small.items():
-            for (ea2, eb2, eq2), c2 in big.items():
-                key = (ea1 + ea2, eb1 + eb2, eq1 + eq2)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return TriPoly(out)
+        for mono, rest in ((self, other), (other, self)):
+            if len(mono._rows) == 1:
+                (((e_a, e_b), (e_q, c)),) = mono._rows.items()
+                if c.bit_length() < mono._w:  # one slot: re-key the rows of rest, scale by c
+                    bound = abs(c) * rest._bound
+                    w = _width(bound)
+                    rows = rest._rows_at(w).items()
+                    out = {(e_a + ea, e_b + eb): (e_q + q0, c * x) for (ea, eb), (q0, x) in rows}
+                    return _make(out, w, bound)
+        small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
+        bound = sum(abs(c) for *_, c in small._decoded()) * big._bound
+        w = _width(bound)
+        acc: dict[tuple[int, int], list[int]] = {}
+        big_rows = big._rows_at(w).items()
+        for (ea1, eb1), (q1, x1) in small._rows_at(w).items():
+            for (ea2, eb2), (q2, x2) in big_rows:
+                key = (ea1 + ea2, eb1 + eb2)
+                q, x = q1 + q2, x1 * x2
+                row = acc.get(key)
+                if row is None:
+                    acc[key] = [q, x]
+                elif row[0] <= q:
+                    row[1] += x << w * (q - row[0])
+                else:
+                    row[0], row[1] = q, (row[1] << w * (row[0] - q)) + x
+        return _make({key: _canon(q, x, w) for key, (q, x) in acc.items() if x}, w, bound)
 
     __rmul__ = __mul__
 
@@ -117,21 +275,35 @@ class TriPoly:
         Maps each term (c, e_a, e_b, e_q) to (c, e_a, e_b, e_q + s*e_a + t*e_b);
         a ring homomorphism, so it commutes with + and *.
         """
-        return TriPoly(
-            {(ea, eb, eq + s * ea + t * eb): c for (ea, eb, eq), c in self._terms.items()}
+        return _make(
+            {(ea, eb): (q0 + s * ea + t * eb, x) for (ea, eb), (q0, x) in self._rows.items()},
+            self._w,
+            self._bound,
         )
 
     def truncate(self, q_max: int) -> "TriPoly":
         """Drop every term whose q exponent exceeds q_max (q_max >= 0)."""
         if q_max < 0:
             raise ValueError(f"q_max must be >= 0, got {q_max}")
-        return TriPoly({k: c for k, c in self._terms.items() if k[2] <= q_max})
+        w = self._w
+        out = {}
+        for key, (q0, x) in self._rows.items():
+            bits = (q_max - q0 + 1) * w  # the slots kept
+            if bits <= 0:
+                continue
+            if x.bit_length() >= bits:
+                # low slots of a balanced numeral: the low bits, read signed
+                x &= (1 << bits) - 1
+                if x >> (bits - 1):
+                    x -= 1 << bits
+            out[key] = q0, x  # slot 0 is kept, so x != 0
+        return _make(out, w, self._bound)
 
     # -------------------------------------------------------- serialization
 
     def to_text(self) -> str:
         """Canonical text form: "c*a^i*b^j*q^k" terms joined by " + "."""
-        if not self._terms:
+        if not self._rows:
             return "0"
         return " + ".join(f"{c}*a^{ea}*b^{eb}*q^{eq}" for c, ea, eb, eq in self.terms())
 
@@ -142,12 +314,14 @@ class TriPoly:
     # ----------------------------------------------------------- identity
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, TriPoly):
-            return self._terms == other._terms
-        return NotImplemented
+        if not isinstance(other, TriPoly):
+            return NotImplemented
+        w = max(self._w, other._w)
+        return len(self._rows) == len(other._rows) and self._rows_at(w) == other._rows_at(w)
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # from the terms, so that it agrees with == across slot widths
+        return hash(frozenset(self._decoded()))
 
     def __repr__(self) -> str:
         return f"TriPoly({self.to_text()!r})"
@@ -166,5 +340,4 @@ def monomial(coeff: int, e_a: int, e_b: int, e_q: int) -> TriPoly:
         raise ValueError(f"a and b exponents must be non-negative, got ({e_a}, {e_b})")
     if coeff == 0:
         return ZERO
-    return TriPoly({(e_a, e_b, e_q): coeff})
-
+    return _make({(e_a, e_b): (e_q, coeff)}, _width(abs(coeff)), abs(coeff))

@@ -1,4 +1,5 @@
-"""Shared test data: reference displays and small builders."""
+"""Shared test data: reference displays, small builders and the reference
+polynomial kernel."""
 
 from sixfold.poly import ZERO, TriPoly, monomial
 
@@ -9,6 +10,59 @@ def poly_of(terms) -> TriPoly:
     for c, ea, eb, eq in terms:
         acc = acc + monomial(c, ea, eb, eq)
     return acc
+
+
+# ------------------------------------------------------- reference kernel
+#
+# Plain dict arithmetic on {(e_a, e_b, e_q): coeff} with no zero
+# coefficient stored: the kernel TriPoly used before its packed rows, kept
+# here so the packed kernel is cross-checked term by term.
+
+RefPoly = dict[tuple[int, int, int], int]
+
+
+def ref_terms(p: RefPoly) -> list[tuple[int, int, int, int]]:
+    """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
+    return [
+        (c, ea, eb, eq)
+        for (ea, eb, eq), c in sorted(p.items(), key=lambda kv: (kv[0][2], kv[0][0], kv[0][1]))
+    ]
+
+
+def ref_add(p: RefPoly, q: RefPoly) -> RefPoly:
+    out = dict(p)
+    for key, c in q.items():
+        s = out.get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            del out[key]
+    return out
+
+
+def ref_neg(p: RefPoly) -> RefPoly:
+    return {k: -c for k, c in p.items()}
+
+
+def ref_mul(p: RefPoly, q: RefPoly) -> RefPoly:
+    out: RefPoly = {}
+    for (ea1, eb1, eq1), c1 in p.items():
+        for (ea2, eb2, eq2), c2 in q.items():
+            key = (ea1 + ea2, eb1 + eb2, eq1 + eq2)
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            elif key in out:
+                del out[key]
+    return out
+
+
+def ref_shift(p: RefPoly, s: int, t: int) -> RefPoly:
+    return {(ea, eb, eq + s * ea + t * eb): c for (ea, eb, eq), c in p.items()}
+
+
+def ref_truncate(p: RefPoly, q_max: int) -> RefPoly:
+    return {k: c for k, c in p.items() if k[2] <= q_max}
 
 
 # Reference display of the level-0 class-15 series (15 terms), equal to

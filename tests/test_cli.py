@@ -1,7 +1,11 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import DISPLAY_S0_15
 from sixfold import recurrence
@@ -239,3 +243,56 @@ def test_exit_1_when_any_check_fails(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "verify", "--suite", "lemma2")
     assert code == 0
+
+
+# ------------------------------------------------------ argument edges
+
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(argv):
+    """Exit 0, 1 (a check failed) or 2 (one `error:` line), never a traceback."""
+    code, _, err = _run_captured(argv)
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+    if code == 1:
+        assert err.startswith("FAIL ") and "error:" not in err, (argv, err)
+
+
+_small = st.integers(min_value=-3, max_value=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["A", "B"]), _small, st.sampled_from(["csv", "json"]))
+def test_counts_arguments_at_their_edges(side, n_max, fmt):
+    _assert_clean_exit(["counts", "--side", side, "--n-max", str(n_max), "--format", fmt])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=-4, max_value=3),
+    st.integers(min_value=-3, max_value=18),
+    st.sampled_from(["oracle", "recurrence"]),
+)
+def test_series_arguments_at_their_edges(n, j, source):
+    _assert_clean_exit(["series", "--n", str(n), "--j", str(j), "--source", source])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=-2, max_value=6),
+    st.integers(min_value=-2, max_value=6),
+    st.sampled_from(["none", "b0-433", "b0-533"]),
+    _small,
+)
+def test_general_arguments_at_their_edges(lam, k, a, extra, n_max):
+    argv = ["general", "--lambda", str(lam), "--k", str(k), "--a", str(a), "--extra", extra]
+    _assert_clean_exit([*argv, "--n-max", str(n_max)])

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DISPLAY_S0_15, poly_of
+from helpers import (
+    DISPLAY_S0_15,
+    poly_of,
+    ref_add,
+    ref_mul,
+    ref_neg,
+    ref_shift,
+    ref_terms,
+    ref_truncate,
+)
 from sixfold.poly import ONE, ZERO, TriPoly, monomial
 
 
@@ -29,6 +38,12 @@ def test_monomial_signed_q_exponent_is_legal():
 def test_monomial_negative_ab_exponent_rejected(ea, eb):
     with pytest.raises(ValueError):
         monomial(1, ea, eb, 0)
+
+
+def test_constructor_drops_zero_coefficients():
+    assert TriPoly({(0, 0, 0): 0}) == ZERO
+    assert TriPoly({(0, 0, 0): 0}).is_zero() and len(TriPoly({(0, 0, 0): 0})) == 0
+    assert TriPoly({(0, 0, 0): 0, (1, 0, 2): 3}) == monomial(3, 1, 0, 2)
 
 
 def test_add_identity_and_cancellation():
@@ -174,3 +189,102 @@ def test_int_operands_coerce():
     assert ONE + 1 == monomial(2, 0, 0, 0)
     assert 1 - monomial(1, 0, 0, 6) == poly_of([(1, 0, 0, 0), (-1, 0, 0, 6)])
     assert 3 * monomial(1, 1, 0, 1) == monomial(3, 1, 0, 1)
+
+
+# ------------------------------------- cross-check against the dict reference
+
+# Coefficients up to 2^130 push the slot width past 64 bits, where slots are
+# decoded one by one; negative q exponents come from the signed range.
+_wide_coeffs = st.one_of(_coeffs, st.integers(min_value=-(2**130), max_value=2**130))
+_term_dicts = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-12, max_value=20),
+    ),
+    _wide_coeffs,
+    max_size=10,
+)
+
+
+def _pair(terms):
+    """(TriPoly, reference dict) of a term dict that may hold zero coefficients."""
+    return TriPoly(terms), {k: c for k, c in terms.items() if c}
+
+
+def _assert_matches(poly, ref):
+    assert poly.terms() == ref_terms(ref)
+    assert poly == TriPoly(ref) and hash(poly) == hash(TriPoly(ref))
+    assert len(poly) == len(ref)
+    assert poly.is_zero() == (not ref)
+
+
+@settings(max_examples=300)
+@given(_term_dicts, _term_dicts, _shifts, _shifts)
+def test_every_operation_matches_the_reference_kernel(p_terms, q_terms, s, t):
+    (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
+    _assert_matches(p, rp)
+    _assert_matches(p + q, ref_add(rp, rq))
+    _assert_matches(p - q, ref_add(rp, ref_neg(rq)))
+    _assert_matches(-p, ref_neg(rp))
+    _assert_matches(p * q, ref_mul(rp, rq))
+    _assert_matches(p.shift(s, t), ref_shift(rp, s, t))
+    for (ea, eb, eq), c in rp.items():
+        assert p.coeff(ea, eb, eq) == c
+        assert p.coeff(ea, eb, eq + 100) == p.coeff(ea, eb, eq - 100) == 0
+    assert p.coeff(9, 9, 0) == 0
+
+
+@settings(max_examples=200)
+@given(_term_dicts, st.data())
+def test_truncate_matches_the_reference_at_row_edges(terms, data):
+    p, ref = _pair(terms)
+    rows: dict[tuple[int, int], list[int]] = {}
+    for ea, eb, eq in ref:
+        rows.setdefault((ea, eb), []).append(eq)
+    # the first and the last slot of every row, and their neighbours
+    edges = {e + d for eqs in rows.values() for e in (min(eqs), max(eqs)) for d in (-1, 0, 1)}
+    cuts = sorted(e for e in edges | {0} if e >= 0)
+    q_max = data.draw(st.sampled_from(cuts))
+    _assert_matches(p.truncate(q_max), ref_truncate(ref, q_max))
+
+
+@given(_term_dicts, _term_dicts)
+def test_exact_cancellation_gives_zero(p_terms, q_terms):
+    p, q = TriPoly(p_terms), TriPoly(q_terms)
+    for zero in (p - p, p + (-p), p * q - q * p, (p + q) - q - p):
+        assert zero == ZERO and zero.is_zero() and not zero and len(zero) == 0
+        assert zero.terms() == [] and hash(zero) == hash(ZERO)
+
+
+def test_a_cancelled_lowest_term_leaves_a_canonical_value():
+    a, b, q = monomial(1, 1, 0, 0), monomial(1, 0, 1, 0), monomial(1, 0, 0, 1)
+    # the a*b terms cancel at q^0 and survive at q^1
+    prod = (a + b) * (b + b * q - a)
+    assert prod == poly_of([(1, 0, 2, 0), (1, 0, 2, 1), (1, 1, 1, 1), (-1, 2, 0, 0)])
+
+
+@pytest.mark.parametrize("top", [2**31 - 1, 2**31, 2**63 - 1, 2**63, 2**127 - 1])
+def test_coefficients_at_the_slot_width_boundary(top):
+    # sums and products whose coefficients just reach the next slot width
+    rp = {(0, 0, i): top for i in range(16)} | {(1, 0, 3): -top}
+    p = TriPoly(rp)  # bound top, where a sum of monomials would carry 17 * top
+    for result, ref in (
+        (p + p, ref_add(rp, rp)),
+        (p - (-p), ref_add(rp, rp)),
+        (p * p, ref_mul(rp, rp)),
+        (p * p * p, ref_mul(ref_mul(rp, rp), rp)),
+        (monomial(-top, 0, 1, -2) * p, ref_mul({(0, 1, -2): -top}, rp)),
+    ):
+        _assert_matches(result, ref)
+
+
+@given(_terms, st.integers(min_value=90, max_value=200))
+def test_one_value_at_two_widths_is_equal_with_equal_hash(terms, bits):
+    p = poly_of(terms)
+    big = monomial(2**bits, 1, 2, 3)
+    wide = (p + big) - big
+    assert wide._w > p._w  # the same value, held in wider slots
+    assert wide == p and p == wide and hash(wide) == hash(p)
+    assert wide.terms() == p.terms() and len(wide) == len(p)
+    assert wide + ONE != p and p != wide + ONE
