@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -288,3 +288,23 @@ def test_one_value_at_two_widths_is_equal_with_equal_hash(terms, bits):
     assert wide == p and p == wide and hash(wide) == hash(p)
     assert wide.terms() == p.terms() and len(wide) == len(p)
     assert wide + ONE != p and p != wide + ONE
+
+
+@given(
+    _term_dicts,
+    _term_dicts,
+    st.integers(min_value=90, max_value=200),
+    st.integers(min_value=0, max_value=20),
+)
+# one row each, so the wide value is the operand whose norm is summed
+@example({(0, 0, 0): 1, (0, 0, 1): 1}, {(0, 0, 0): 1, (0, 0, 1): 1}, 100, 0)
+def test_products_of_values_whose_bound_exceeds_their_coefficients(p_terms, q_terms, bits, q_max):
+    (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
+    big = monomial(2**bits, 0, 0, 30)
+    # p after a cancellation, and p below q_max after truncating off big: both
+    # carry big's bound, far above their own coefficients
+    for x, rx in (((p + big) - big, rp), ((p + big).truncate(q_max), ref_truncate(rp, q_max))):
+        assert x._bound >= 2**bits
+        _assert_matches(x * q, ref_mul(rx, rq))
+        _assert_matches(q * x, ref_mul(rq, rx))
+        _assert_matches(x * x, ref_mul(rx, rx))
