@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
     q_max = verify.SuiteConfig().q_max_theorem
     p.add_argument("--q-max", type=int, default=q_max, help="q bound for the table/product checks")
 
-    p = sub.add_parser("counts", help="exhaustive (mu, nu, N) count table for one side")
+    p = sub.add_parser("counts", help="refined (mu, nu, N) count table for one side")
     p.add_argument("--side", choices=["A", "B"], required=True)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--format", choices=["csv", "json"], default="csv")

@@ -17,12 +17,17 @@ polynomials (TriPoly): the coefficient of a^mu b^nu q^N is the number of
 valid partitions of N with statistics (mu, nu), so each comparison with
 the recurrence side is an exact residual.
 
-Side A, the general families and s_oracle_dfs use an exhaustive search over
-part lists.  Side B's count table and s_oracle use a transfer matrix over
-six-wide windows (_window_dp), whose transitions are read from is_valid_B
-itself: one step per window, costing time in proportion to the number of
-distinct terms rather than to the number of partitions.  Correctness of
-every oracle path deliberately concentrates in is_valid_A / is_valid_B.
+Counting never lists the partitions, except on one path.  Two transfer
+matrices (Stanley, Enumerative Combinatorics I, section 4.7) read their
+transitions from the predicates themselves and cost time in proportion to
+the number of distinct terms rather than to the number of partitions.
+Side B's count table and s_oracle step over six-wide windows (_window_dp,
+from is_valid_B).  Side A and the general families step over part values
+(_value_dp), a state holding the multiplicities of the last few values,
+each transition a call of is_valid_A or of a family predicate on the parts
+of one short window.  s_oracle_dfs, a second side-B path kept for small
+levels, is a plain exhaustive search (_search).  Correctness of every
+oracle path deliberately concentrates in the predicates.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
-from .poly import ONE, TriPoly, ZERO
+from .poly import ONE, TriPoly, ZERO, monomial
 
 
 class GeneralParams(NamedTuple):
@@ -79,7 +84,10 @@ EXTRA_PARAMS: dict[str, GeneralParams] = {
 
 
 def is_valid_A(parts: Sequence[int]) -> bool:
-    """Side-A predicate: distinct parts, each congruent to 1, 2, 4 or 5 mod 6."""
+    """Side-A predicate: distinct parts, each congruent to 1, 2, 4 or 5 mod 6.
+
+    Both rules bound the multiplicity of one value, so the predicate is
+    local to windows of one value."""
     seen = set()
     for p in parts:
         if p % 6 not in (1, 2, 4, 5) or p in seen:
@@ -177,30 +185,76 @@ def _search(
     extend(max_part, 0)
 
 
+def _value_dp(
+    n_max: int,
+    span: int,
+    valid: Callable[[list[int]], bool],
+    weight: Callable[[int], tuple[int, int]],
+) -> TriPoly:
+    """Generating polynomial of the weakly decreasing lists of positive parts
+    summing to at most n_max that `valid` accepts, by the transfer-matrix
+    method over part values: each copy of a part v weighs a^mu b^nu q^v, with
+    (mu, nu) = weight(v).
+
+    `valid` must be local to `span` consecutive values: a list passes
+    exactly when, for every v, its parts in [v - span + 1, v] pass.  A state
+    is then the multiplicities of the last span - 1 values, which is all the
+    future depends on.  Value v steps each state to m = 0, 1, ... copies of
+    v for as long as m*v <= n_max and `valid` accepts the window's parts at
+    their true values.  The window holding m copies of v is a run of the one
+    holding m + 1, so the first rejection ends the step, and m = 0 needs no
+    call: its window is a run of the one accepted at v - 1 (or empty).  A
+    window reaching above n_max holds the parts of the one ending at n_max,
+    so the windows ending at 1..n_max are all there is to check.  Each
+    state's value is truncated to q^n_max as it is produced.  The empty list
+    is counted without a call, as _search counts it.
+    """
+    layer: dict[tuple[int, ...], TriPoly] = {(0,) * (span - 1): ONE}
+    for v in range(1, n_max + 1):
+        mu, nu = weight(v)
+        nxt: dict[tuple[int, ...], TriPoly] = {}
+        for state, value in layer.items():
+            # the window's parts below v, descending, at their true values
+            parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
+            m = 0
+            while True:
+                term = value
+                if m:
+                    term = value.truncate(n_max - m * v) * monomial(1, m * mu, m * nu, m * v)
+                if term:
+                    key = (*state, m)[1:]
+                    nxt[key] = nxt[key] + term if key in nxt else term
+                m += 1
+                if m * v > n_max:
+                    break
+                parts.insert(0, v)
+                if not valid(parts):
+                    break
+        layer = nxt
+    return sum(layer.values(), ZERO)
+
+
 def count_table(side: str, n_max: int) -> TriPoly:
     """Refined generating polynomial of the valid side-A or side-B
     partitions of N <= n_max: the coefficient of a^mu b^nu q^N counts
     those of size N with statistics (mu, nu).
 
-    Side A is counted by exhaustive search; side B by the window transfer
-    matrix (see _window_dp) over the windows that hold parts <= n_max.
+    Side A is counted by the transfer matrix over part values (see
+    _value_dp), its steps read from is_valid_A on one value at a time;
+    side B by the window transfer matrix (see _window_dp) over the windows
+    that hold parts <= n_max.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if side == "A":
+        # is_valid_A bounds each value's multiplicity on its own: span 1
+        return _value_dp(n_max, 1, is_valid_A, lambda v: profile_A([v]))
     entries: dict[tuple[int, int, int], int] = {}
-    if side == "B":
-        for _, terms in _window_dp((n_max - 1) // 6 + 1, n_max):
-            for key, c in terms.items():
-                entries[key] = entries.get(key, 0) + c
-        return TriPoly(entries)
-
-    def record(parts: list[int], total: int) -> None:
-        key = (*profile_A(parts), total)
-        entries[key] = entries.get(key, 0) + 1
-
-    _search(n_max, n_max, is_valid_A, record)
+    for _, terms in _window_dp((n_max - 1) // 6 + 1, n_max):
+        for key, c in terms.items():
+            entries[key] = entries.get(key, 0) + c
     return TriPoly(entries)
 
 
@@ -404,6 +458,11 @@ def _general_a_rules(gp: GeneralParams):
 
 
 def _is_valid_general_A(parts: Sequence[int], rules) -> bool:
+    """Family-A predicate for the rules of _general_a_rules; `parts` must be
+    weakly decreasing.  Every rule (a banned residue, or no repeat off the
+    multiples of distinct_mod) bounds the multiplicity of one value, so a
+    list is valid exactly when each of its values is: the predicate is
+    local to windows of one value."""
     distinct_mod, m, banned, extra_ban = rules
     prev = None
     for p in parts:
@@ -425,6 +484,25 @@ _EXTRA_F_RULES = {
 
 
 def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: str | None) -> bool:
+    """Family-B predicate; `parts` must be weakly decreasing.
+
+    Holds iff: only multiples of lam+1 repeat; parts[i] - parts[i+k-1] >=
+    lam+1, strictly when parts[i] is a multiple of lam+1; the first-window
+    caps f(j) + ... + f(lam+1-j) <= a - j for 1 <= j <= (lam+1)/2 and
+    f(1) + ... + f(lam+1) <= a - 1 hold; and, with `extra`, every cap of
+    _EXTRA_F_RULES[extra] holds.
+
+    Locality: every constraint is an upper bound on the multiplicities over
+    a fixed set of values, or the (k-1)-apart difference rule.  The parts in
+    a run of consecutive values are a run of the list, and the difference
+    rule holds on a list only if it holds on each of its runs, so either
+    kind only gets worse as parts are added.  A violated difference rule
+    involves parts at most lam+1 apart, so it spans at most lam+2 values; a
+    first-window cap spans at most lam+1, and an extra cap
+    max(offsets) - min(offsets) + 1 (9 for b0-533).  So a list is valid
+    exactly when its parts in every window of _general_b_span consecutive
+    values are.
+    """
     step = lam + 1
     f: dict[int, int] = {}
     for p in parts:
@@ -453,30 +531,45 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     return True
 
 
-def _series_counts(n_max: int, valid: Callable[[list[int]], bool]) -> list[int]:
+def _general_b_span(lam: int, extra: str | None) -> int:
+    """Values a family-B constraint can span: lam + 2 for the difference
+    rule and the first-window caps, widened to the widest extra cap."""
+    span = lam + 2
+    if extra is not None:
+        _, rules = _EXTRA_F_RULES[extra]
+        span = max(span, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in rules))
+    return span
+
+
+def _series(n_max: int, span: int, valid: Callable[[list[int]], bool]) -> list[int]:
+    """Counts of the lists `valid` accepts, for every n in 0..n_max."""
     counts = [0] * (n_max + 1)
-
-    def record(parts: list[int], total: int) -> None:
-        counts[total] += 1
-
-    _search(n_max, n_max, valid, record)
+    for c, _, _, n in _value_dp(n_max, span, valid, lambda v: (0, 0)).terms():
+        counts[n] = c
     return counts
 
 
 def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:
-    """Family-A counts for every n in 0..n_max from a single search."""
+    """Family-A counts for every n in 0..n_max, by the transfer matrix over
+    part values; every family-A rule bounds one value (span 1)."""
     _validate_params(gp)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     rules = _general_a_rules(gp)
-    return _series_counts(n_max, lambda parts: _is_valid_general_A(parts, rules))
+    return _series(n_max, 1, lambda parts: _is_valid_general_A(parts, rules))
 
 
 def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) -> list[int]:
-    """Family-B counts for every n in 0..n_max from a single search."""
+    """Family-B counts for every n in 0..n_max, by the transfer matrix over
+    part values with windows of _general_b_span values (see
+    _is_valid_general_B for why they suffice)."""
     _validate_params(gp)
     validate_extra(gp, extra)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam, k, a = gp
-    return _series_counts(n_max, lambda parts: _is_valid_general_B(parts, lam, k, a, extra))
+    return _series(
+        n_max,
+        _general_b_span(lam, extra),
+        lambda parts: _is_valid_general_B(parts, lam, k, a, extra),
+    )

@@ -226,8 +226,8 @@ def theorem3_check(q_max: int) -> Report:
 def _check_theorem1_params(gp: GeneralParams) -> None:
     if gp.lam < 1 or gp.k < 1 or gp.a < 1:
         raise ConfigError(f"lam, k and a must be positive, got {gp}")
-    if not (2 * gp.a >= gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
-        raise ConfigError(f"params {gp} violate lam/2 <= a <= k and k >= lam")
+    if not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
+        raise ConfigError(f"params {gp} violate lam/2 < a <= k and k >= lam")
 
 
 def _family_report(

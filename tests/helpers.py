@@ -1,6 +1,7 @@
-"""Shared test data: reference displays, small builders and the reference
-polynomial kernel."""
+"""Shared test data: reference displays, small builders, the reference
+polynomial kernel and the search references of the enumeration paths."""
 
+from sixfold import partitions
 from sixfold.poly import ZERO, TriPoly, monomial
 
 
@@ -63,6 +64,46 @@ def ref_shift(p: RefPoly, s: int, t: int) -> RefPoly:
 
 def ref_truncate(p: RefPoly, q_max: int) -> RefPoly:
     return {k: c for k, c in p.items() if k[2] <= q_max}
+
+
+# ------------------------------------------------------ search references
+#
+# Exhaustive part search: every list the predicate accepts is visited, so
+# the transfer matrices of the enumeration paths are cross-checked against
+# plain listing.
+
+
+def search_table(q_max: int, valid, profile) -> TriPoly:
+    """Refined generating polynomial of the lists of parts summing to at
+    most q_max that `valid` accepts, (mu, nu) read by `profile`."""
+    entries: dict[tuple[int, int, int], int] = {}
+
+    def record(parts, total):
+        key = (*profile(parts), total)
+        entries[key] = entries.get(key, 0) + 1
+
+    partitions._search(q_max, q_max, valid, record)
+    return TriPoly(entries)
+
+
+def search_series(n_max: int, valid) -> list[int]:
+    """Number of lists `valid` accepts summing to n, for every n <= n_max."""
+    counts = [0] * (n_max + 1)
+
+    def record(parts, total):
+        counts[total] += 1
+
+    partitions._search(n_max, n_max, valid, record)
+    return counts
+
+
+def search_general_series(gp, n_max: int, extra=None) -> tuple[list[int], list[int]]:
+    """Family-A and family-B counts for every n <= n_max, by search."""
+    rules = partitions._general_a_rules(gp)
+    return (
+        search_series(n_max, lambda parts: partitions._is_valid_general_A(parts, rules)),
+        search_series(n_max, lambda parts: partitions._is_valid_general_B(parts, *gp, extra)),
+    )
 
 
 # Reference display of the level-0 class-15 series (15 terms), equal to

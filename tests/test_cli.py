@@ -221,6 +221,14 @@ def test_general_bad_theorem1_params(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_general_theorem1_boundary_is_a_config_error():
+    # a = lam/2 is outside Theorem1 (the families differ from n = 1 on)
+    argv = ["general", "--lambda", "2", "--k", "2", "--a", "1", "--n-max", "30"]
+    code, out, err = _run_captured(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+
+
 def test_product_golden(capsys):
     code, out, _ = run_cli(capsys, "product", "--q-max", "3")
     assert code == 0

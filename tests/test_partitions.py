@@ -1,12 +1,21 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import B2_Q9, DISPLAY_S0_9_SHORT, DISPLAY_S0_15
+from helpers import (
+    B2_Q9,
+    DISPLAY_S0_9_SHORT,
+    DISPLAY_S0_15,
+    search_general_series,
+    search_table,
+)
 from sixfold import partitions
 from sixfold.partitions import (
     B0_433,
     B0_533,
+    EXTRA_PARAMS,
     GeneralParams,
     WINDOW_CLASSES,
     count_table,
@@ -20,6 +29,7 @@ from sixfold.partitions import (
     s_oracle_dfs,
 )
 from sixfold.poly import ONE, TriPoly
+from sixfold.verify import DEFAULT_GENERAL_CASES
 
 
 # ----------------------------------------------------------- side A
@@ -125,14 +135,12 @@ def test_count_table_b_small_values():
 
 @pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40])
 def test_count_table_b_equals_the_part_search(q_max):
-    entries: dict[tuple[int, int, int], int] = {}
+    assert count_table("B", q_max) == search_table(q_max, is_valid_B, profile_B)
 
-    def record(parts, total):
-        key = (*profile_B(parts), total)
-        entries[key] = entries.get(key, 0) + 1
 
-    partitions._search(q_max, q_max, is_valid_B, record)
-    assert count_table("B", q_max) == TriPoly(entries)
+@pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40, 60])
+def test_count_table_a_equals_the_part_search(q_max):
+    assert count_table("A", q_max) == search_table(q_max, is_valid_A, profile_A)
 
 
 def test_count_table_zero_bound():
@@ -251,6 +259,84 @@ def test_refined_table_sums_match_extra_family():
         totals[n] += c
     series = general_B_series(GeneralParams(5, 3, 3), 15, extra=B0_533)
     assert totals == series
+
+
+# The default cases, and each extra set's triple without its extras too.
+_FAMILY_CASES = [(gp, extra) for gp, extra, _ in DEFAULT_GENERAL_CASES] + [
+    (gp, None) for gp in EXTRA_PARAMS.values()
+]
+
+
+@pytest.mark.parametrize(("gp", "extra"), _FAMILY_CASES)
+def test_general_series_equal_the_part_search(gp, extra):
+    assert (general_A_series(gp, 40), general_B_series(gp, 40, extra)) == search_general_series(
+        gp, 40, extra
+    )
+
+
+# Every (lam, k, a) in 1..6 with lam/2 < a <= k and k >= lam.
+_THEOREM1_TRIPLES = [
+    GeneralParams(lam, k, a)
+    for lam in range(1, 7)
+    for k in range(lam, 7)
+    for a in range(1, k + 1)
+    if 2 * a > lam
+]
+
+
+@given(st.sampled_from(_THEOREM1_TRIPLES), st.integers(min_value=0, max_value=25))
+def test_general_series_equal_the_part_search_under_theorem1(gp, n_max):
+    assert (general_A_series(gp, n_max), general_B_series(gp, n_max)) == search_general_series(
+        gp, n_max
+    )
+
+
+def test_general_b_span_reads_the_widest_rule():
+    assert partitions._general_b_span(5, None) == 7
+    assert partitions._general_b_span(5, B0_533) == 9
+    assert partitions._general_b_span(4, B0_433) == 8
+
+
+def _local(parts, span, valid) -> bool:
+    """Whether `valid` holds on the parts in every window of span values
+    ending at 1..max(parts) + 1 (at least one, so the empty list is judged)."""
+    top = parts[0] if parts else 0
+    return all(valid([p for p in parts if v - span < p <= v]) for v in range(1, top + 2))
+
+
+# Descending lists <= 60: arbitrary ones, and ones with small gaps, which
+# sit near the difference rules and the caps.
+_DESCENDING = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=60), max_size=8),
+    st.lists(st.integers(min_value=0, max_value=8), max_size=10).map(
+        lambda gaps: [1 + g for g in accumulate(gaps)]
+    ),
+).map(lambda values: sorted(values, reverse=True))
+
+# k >= lam, as in Theorem1 and both extra sets; a is free, so the triples
+# whose caps reject even the empty list are drawn too.
+_PARAMS = st.tuples(*(st.integers(min_value=1, max_value=6) for _ in range(3))).map(
+    lambda t: GeneralParams(min(t[0], t[1]), max(t[0], t[1]), t[2])
+)
+
+
+@given(_DESCENDING, _PARAMS, st.sampled_from([None, *EXTRA_PARAMS]))
+def test_value_predicates_are_local_to_their_span(parts, gp, extra):
+    if extra is not None:
+        gp = EXTRA_PARAMS[extra]
+    lam, k, a = gp
+    rules = partitions._general_a_rules(gp)
+
+    def valid_b(p):
+        return partitions._is_valid_general_B(p, lam, k, a, extra)
+
+    def valid_a(p):
+        return partitions._is_valid_general_A(p, rules)
+
+    span_b = partitions._general_b_span(lam, extra)
+    assert valid_b(parts) == _local(parts, span_b, valid_b)
+    assert valid_a(parts) == _local(parts, 1, valid_a)
+    assert is_valid_A(parts) == _local(parts, 1, is_valid_A)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))

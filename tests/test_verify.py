@@ -163,6 +163,8 @@ def test_theorem1_check_rejects_bad_params():
     with pytest.raises(ConfigError):
         theorem1_check(GeneralParams(4, 4, 1), 10)  # a < lam/2
     with pytest.raises(ConfigError):
+        theorem1_check(GeneralParams(2, 2, 1), 10)  # a = lam/2: A and B differ at n = 1
+    with pytest.raises(ConfigError):
         theorem1_check(GeneralParams(2, 3, 4), 10)  # a > k
 
 
