@@ -244,9 +244,14 @@ class TriPoly:
         if not self._rows or not other._rows:
             return ZERO
         small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
+        x = next(iter(small._rows.values()))[1]
+        if len(small._rows) == 1 and x.bit_length() < small._w:
+            norm = abs(x)  # one row of one slot: x is the coefficient
+        else:
+            norm = sum(abs(c) for *_, c in small._decoded())
         # at least small's own bound, which may exceed its true l1 norm (after
         # a cancellation or truncate), so that no operand has to narrow
-        bound = max(sum(abs(c) for *_, c in small._decoded()) * big._bound, small._bound)
+        bound = max(norm * big._bound, small._bound)
         w = _width(bound)
         acc: dict[tuple[int, int], list[int]] = {}
         big_rows = big._rows_at(w).items()

@@ -1,5 +1,6 @@
 """Shared test data: reference displays, small builders, the reference
-polynomial kernel and the search references of the enumeration paths."""
+polynomial kernel, the dict-term window DP and the search references of
+the enumeration paths."""
 
 from sixfold import partitions
 from sixfold.poly import ZERO, TriPoly, monomial
@@ -64,6 +65,55 @@ def ref_shift(p: RefPoly, s: int, t: int) -> RefPoly:
 
 def ref_truncate(p: RefPoly, q_max: int) -> RefPoly:
     return {k: c for k, c in p.items() if k[2] <= q_max}
+
+
+# ------------------------------------------------- window-DP reference
+#
+# The side-B window transfer matrix as it was before its states held packed
+# TriPoly values: every state's terms are a plain dict, summed one term at a
+# time.  It reads the same automaton, so it checks the packed steps, the
+# truncation and the held layer of s_oracle, not the automaton itself.
+
+
+def ref_window_dp(windows: int, q_max: int | None = None) -> list[tuple[int, RefPoly]]:
+    """(class of window windows-1, terms) per final state, over windows
+    0..windows-1; terms with N > q_max are dropped as they are produced."""
+    classes, moves = partitions._window_automaton()
+    layer: dict[int, RefPoly] = {0: {(0, 0, 0): 1}}
+    for i in range(windows):
+        nxt: dict[int, RefPoly] = {}
+        for s, terms in layer.items():
+            for cls, t in moves[s]:
+                mu, nu, total, size = partitions._CLASS_WEIGHTS[cls]
+                dq = total + 6 * i * size
+                out = nxt.setdefault(t, {})
+                for (a, b, e), c in terms.items():
+                    e += dq
+                    if q_max is None or e <= q_max:
+                        key = (a + mu, b + nu, e)
+                        out[key] = out.get(key, 0) + c
+        layer = {t: terms for t, terms in nxt.items() if terms}
+    return [(classes[s], terms) for s, terms in layer.items()]
+
+
+def ref_count_table_b(q_max: int) -> TriPoly:
+    """count_table("B", q_max) by the dict-term window DP."""
+    entries: RefPoly = {}
+    for _, terms in ref_window_dp((q_max - 1) // 6 + 1, q_max):
+        entries = ref_add(entries, terms)
+    return TriPoly(entries)
+
+
+def ref_s_oracle(n: int) -> list[TriPoly]:
+    """s_oracle(n, j) for j = 0..15 (n >= 0), by the dict-term window DP."""
+    buckets: list[RefPoly] = [{} for _ in range(16)]
+    for cls, terms in ref_window_dp(n + 1):
+        buckets[cls] = ref_add(buckets[cls], terms)
+    out, acc = [], {}
+    for terms in buckets:
+        acc = ref_add(acc, terms)
+        out.append(TriPoly(acc))
+    return out
 
 
 # ------------------------------------------------------ search references

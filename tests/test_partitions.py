@@ -8,6 +8,8 @@ from helpers import (
     B2_Q9,
     DISPLAY_S0_9_SHORT,
     DISPLAY_S0_15,
+    ref_count_table_b,
+    ref_s_oracle,
     search_general_series,
     search_table,
 )
@@ -138,6 +140,11 @@ def test_count_table_b_equals_the_part_search(q_max):
     assert count_table("B", q_max) == search_table(q_max, is_valid_B, profile_B)
 
 
+@pytest.mark.parametrize("q_max", [0, 1, 5, 6, 7, 12, 13, 80])
+def test_count_table_b_equals_the_dict_window_dp(q_max):
+    assert count_table("B", q_max) == ref_count_table_b(q_max)
+
+
 @pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40, 60])
 def test_count_table_a_equals_the_part_search(q_max):
     assert count_table("A", q_max) == search_table(q_max, is_valid_A, profile_A)
@@ -195,6 +202,23 @@ def test_two_oracle_paths_agree():
         assert s_oracle(3, j) == s_oracle_dfs(3, j), (3, j)
 
 
+def test_s_oracle_equals_the_dict_window_dp():
+    for n in range(6):
+        assert [s_oracle(n, j) for j in range(16)] == ref_s_oracle(n), n
+
+
+def test_s_oracle_visit_order_does_not_change_values(monkeypatch):
+    cold = {}
+    for n in (2, 3, 5, 6):
+        monkeypatch.setattr(partitions, "_held", partitions._START)
+        cold[n] = [s_oracle(n, j) for j in range(16)]
+    monkeypatch.setattr(partitions, "_held", partitions._START)
+    # from the start, restart below the held level, one step, repeat, steps
+    for n in (5, 2, 3, 3, 6):
+        assert [s_oracle(n, j) for j in range(16)] == cold[n], n
+        assert partitions._held[0] == n
+
+
 def test_s_oracle_class15_coefficients_match_count_table():
     n = 2
     table = count_table("B", 6 * n + 6)
@@ -240,6 +264,22 @@ def test_general_b_count_examples():
     assert general_B_series(GeneralParams(5, 3, 3), 0, extra=B0_533)[0] == 1
     assert general_B_series(GeneralParams(2, 2, 2), 3)[3] == 1  # {3}
     assert general_B_series(GeneralParams(2, 2, 2), 6)[6] == 2  # {6}, {5,1}
+
+
+def test_general_b_series_is_zero_when_the_empty_list_is_invalid():
+    # a = 1 < (lam + 1)/2: the first-window cap f(2) <= a - 2 = -1 fails on []
+    assert not partitions._is_valid_general_B([], 3, 2, 1, None)
+    assert general_B_series(GeneralParams(3, 2, 1), 12) == [0] * 13
+    assert search_general_series(GeneralParams(3, 2, 1), 12)[1] == [0] * 13
+
+
+@pytest.mark.parametrize(
+    "gp", [GeneralParams(3, 1, 1), GeneralParams(6, 1, 1)], ids=["3-1-1", "6-1-1"]
+)
+def test_general_a_series_rejects_a_non_positive_modulus(gp):
+    # (2k - lam + 1)(lam + 1) is 0 for (3, 1, 1) and -21 for (6, 1, 1)
+    with pytest.raises(ValueError, match=r"\(2k - lam \+ 1\)\(lam \+ 1\) > 0"):
+        general_A_series(gp, 5)
 
 
 def test_general_extra_must_match_lambda():
