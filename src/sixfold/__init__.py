@@ -18,7 +18,6 @@ from .partitions import (
     profile_A,
     profile_B,
     s_oracle,
-    s_oracle_dfs,
 )
 from .poly import ONE, ZERO, TriPoly, monomial
 from .recurrence import (
@@ -77,7 +76,6 @@ __all__ = [
     "profile_B",
     "run_all",
     "s_oracle",
-    "s_oracle_dfs",
     "theorem1_check",
     "theorem3_check",
     "thm2_consistency",

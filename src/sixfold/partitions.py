@@ -17,21 +17,21 @@ polynomials (TriPoly): the coefficient of a^mu b^nu q^N is the number of
 valid partitions of N with statistics (mu, nu), so each comparison with
 the recurrence side is an exact residual.
 
-Counting never lists the partitions, except on one path.  Two transfer
-matrices (Stanley, Enumerative Combinatorics I, section 4.7) read their
-transitions from the predicates themselves.  Their states hold TriPoly
-values, whose rows are packed ints (see the poly module), so a move costs
-one int product per (mu, nu) row of its state, not work per term, let
-alone per partition: count_table("B", 300) takes about 1 s, against 8.3 s
-when the window states summed dict terms one at a time.  Side B's count
-table and s_oracle step over six-wide windows (_window_dp, from
-is_valid_B); s_oracle holds the layer of the last level it computed and
-steps on from it.  Side A and the general families step over part values
-(_value_dp), a state holding the multiplicities of the last few values,
-each transition a call of is_valid_A or of a family predicate on the parts
-of one short window.  s_oracle_dfs, a second side-B path kept for small
-levels, is a plain exhaustive search (_search).  Correctness of every
-oracle path deliberately concentrates in the predicates.
+Counting never lists the partitions.  Two transfer matrices (Stanley,
+Enumerative Combinatorics I, section 4.7) read their transitions from the
+predicates themselves.  Their states hold TriPoly values, whose rows are
+packed ints (see the poly module), so a move costs one operation per
+(mu, nu) row of its state, not work per term, let alone per partition:
+count_table("B", 300) takes 0.7-1.0 s, against 8.3 s when the window
+states summed dict terms one at a time.  Side B's count table and s_oracle
+step over six-wide windows (_window_dp, from is_valid_B); s_oracle holds
+the layer of the last level it computed and steps on from it.  Side A and
+the general families step over part values (_value_dp), a state holding
+the multiplicities of the last few values, each transition a call of
+is_valid_A or of a family predicate on the parts of one short window.
+Correctness of every oracle path deliberately concentrates in the
+predicates; the tests cross-check both transfer matrices against a plain
+exhaustive search of the same predicates.
 """
 
 from __future__ import annotations
@@ -71,8 +71,6 @@ WINDOW_CLASSES: tuple[tuple[int, ...], ...] = (
     (6, 5),
     (6, 6),
 )
-
-_CLASS_OF_OFFSETS = {offsets: idx for idx, offsets in enumerate(WINDOW_CLASSES)}
 
 # Extra multiplicity restriction sets for the two refined B-families, each
 # with the one parameter triple it belongs to.
@@ -160,35 +158,6 @@ def profile_B(parts: Sequence[int]) -> tuple[int, int]:
 
 
 # ------------------------------------------------------------ count tables
-
-
-def _search(
-    max_part: int,
-    n_max: int,
-    valid: Callable[[list[int]], bool],
-    visit: Callable[[list[int], int], None],
-) -> None:
-    """Depth-first search over weakly decreasing lists of positive parts.
-
-    Calls `visit(parts, total)` on every list with parts <= max_part and sum
-    total <= n_max whose every prefix passes `valid`, the empty list first
-    (when `valid` accepts it).  Larger parts are tried first.  A prefix
-    failing `valid` cannot extend to a valid list, so it is pruned; `parts`
-    is shared and mutated, so `visit` must not keep it.
-    """
-    parts: list[int] = []
-    if not valid(parts):
-        return
-
-    def extend(max_next: int, total: int) -> None:
-        visit(parts, total)
-        for p in range(min(max_next, n_max - total), 0, -1):
-            parts.append(p)
-            if valid(parts):
-                extend(p, total + p)
-            parts.pop()
-
-    extend(max_part, 0)
 
 
 def _value_dp(
@@ -332,9 +301,10 @@ def _window_dp(
     a^mu b^nu q^dq to t, with (mu, nu) the class's profile and dq the sum
     of its parts placed at window i.  With a bound q_max, a move with
     dq > q_max is skipped and the value is truncated to q^(q_max - dq)
-    before the product, so no term above q_max is ever built.  Each move is
-    one product of packed rows (see the poly module), so a step costs time
-    in proportion to the rows, not to the terms.
+    before the product, so no term above q_max is ever built.  A move
+    multiplies by a monomial, which re-keys the packed rows of the value
+    (see the poly module), so a step costs time in proportion to the rows,
+    not to the terms.
 
     Soundness: a partition is valid exactly when every three consecutive
     windows of it are, and the triple table taken at windows 0..2 holds at
@@ -432,35 +402,6 @@ def s_oracle(n: int, j: int) -> TriPoly:
     if n < -1:
         return ZERO
     return _oracle_by_top_class(n)[j]
-
-
-def s_oracle_dfs(n: int, j: int) -> TriPoly:
-    """Second, independent oracle path: plain descending-part search.
-
-    Must agree with s_oracle exactly; the two paths share only is_valid_B,
-    profile_B and the window catalogue.  Exponential in n, so keep n small.
-    """
-    if not 0 <= j <= 15:
-        raise ValueError(f"window class must be in 0..15, got {j}")
-    if n == -1:
-        return ONE
-    if n < -1:
-        return ZERO
-    top_floor = 6 * n
-    terms: dict[tuple[int, int, int], int] = {}
-
-    def record(parts: list[int], total: int) -> None:
-        top = tuple(p - top_floor for p in parts if p > top_floor)
-        if _CLASS_OF_OFFSETS[top] <= j:
-            key = (*profile_B(parts), total)
-            terms[key] = terms.get(key, 0) + 1
-
-    # Parts two apart differ by at least 6, so a valid partition with parts
-    # <= 6n+6 sums to at most 6(n+1)(n+2); adding one more part keeps the
-    # sum below the bound, which therefore never cuts the search.
-    top_part = 6 * n + 6
-    _search(top_part, top_part * (top_part + 1), is_valid_B, record)
-    return TriPoly(terms)
 
 
 # --------------------------------------------------------- general families

@@ -23,18 +23,26 @@ homomorphism from Z[q] to Z, so the int of a sum or product of rows is the
 sum or product of their ints.  The result therefore decodes to the right
 coefficients whenever each of them stays below 2^(W-1) in absolute value,
 whatever the intermediate ints were.  Every value carries an upper bound on
-|coefficient|, and its W is derived from it: the smallest 32 * 2^k with
-bound < 2^(W-1).  The bound of a result follows from its operands':
+|coefficient|.  Its W is the smallest 32 * 2^k with bound < 2^(W-1) that is
+at least the W of every operand it was computed from, so no row ever has to
+narrow; operands of a narrower width are re-encoded to it first.  The bound
+of a result follows from its operands':
 
 * sum: b1 + b2;
 * product: the sum of the |coefficients| of one operand times the bound of
   the other (each coefficient of the product sums at most one product per
-  term of the first operand), raised to the first operand's own bound if
-  that is larger;
-* monomial: |c|; negation, shift and truncate: unchanged.
-
-A result's bound is never below an operand's, so its width is never
-narrower, and operands of a narrower width are re-encoded to it first.
+  term of the first operand).  When that needs a wider W than both operands
+  have, the other operand's bound is first re-derived from its rows by a
+  mask test (_slot_bits), for this product only, and the product widens
+  only if it still has to.  Tracked bounds outgrow the coefficients (about
+  4 bits a memo level against 2.6), so by the tracked bounds alone
+  P2(7) * S(6, 9) took 64-bit slots where 32 hold, and
+  product_truncated(300) 256-bit ones;
+* product by a monomial, a value of one row of one slot c: |c| times the
+  other operand's bound, by the same rule.  It re-keys the other operand's
+  rows and scales each by c, and c times a canonical row is canonical, so
+  it multiplies no row pairs and re-canonicalises nothing;
+* monomial(c, ...): |c|; negation, shift and truncate: unchanged.
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
@@ -52,9 +60,10 @@ Key = tuple[int, int, int]  # (e_a, e_b, e_q)
 Row = tuple[int, int]  # (q0, x)
 
 
-def _width(bound: int) -> int:
-    """Smallest slot width 32 * 2^k whose balanced slots hold |c| <= bound."""
-    w = 32
+def _width(bound: int, floor: int = 32) -> int:
+    """Smallest slot width 32 * 2^k, and at least floor, whose balanced slots
+    hold |c| <= bound."""
+    w = floor
     while bound >> (w - 1):
         w *= 2
     assert bound < 1 << (w - 1)
@@ -117,10 +126,55 @@ def _canon(q0: int, x: int, w: int) -> Row:
     return (q0 + k, x >> (k * w)) if k else (q0, x)
 
 
+def _check_ab(e_a: int, e_b: int) -> None:
+    if e_a < 0 or e_b < 0:
+        raise ValueError(f"a and b exponents must be non-negative, got ({e_a}, {e_b})")
+
+
 def _make(rows: dict[tuple[int, int], Row], w: int, bound: int) -> "TriPoly":
     p = object.__new__(TriPoly)
     p._rows, p._w, p._bound, p._len = rows, w, bound, None
     return p
+
+
+def _slot_bits(p: "TriPoly") -> int:
+    """Smallest b with -2^(b-1) <= c < 2^(b-1) for every coefficient c of p
+    (p non-zero), found by binary search over b with a mask test that
+    decodes nothing.
+
+    Let ones = sum_i 2^(W*i) over enough slots for every row.  The row x
+    passes at b when y = x + 2^(b-1) * ones is >= 0 and has no set bit
+    outside the low b bits of its slots.  If every slot is in range, the
+    digits c_i + 2^(b-1) of y lie in [0, 2^b), so it passes.  If it passes,
+    y's base-2^W digits d_i lie in [0, 2^b), so x = sum_i (d_i - 2^(b-1))
+    * 2^(W*i) is a balanced numeral, and since that numeral is unique,
+    c_i = d_i - 2^(b-1) is in range.  Each step costs one addition, one AND
+    and one comparison per row.
+    """
+    w = p._w
+    k = max(x.bit_length() for _, x in p._rows.values()) // w + 1
+    ones = _bias(w, k) >> (w - 1)
+    lo, hi = 1, p._bound.bit_length() + 1  # |c| <= bound passes at hi
+    while lo < hi:
+        b = (lo + hi) // 2
+        bias, outside = ones << (b - 1), ~((ones << b) - ones)
+        if all((y := x + bias) >= 0 and not y & outside for _, x in p._rows.values()):
+            hi = b
+        else:
+            lo = b + 1
+    return lo
+
+
+def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
+    """(bound, W) of the product of p with a value whose |coefficients| sum
+    to norm: norm times p's bound, in the smallest width that holds it and
+    is at least floor, the operands' widest.  When that bound would need a
+    wider W than floor, p's bound is first re-derived by _slot_bits, for
+    this product only, and the product widens only if it still needs to."""
+    bound = norm * p._bound
+    if bound >> (floor - 1):
+        bound = norm * min(p._bound, 1 << (_slot_bits(p) - 1))
+    return bound, _width(bound, floor)
 
 
 class TriPoly:
@@ -138,6 +192,7 @@ class TriPoly:
         terms = terms or {}
         grouped: dict[tuple[int, int], dict[int, int]] = {}
         for (e_a, e_b, e_q), c in terms.items():
+            _check_ab(e_a, e_b)
             if c:
                 row = grouped.get((e_a, e_b))
                 if row is None:
@@ -202,7 +257,7 @@ class TriPoly:
         if not other._rows:
             return self
         bound = self._bound + other._bound
-        w = _width(bound)
+        w = _width(bound, max(self._w, other._w))
         out = dict(self._rows_at(w))
         for key, (q2, x2) in other._rows_at(w).items():
             if key not in out:
@@ -243,16 +298,23 @@ class TriPoly:
             return NotImplemented
         if not self._rows or not other._rows:
             return ZERO
+        floor = max(self._w, other._w)
+        for mono, poly in ((self, other), (other, self)):
+            if len(mono._rows) == 1:
+                ((ma, mb), (mq, c)), = mono._rows.items()
+                if c.bit_length() < mono._w:  # one row of one slot: c is the coefficient
+                    # c times a canonical row is canonical: re-key and scale
+                    bound, w = _product_bound(abs(c), poly, floor)
+                    rows = poly._rows_at(w).items()
+                    if c != 1:  # x * 1 would copy x
+                        rows = [(key, (q0, x * c)) for key, (q0, x) in rows]
+                    return _make(
+                        {(ea + ma, eb + mb): (q0 + mq, x) for (ea, eb), (q0, x) in rows},
+                        w,
+                        bound,
+                    )
         small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
-        x = next(iter(small._rows.values()))[1]
-        if len(small._rows) == 1 and x.bit_length() < small._w:
-            norm = abs(x)  # one row of one slot: x is the coefficient
-        else:
-            norm = sum(abs(c) for *_, c in small._decoded())
-        # at least small's own bound, which may exceed its true l1 norm (after
-        # a cancellation or truncate), so that no operand has to narrow
-        bound = max(norm * big._bound, small._bound)
-        w = _width(bound)
+        bound, w = _product_bound(sum(abs(c) for *_, c in small._decoded()), big, floor)
         acc: dict[tuple[int, int], list[int]] = {}
         big_rows = big._rows_at(w).items()
         for (ea1, eb1), (q1, x1) in small._rows_at(w).items():
@@ -339,8 +401,7 @@ def monomial(coeff: int, e_a: int, e_b: int, e_q: int) -> TriPoly:
 
     e_q may be negative; e_a and e_b may not.
     """
-    if e_a < 0 or e_b < 0:
-        raise ValueError(f"a and b exponents must be non-negative, got ({e_a}, {e_b})")
+    _check_ab(e_a, e_b)
     if coeff == 0:
         return ZERO
     return _make({(e_a, e_b): (e_q, coeff)}, _width(abs(coeff)), abs(coeff))

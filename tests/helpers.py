@@ -2,8 +2,10 @@
 polynomial kernel, the dict-term window DP and the search references of
 the enumeration paths."""
 
+from typing import Callable
+
 from sixfold import partitions
-from sixfold.poly import ZERO, TriPoly, monomial
+from sixfold.poly import ONE, ZERO, TriPoly, monomial
 
 
 def poly_of(terms) -> TriPoly:
@@ -120,7 +122,66 @@ def ref_s_oracle(n: int) -> list[TriPoly]:
 #
 # Exhaustive part search: every list the predicate accepts is visited, so
 # the transfer matrices of the enumeration paths are cross-checked against
-# plain listing.
+# plain listing.  s_oracle_dfs is the side-B window series by search; it
+# shares only is_valid_B, profile_B and the window catalogue with s_oracle.
+
+
+def _search(
+    max_part: int,
+    n_max: int,
+    valid: Callable[[list[int]], bool],
+    visit: Callable[[list[int], int], None],
+) -> None:
+    """Depth-first search over weakly decreasing lists of positive parts.
+
+    Calls `visit(parts, total)` on every list with parts <= max_part and sum
+    total <= n_max whose every prefix passes `valid`, the empty list first
+    (when `valid` accepts it).  Larger parts are tried first.  A prefix
+    failing `valid` cannot extend to a valid list, so it is pruned; `parts`
+    is shared and mutated, so `visit` must not keep it.
+    """
+    parts: list[int] = []
+    if not valid(parts):
+        return
+
+    def extend(max_next: int, total: int) -> None:
+        visit(parts, total)
+        for p in range(min(max_next, n_max - total), 0, -1):
+            parts.append(p)
+            if valid(parts):
+                extend(p, total + p)
+            parts.pop()
+
+    extend(max_part, 0)
+
+
+_CLASS_OF_OFFSETS = {offsets: idx for idx, offsets in enumerate(partitions.WINDOW_CLASSES)}
+
+
+def s_oracle_dfs(n: int, j: int) -> TriPoly:
+    """s_oracle(n, j) by plain descending-part search.  Exponential in n, so
+    keep n small."""
+    if not 0 <= j <= 15:
+        raise ValueError(f"window class must be in 0..15, got {j}")
+    if n == -1:
+        return ONE
+    if n < -1:
+        return ZERO
+    top_floor = 6 * n
+    terms: dict[tuple[int, int, int], int] = {}
+
+    def record(parts: list[int], total: int) -> None:
+        top = tuple(p - top_floor for p in parts if p > top_floor)
+        if _CLASS_OF_OFFSETS[top] <= j:
+            key = (*partitions.profile_B(parts), total)
+            terms[key] = terms.get(key, 0) + 1
+
+    # Parts two apart differ by at least 6, so a valid partition with parts
+    # <= 6n+6 sums to at most 6(n+1)(n+2); adding one more part keeps the
+    # sum below the bound, which therefore never cuts the search.
+    top_part = 6 * n + 6
+    _search(top_part, top_part * (top_part + 1), partitions.is_valid_B, record)
+    return TriPoly(terms)
 
 
 def search_table(q_max: int, valid, profile) -> TriPoly:
@@ -132,7 +193,7 @@ def search_table(q_max: int, valid, profile) -> TriPoly:
         key = (*profile(parts), total)
         entries[key] = entries.get(key, 0) + 1
 
-    partitions._search(q_max, q_max, valid, record)
+    _search(q_max, q_max, valid, record)
     return TriPoly(entries)
 
 
@@ -143,7 +204,7 @@ def search_series(n_max: int, valid) -> list[int]:
     def record(parts, total):
         counts[total] += 1
 
-    partitions._search(n_max, n_max, valid, record)
+    _search(n_max, n_max, valid, record)
     return counts
 
 

@@ -10,6 +10,7 @@ from helpers import (
     DISPLAY_S0_15,
     ref_count_table_b,
     ref_s_oracle,
+    s_oracle_dfs,
     search_general_series,
     search_table,
 )
@@ -28,7 +29,6 @@ from sixfold.partitions import (
     profile_A,
     profile_B,
     s_oracle,
-    s_oracle_dfs,
 )
 from sixfold.poly import ONE, TriPoly
 from sixfold.verify import DEFAULT_GENERAL_CASES

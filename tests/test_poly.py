@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -14,7 +14,9 @@ from helpers import (
     ref_terms,
     ref_truncate,
 )
-from sixfold.poly import ONE, ZERO, TriPoly, monomial
+from sixfold.partitions import count_table
+from sixfold.poly import ONE, ZERO, TriPoly, _slot_bits, monomial
+from sixfold.recurrence import P2_TERMS, SeriesMemo, _at, product_truncated
 
 
 def test_monomial_single_term():
@@ -38,6 +40,8 @@ def test_monomial_signed_q_exponent_is_legal():
 def test_monomial_negative_ab_exponent_rejected(ea, eb):
     with pytest.raises(ValueError):
         monomial(1, ea, eb, 0)
+    with pytest.raises(ValueError, match="a and b exponents must be non-negative"):
+        TriPoly({(0, 0, 0): 1, (ea, eb, 0): 1})
 
 
 def test_constructor_drops_zero_coefficients():
@@ -269,7 +273,11 @@ def test_coefficients_at_the_slot_width_boundary(top):
     # sums and products whose coefficients just reach the next slot width
     rp = {(0, 0, i): top for i in range(16)} | {(1, 0, 3): -top}
     p = TriPoly(rp)  # bound top, where a sum of monomials would carry 17 * top
+    # three slots of -2^(b-1), which a product by 1 + q + q^2 carries to -3 * 2^(b-1)
+    rc, r3 = {(0, 0, i): -((top + 1) // 2) for i in range(3)}, {(0, 0, i): 1 for i in range(3)}
     for result, ref in (
+        (TriPoly(r3) * TriPoly(rc), ref_mul(r3, rc)),
+        (TriPoly(rc) * TriPoly(r3), ref_mul(rc, r3)),
         (p + p, ref_add(rp, rp)),
         (p - (-p), ref_add(rp, rp)),
         (p * p, ref_mul(rp, rp)),
@@ -305,6 +313,98 @@ def test_products_of_values_whose_bound_exceeds_their_coefficients(p_terms, q_te
     # carry big's bound, far above their own coefficients
     for x, rx in (((p + big) - big, rp), ((p + big).truncate(q_max), ref_truncate(rp, q_max))):
         assert x._bound >= 2**bits
+        # a product is never narrower than an operand, so no row has to narrow
+        if x and q:
+            for u, v in ((x, q), (q, x), (x, x)):
+                assert (u * v)._w >= max(u._w, v._w)
         _assert_matches(x * q, ref_mul(rx, rq))
         _assert_matches(q * x, ref_mul(rq, rx))
         _assert_matches(x * x, ref_mul(rx, rx))
+
+
+# ------------------------------------------ slot bits, monomials and widths
+
+
+def _signed_bits(c: int) -> int:
+    """Smallest b with -2^(b-1) <= c < 2^(b-1)."""
+    return (c if c >= 0 else ~c).bit_length() + 1
+
+
+_keys = st.tuples(
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=-6, max_value=40),
+)
+
+
+@given(st.data(), st.integers(min_value=1, max_value=140), st.booleans(), st.booleans())
+def test_slot_bits_agrees_with_the_decoded_maximum(data, b, out_of_range, wide):
+    half = 1 << (b - 1)
+    # every slot in [-2^(b-1), 2^(b-1)), often at either edge or negative
+    inside = st.one_of(
+        st.sampled_from([-half, half - 1, -1]), st.integers(min_value=-half, max_value=half - 1)
+    )
+    terms = data.draw(st.dictionaries(_keys, inside, min_size=1, max_size=12))
+    if out_of_range:  # one slot just outside, above or below
+        terms[data.draw(_keys)] = data.draw(st.sampled_from([half, -half - 1]))
+    p = TriPoly(terms)
+    assume(p)
+    if wide:  # the same slots at a wider W, under a bound far above them
+        big = monomial(2**200, 0, 0, 30)
+        p = (p + big) - big
+        assert p._w == 256
+    decoded = max(_signed_bits(c) for c, *_ in p.terms())
+    assert _slot_bits(p) == decoded
+    assert decoded == b + 1 if out_of_range else decoded <= b
+
+
+@given(
+    _term_dicts,
+    st.sampled_from([1, -1, 3, -3, 2**40, -(2**40)]),
+    st.tuples(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=-12, max_value=20),
+    ),
+)
+def test_monomial_products_match_the_reference(terms, c, key):
+    p, rp = _pair(terms)
+    m, rm = TriPoly({key: c}), {key: c}
+    for prod, ref in ((m * p, ref_mul(rm, rp)), (p * m, ref_mul(rp, rm))):
+        _assert_matches(prod, ref)
+        if p:
+            assert prod._w >= max(p._w, m._w)
+
+
+def test_product_truncated_holds_in_32_bit_slots():
+    # every coefficient to q^300 is below 2^31; the tracked bound doubles
+    # with each factor, which took the slots to 256 bits before it was
+    # re-derived
+    prod = product_truncated(300)
+    assert prod._w == 32
+    assert prod == count_table("A", 300)
+
+
+def test_a_level_7_product_holds_in_32_bit_slots():
+    # S(6, 9) tracks a 27-bit bound for 14-bit coefficients, so P2(7) * S(6, 9)
+    # took 64-bit slots by the tracked bound alone
+    p2, series = _at(P2_TERMS, 7), SeriesMemo().s(6, 9)
+    prod = p2 * series
+    assert series._w == 32 and prod._w == 32
+    big = monomial(2**200, 0, 0, 0)
+    wide = (series + big) - big
+    assert p2 * wide == prod and (p2 * wide)._w > prod._w
+
+
+def test_a_sum_is_never_narrower_than_an_operand():
+    # a product whose operand bound was re-derived keeps its widest operand's
+    # W under a far smaller bound; a sum with it must not narrow that W
+    big = monomial(2**200, 0, 0, 30)
+    rp, rq = {(0, 0, 0): 3, (1, 0, 2): -5}, {(0, 0, 0): 1, (0, 1, 1): 2**60}
+    x = (TriPoly(rp) + big) - big
+    prod = TriPoly(rq) * x
+    assert prod._w == x._w == 256 and prod._bound < 2**64
+    ref, one = ref_mul(rq, rp), {(0, 0, 0): 1}
+    for total, rt in ((prod + ONE, ref_add(ref, one)), (ONE - prod, ref_add(one, ref_neg(ref)))):
+        _assert_matches(total, rt)
+        assert total._w == 256
