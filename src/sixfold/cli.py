@@ -105,7 +105,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     if args.format == "text":
         print(poly.to_text())
     else:
-        print(json.dumps(poly.to_json_terms()))
+        print(poly.to_json())
     return 0
 
 

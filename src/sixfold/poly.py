@@ -49,15 +49,29 @@ equal polynomials of equal width have equal rows, and zero is the empty
 dict.  Terms are decoded only to print, count or look one up: the biased
 value x + 2^(W-1) * sum_i 2^(W*i) has digits c_i + 2^(W-1) in [0, 2^W), so
 `to_bytes` and one array conversion read every slot in linear time.
+
+Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
+and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
+them: the few hundred row keys are sorted once, each row is decoded once,
+and each non-zero slot is formatted once and appended to the bucket of its
+q exponent (offset by the smallest q0, as q may be negative).  A row holds
+at most one term per q exponent and the rows come in ascending (e_a, e_b),
+so each bucket is ascending in (e_a, e_b), and the buckets joined in q
+order are in canonical order.  Decoding every term to a tuple and sorting
+those made `sixfold series --n 9 --format json` spend twice as long
+printing its 69,452 terms as filling the memo.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from itertools import chain
+from typing import Callable, TypeVar
 
 Key = tuple[int, int, int]  # (e_a, e_b, e_q)
 Row = tuple[int, int]  # (q0, x)
+T = TypeVar("T")
 
 
 def _width(bound: int, floor: int = 32) -> int:
@@ -217,6 +231,24 @@ class TriPoly:
                 if u != half:
                     yield q0 + i, e_a, e_b, u - half
 
+    def _walk(self, term: Callable[[int, int, int, int], T]) -> list[T]:
+        """term(c, e_a, e_b, e_q) of every term, ascending in (e_q, e_a, e_b),
+        by the canonical walk of the module docstring: rows in key order,
+        one bucket per q exponent, no comparison sort of terms."""
+        if not self._rows:
+            return []
+        w = self._w
+        half = 1 << (w - 1)
+        q_min = min(q0 for q0, _ in self._rows.values())
+        # _unpack reads x.bit_length() // w + 1 slots
+        q_top = max(q0 + x.bit_length() // w for q0, x in self._rows.values())
+        buckets: list[list[T]] = [[] for _ in range(q_top - q_min + 1)]
+        for (e_a, e_b), (q0, x) in sorted(self._rows.items()):
+            for e_q, u in enumerate(_unpack(x, w), q0):
+                if u != half:
+                    buckets[e_q - q_min].append(term(u - half, e_a, e_b, e_q))
+        return list(chain.from_iterable(buckets))
+
     # ------------------------------------------------------------ queries
 
     def is_zero(self) -> bool:
@@ -243,7 +275,7 @@ class TriPoly:
 
     def terms(self) -> list[tuple[int, int, int, int]]:
         """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
-        return [(c, e_a, e_b, e_q) for e_q, e_a, e_b, c in sorted(self._decoded())]
+        return self._walk(lambda c, e_a, e_b, e_q: (c, e_a, e_b, e_q))
 
     # ---------------------------------------------------- ring operations
 
@@ -370,11 +402,17 @@ class TriPoly:
         """Canonical text form: "c*a^i*b^j*q^k" terms joined by " + "."""
         if not self._rows:
             return "0"
-        return " + ".join(f"{c}*a^{ea}*b^{eb}*q^{eq}" for c, ea, eb, eq in self.terms())
+        return " + ".join(self._walk(lambda c, ea, eb, eq: f"{c}*a^{ea}*b^{eb}*q^{eq}"))
 
     def to_json_terms(self) -> list[list]:
         """Canonical JSON form: [coeff-as-decimal-string, e_a, e_b, e_q] rows."""
-        return [[str(c), ea, eb, eq] for c, ea, eb, eq in self.terms()]
+        return self._walk(lambda c, ea, eb, eq: [str(c), ea, eb, eq])
+
+    def to_json(self) -> str:
+        """json.dumps(self.to_json_terms()), byte for byte, with each term
+        formatted once by the walk ("[]" for zero)."""
+        terms = self._walk(lambda c, ea, eb, eq: f'["{c}", {ea}, {eb}, {eq}]')
+        return "[" + ", ".join(terms) + "]"
 
     # ----------------------------------------------------------- identity
 

@@ -229,6 +229,28 @@ def test_general_theorem1_boundary_is_a_config_error():
     assert len(err.splitlines()) == 1 and err.startswith("error: "), err
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the digest perfbench pins for its series-deep workload (SERIES_SHA256[9])
+        (
+            "series --n 9 --j 15 --source recurrence --format json",
+            "29488957560117e39248bbbf53684d996b6449ca5c81c11d440ce74736103429",
+        ),
+        (
+            "series --n 4 --j 15 --source oracle --format text",
+            "65bd896af1ecdbf7e07490ae3acf3fca74b4e4c6f618d5cef433cc7aab54903a",
+        ),
+        ("product --q-max 50", "2746a537abdd1285d3fff75a9bcd6addd0799f97aada04e82968522be4a68e4c"),
+    ],
+    ids=["series-9-recurrence-json", "series-4-oracle-text", "product-50"],
+)
+def test_polynomial_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_product_golden(capsys):
     code, out, _ = run_cli(capsys, "product", "--q-max", "3")
     assert code == 0

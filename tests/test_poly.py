@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -320,6 +321,55 @@ def test_products_of_values_whose_bound_exceeds_their_coefficients(p_terms, q_te
         _assert_matches(x * q, ref_mul(rx, rq))
         _assert_matches(q * x, ref_mul(rq, rx))
         _assert_matches(x * x, ref_mul(rx, rx))
+
+
+# ------------------------------------------------------- the canonical walk
+
+
+def _assert_serialised(p, ref):
+    terms = ref_terms(ref)
+    assert p.terms() == terms
+    assert p.to_json_terms() == [[str(c), ea, eb, eq] for c, ea, eb, eq in terms]
+    assert p.to_json() == json.dumps(p.to_json_terms())
+    text = " + ".join(f"{c}*a^{ea}*b^{eb}*q^{eq}" for c, ea, eb, eq in terms)
+    assert p.to_text() == (text or "0")
+
+
+@settings(max_examples=200)
+@given(_term_dicts, st.sampled_from([None, 64, 128, 256]))
+def test_the_walk_serialises_in_the_reference_order(terms, w):
+    p, ref = _pair(terms)
+    if w is not None:
+        # the same value in slots of at least w bits
+        big = monomial(2 ** (w - 3), 0, 0, 0)
+        p = (p + big) - big
+        assert p._w >= w
+    _assert_serialised(p, ref)
+
+
+def test_the_walk_interleaves_rows_that_start_at_different_q():
+    ref = {
+        (0, 0, -3): 5, (0, 0, -2): -1, (0, 0, 0): 7, (0, 0, 1): 2,
+        (2, 1, -1): 3, (2, 1, 0): -4, (2, 1, 2): 9,
+        (1, 0, 0): 1, (1, 0, 1): 1, (1, 0, 3): -2,
+        (0, 3, -5): 1, (0, 3, 2): 6,
+    }
+    text = (
+        "1*a^0*b^3*q^-5 + 5*a^0*b^0*q^-3 + -1*a^0*b^0*q^-2 + 3*a^2*b^1*q^-1 + "
+        "7*a^0*b^0*q^0 + 1*a^1*b^0*q^0 + -4*a^2*b^1*q^0 + 2*a^0*b^0*q^1 + "
+        "1*a^1*b^0*q^1 + 6*a^0*b^3*q^2 + 9*a^2*b^1*q^2 + -2*a^1*b^0*q^3"
+    )
+    big = monomial(2**100, 0, 0, 0)
+    for p in (TriPoly(ref), (TriPoly(ref) + big) - big):
+        # four rows, each from its own q0, with zero slots inside them
+        assert sorted(q0 for q0, _ in p._rows.values()) == [-5, -3, -1, 0]
+        assert p.to_text() == text
+        _assert_serialised(p, ref)
+
+
+def test_zero_serialises_as_empty():
+    assert ZERO.to_json() == "[]" and ZERO.to_json_terms() == [] and ZERO.terms() == []
+    assert ZERO.to_text() == "0"
 
 
 # ------------------------------------------ slot bits, monomials and widths
