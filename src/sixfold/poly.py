@@ -46,9 +46,11 @@ of a result follows from its operands':
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
-dict.  Terms are decoded only to print, count or look one up: the biased
-value x + 2^(W-1) * sum_i 2^(W*i) has digits c_i + 2^(W-1) in [0, 2^W), so
-`to_bytes` and one array conversion read every slot in linear time.
+dict.  Terms are decoded only to print, count, hash or look one up, and
+for the norm of a general product's smaller operand, all by `_unpack`: the
+biased value x + 2^(W-1) * sum_i 2^(W*i) has digits c_i + 2^(W-1) in
+[0, 2^W), so `to_bytes` and one array conversion read every slot in
+linear time.
 
 Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
 and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
@@ -223,14 +225,6 @@ class TriPoly:
         assert w > self._w
         return {key: (q0, _widen(x, self._w, w)) for key, (q0, x) in self._rows.items()}
 
-    def _decoded(self):
-        """(e_q, e_a, e_b, c) per term, rows in storage order."""
-        half = 1 << (self._w - 1)
-        for (e_a, e_b), (q0, x) in self._rows.items():
-            for i, u in enumerate(_unpack(x, self._w)):
-                if u != half:
-                    yield q0 + i, e_a, e_b, u - half
-
     def _walk(self, term: Callable[[int, int, int, int], T]) -> list[T]:
         """term(c, e_a, e_b, e_q) of every term, ascending in (e_q, e_a, e_b),
         by the canonical walk of the module docstring: rows in key order,
@@ -346,7 +340,9 @@ class TriPoly:
                         bound,
                     )
         small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
-        bound, w = _product_bound(sum(abs(c) for *_, c in small._decoded()), big, floor)
+        half = 1 << (small._w - 1)
+        norm = sum(abs(u - half) for _, x in small._rows.values() for u in _unpack(x, small._w))
+        bound, w = _product_bound(norm, big, floor)
         acc: dict[tuple[int, int], list[int]] = {}
         big_rows = big._rows_at(w).items()
         for (ea1, eb1), (q1, x1) in small._rows_at(w).items():
@@ -423,8 +419,8 @@ class TriPoly:
         return len(self._rows) == len(other._rows) and self._rows_at(w) == other._rows_at(w)
 
     def __hash__(self) -> int:
-        # from the terms, so that it agrees with == across slot widths
-        return hash(frozenset(self._decoded()))
+        # from the canonical terms, so that it agrees with == across slot widths
+        return hash(tuple(self.terms()))
 
     def __repr__(self) -> str:
         return f"TriPoly({self.to_text()!r})"

@@ -55,40 +55,6 @@ REC_RULES: tuple[tuple[RuleTerm, ...], ...] = (
 )
 
 
-class SeriesMemo:
-    """Memoized table of windowed series values, filled in (n, j) order.
-
-    Every rule term refers to a lower level (dn >= 1), and rule j adds to
-    S(n, j - 1), so S(n, j) depends only on entries before it in the order
-    (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
-    earlier entry in that order before its own, which keeps the stack
-    depth fixed at every level.  Entries are only ever written with the
-    value derived from the rules.  A memo built from mutated rules must not
-    be shared with pristine ones.
-    """
-
-    def __init__(self, rules: tuple[tuple[RuleTerm, ...], ...] = REC_RULES):
-        if any(dn < 1 for rule in rules for *_, dn, _ in rule):
-            raise ValueError("every rule term must refer to a lower level (dn >= 1)")
-        self.rules = rules
-        self._table: list[TriPoly] = []  # S(n, j) at index 16n + j
-
-    def s(self, n: int, j: int) -> TriPoly:
-        """S(n, j) per the recurrence rules; 1 at n == -1, 0 below."""
-        if not 0 <= j <= 15:
-            raise ValueError(f"window class must be in 0..15, got {j}")
-        if n < 0:
-            return ONE if n == -1 else ZERO
-        index = 16 * n + j
-        if index < len(self._table):
-            return self._table[index]
-        for earlier in range(len(self._table), index):
-            self.s(*divmod(earlier, 16))
-        value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
-        self._table.append(value)
-        return value
-
-
 # ------------------------------------------------------ auxiliary p1..p3
 
 # Auxiliary polynomial term: (coeff, e_a, e_b, q_slope, q_offset).
@@ -222,11 +188,57 @@ def _at(table: tuple[PolyTerm, ...], n: int, shift: int = 0) -> TriPoly:
     return acc.shift(shift, shift) if shift else acc
 
 
-def p_poly(i: int, n: int, tables: PTables = DEFAULT_P_TABLES) -> TriPoly:
+def p_poly(i: int, n: int) -> TriPoly:
     """Auxiliary polynomial p_i (i in 1..3) evaluated at level n."""
     if i not in (1, 2, 3):
         raise ValueError(f"i must be 1, 2 or 3, got {i}")
-    return _at(tables[i - 1], n)
+    return _at(DEFAULT_P_TABLES[i - 1], n)
+
+
+# ---------------------------------------------------------- series memo
+
+
+class SeriesMemo:
+    """Memoized table of windowed series values, filled in (n, j) order.
+
+    Every rule term refers to a lower level (dn >= 1), and rule j adds to
+    S(n, j - 1), so S(n, j) depends only on entries before it in the order
+    (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
+    earlier entry in that order before its own, which keeps the stack
+    depth fixed at every level.  Entries are only ever written with the
+    value derived from the rules.
+
+    The memo carries both halves of the transcription: `rules` fill the
+    entries and `p_tables` (p1..p3) enter the identities `_combination`
+    sums, so a mutation of either enters through the memo.  A memo built
+    from mutated rules or p-tables must not be shared with pristine ones.
+    """
+
+    def __init__(
+        self,
+        rules: tuple[tuple[RuleTerm, ...], ...] = REC_RULES,
+        p_tables: PTables = DEFAULT_P_TABLES,
+    ):
+        if any(dn < 1 for rule in rules for *_, dn, _ in rule):
+            raise ValueError("every rule term must refer to a lower level (dn >= 1)")
+        self.rules = rules
+        self.p_tables = p_tables
+        self._table: list[TriPoly] = []  # S(n, j) at index 16n + j
+
+    def s(self, n: int, j: int) -> TriPoly:
+        """S(n, j) per the recurrence rules; 1 at n == -1, 0 below."""
+        if not 0 <= j <= 15:
+            raise ValueError(f"window class must be in 0..15, got {j}")
+        if n < 0:
+            return ONE if n == -1 else ZERO
+        index = 16 * n + j
+        if index < len(self._table):
+            return self._table[index]
+        for earlier in range(len(self._table), index):
+            self.s(*divmod(earlier, 16))
+        value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
+        self._table.append(value)
+        return value
 
 
 # ------------------------------------------------------ identity terms
@@ -278,16 +290,14 @@ K_INNER: tuple[PolyTerm, ...] = (
     (1, 1, 1, 0, 6),
 )
 
-P1, P2, P3 = 1, 2, 3  # factor tables that name p_i in the `tables` argument
+P1, P2, P3 = 1, 2, 3  # factor tables that name p_i in the memo's `p_tables`
 
 # An identity term is a RuleTerm times factors (table, d) or (table, d, s):
 # the table at level n - d, with a -> a*q^s and b -> b*q^s when s is given.
 IdentityTerm = tuple[int | tuple[tuple[PolyTerm, ...] | int, ...], ...]
 
 
-def _combination(
-    terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
-) -> TriPoly:
+def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> TriPoly:
     """Sum of the terms at level n >= 0.  A term whose series is zero is
     skipped before its factors are built; small factors are multiplied
     first, and a polynomial part of 1 or -1 adds or subtracts the series."""
@@ -300,7 +310,9 @@ def _combination(
             continue
         small = monomial(coeff, e_a, e_b, slope * n + offset)
         for table, d, *shift in factors:
-            small = small * _at(tables[table - 1] if isinstance(table, int) else table, n - d, *shift)
+            if isinstance(table, int):
+                table = memo.p_tables[table - 1]
+            small = small * _at(table, n - d, *shift)
         if small == ONE:
             acc = acc + series
         elif -small == ONE:
@@ -375,22 +387,18 @@ LEMMA3_TERMS: tuple[IdentityTerm, ...] = (
 )
 
 
-def lemma2_residual(
-    n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
-) -> TriPoly:
+def lemma2_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-9 series."""
-    return _combination(LEMMA2_TERMS, n, memo, tables)
+    return _combination(LEMMA2_TERMS, n, memo)
 
 
-def lemma3_residual(
-    n: int, memo: SeriesMemo, tables: PTables = DEFAULT_P_TABLES
-) -> TriPoly:
+def lemma3_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """LHS minus RHS of the fourth-order recurrence for the class-15 series.
 
     Holds for n >= 1 (checked exactly on levels 1..4).  At n = 0 the printed
     instance is false and this returns the documented non-zero 19-term
     residual (README, known finding 2)."""
-    return _combination(LEMMA3_TERMS, n, memo, tables)
+    return _combination(LEMMA3_TERMS, n, memo)
 
 
 # (1 + a*q)(1 + a*q^2)(1 + b*q^4)(1 + b*q^5): 1 + t for each non-constant WINDOW term t
@@ -429,29 +437,28 @@ def product_truncated(q_max: int, extra_windows: int = 0) -> TriPoly:
 # ------------------------------------------------------ mutation injection
 
 
+def _mutate(
+    tables: tuple[tuple, ...], field: int, rng: random.Random
+) -> tuple[tuple[tuple, ...], tuple[int, int, int, int]]:
+    """Copy of `tables` with entry `field` of one term changed by +/-1, and
+    (table index, term index, old value, new value)."""
+    i = rng.randrange(len(tables))
+    t = rng.randrange(len(tables[i]))
+    term = tables[i][t]
+    old, new = term[field], term[field] + rng.choice((-1, 1))
+    table = tables[i][:t] + (term[:field] + (new,) + term[field + 1 :],) + tables[i][t + 1 :]
+    return tables[:i] + (table,) + tables[i + 1 :], (i, t, old, new)
+
+
 def mutate_p_tables(tables: PTables, rng: random.Random) -> tuple[PTables, str]:
     """Copy of `tables` with one term's coefficient changed by +/-1."""
-    i = rng.randrange(len(tables))
-    terms = list(tables[i])
-    t = rng.randrange(len(terms))
-    coeff, e_a, e_b, slope, offset = terms[t]
-    delta = rng.choice((-1, 1))
-    terms[t] = (coeff + delta, e_a, e_b, slope, offset)
-    out = list(tables)
-    out[i] = tuple(terms)
-    return tuple(out), f"p{i + 1} term {t}: coeff {coeff} -> {coeff + delta}"
+    out, (i, t, old, new) = _mutate(tables, 0, rng)
+    return out, f"p{i + 1} term {t}: coeff {old} -> {new}"
 
 
 def mutate_rec_rules(
     rules: tuple[tuple[RuleTerm, ...], ...], rng: random.Random
 ) -> tuple[tuple[tuple[RuleTerm, ...], ...], str]:
     """Copy of `rules` with one term's constant q offset changed by +/-1."""
-    j = rng.randrange(len(rules))
-    terms = list(rules[j])
-    t = rng.randrange(len(terms))
-    coeff, e_a, e_b, slope, offset, dn, jref = terms[t]
-    delta = rng.choice((-1, 1))
-    terms[t] = (coeff, e_a, e_b, slope, offset + delta, dn, jref)
-    out = list(rules)
-    out[j] = tuple(terms)
-    return tuple(out), f"rule {j} term {t}: q offset {offset} -> {offset + delta}"
+    out, (j, t, old, new) = _mutate(rules, 4, rng)
+    return out, f"rule {j} term {t}: q offset {old} -> {new}"

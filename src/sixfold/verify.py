@@ -17,30 +17,11 @@ from typing import Callable, NamedTuple
 from . import partitions, recurrence
 from .partitions import B0_433, B0_533, EXTRA_PARAMS, GeneralParams, count_table
 from .poly import TriPoly
-from .recurrence import DEFAULT_P_TABLES, PTables, SeriesMemo
+from .recurrence import SeriesMemo
 
 
 class ConfigError(ValueError):
     """Invalid suite configuration or check parameters."""
-
-
-IDENTITY_ORDER: tuple[str, ...] = tuple(
-    [f"Rec{k}" for k in range(16, 32)]
-    + [
-        "J",
-        "K",
-        "Link",
-        "Lemma2",
-        "Lemma3",
-        "Lemma4",
-        "Product",
-        "Theorem3",
-        "Theorem1",
-        "Conj433",
-        "Thm2Consistency",
-    ]
-)
-_ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
 
 @dataclass(frozen=True)
@@ -92,7 +73,7 @@ def _residual_report(
 # ------------------------------------------------------------------ suites
 
 
-Residual = Callable[[int, SeriesMemo, PTables], TriPoly]
+Residual = Callable[[int, SeriesMemo], TriPoly]
 
 
 class Suite(NamedTuple):
@@ -113,58 +94,47 @@ class Suite(NamedTuple):
 
 def _oracle_check(j: int) -> tuple[str, Residual]:
     """Recurrence value of class j against brute force, as Rec(16+j)."""
-    return f"Rec{16 + j}", lambda n, memo, tables: memo.s(n, j) - partitions.s_oracle(n, j)
+    return f"Rec{16 + j}", lambda n, memo: memo.s(n, j) - partitions.s_oracle(n, j)
 
 
-# Residuals look up recurrence.* at call time, so a wrapped or patched
-# function is the one that runs.
+def _recurrence_check(identity: str, name: str) -> tuple[str, Residual]:
+    """`identity` as the residual recurrence.<name>(n, memo), looked up at
+    call time so that a wrapped or patched function is the one that runs."""
+    return identity, lambda n, memo: getattr(recurrence, name)(n, memo)
+
+
+# Listed in emit order; IDENTITY_ORDER starts with their identities, in this order.
 SUITES: dict[str, Suite] = {
+    "oracle": Suite("n_max_oracle", 0, tuple(_oracle_check(j) for j in range(16))),
     "lemma1": Suite(
-        "n_max_lemmas",
-        0,
-        (
-            ("J", lambda n, memo, tables: recurrence.J_poly(n, memo)),
-            ("K", lambda n, memo, tables: recurrence.K_poly(n, memo)),
-        ),
-    ),
-    "lemma2": Suite(
-        "n_max_fourth_order",
-        0,
-        (("Lemma2", lambda n, memo, tables: recurrence.lemma2_residual(n, memo, tables)),),
-    ),
-    "lemma3": Suite(
-        "n_max_fourth_order",
-        0,
-        (("Lemma3", lambda n, memo, tables: recurrence.lemma3_residual(n, memo, tables)),),
-    ),
-    "lemma4": Suite(
-        "n_max_fourth_order",
-        0,
-        (("Lemma4", lambda n, memo, tables: recurrence.lemma4_residual(n, memo)),),
+        "n_max_lemmas", 0, (_recurrence_check("J", "J_poly"), _recurrence_check("K", "K_poly"))
     ),
     # Link(n) involves K(n+1), so it stops one level below J and K.
-    "link": Suite(
-        "n_max_lemmas",
-        -1,
-        (("Link", lambda n, memo, tables: recurrence.link_residual(n, memo)),),
-    ),
-    "oracle": Suite("n_max_oracle", 0, tuple(_oracle_check(j) for j in range(16))),
+    "link": Suite("n_max_lemmas", -1, (_recurrence_check("Link", "link_residual"),)),
+    "lemma2": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma2", "lemma2_residual"),)),
+    "lemma3": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma3", "lemma3_residual"),)),
+    "lemma4": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma4", "lemma4_residual"),)),
 }
 
+IDENTITY_ORDER: tuple[str, ...] = (
+    *(identity for entry in SUITES.values() for identity, _ in entry.checks),
+    "Product",
+    "Theorem3",
+    "Theorem1",
+    "Conj433",
+    "Thm2Consistency",
+)
+_ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
-def suite(
-    name: str,
-    n_max: int,
-    memo: SeriesMemo | None = None,
-    tables: PTables = DEFAULT_P_TABLES,
-) -> list[Report]:
+
+def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
     """Reports of suite `name` for every level 0..n_max, level by level."""
     memo = memo or SeriesMemo()
     out = []
     for n in range(n_max + 1):
         for identity, residual in SUITES[name].checks:
             t0 = time.perf_counter()
-            out.append(_residual_report(identity, n, residual(n, memo, tables), t0))
+            out.append(_residual_report(identity, n, residual(n, memo), t0))
     return out
 
 

@@ -183,7 +183,7 @@ def test_criterion_9_mutation_sensitivity():
     missed = []
     for _ in range(4):
         tables, note = mutate_p_tables(DEFAULT_P_TABLES, rng)
-        if all_passed(suite("lemma2", 2, SeriesMemo(), tables)):
+        if all_passed(suite("lemma2", 2, SeriesMemo(p_tables=tables))):
             missed.append(note)
     for _ in range(4):
         rules, note = mutate_rec_rules(REC_RULES, rng)

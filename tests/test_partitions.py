@@ -145,6 +145,20 @@ def test_count_table_b_equals_the_dict_window_dp(q_max):
     assert count_table("B", q_max) == ref_count_table_b(q_max)
 
 
+def test_count_table_b_equals_the_value_dp_over_is_valid_B():
+    """A reference that needs no window automaton: the transfer matrix over
+    part values, reading is_valid_B on slices of 9 consecutive values.
+
+    Span 9 suffices.  The widest cap, f(6j-1) + f(6j) + f(6j+6) + f(6j+7),
+    spans 9 values and the two-apart rule at most 7; caps are upper bounds,
+    so a slice never fails where the whole list passes.  This checks
+    _triple_table and _window_automaton well past the part search's reach.
+    """
+    for q_max in [*range(61), 120]:
+        reference = partitions._value_dp(q_max, 9, is_valid_B, lambda v: profile_B([v]))
+        assert count_table("B", q_max) == reference, q_max
+
+
 @pytest.mark.parametrize("q_max", [0, 1, 6, 7, 13, 40, 60])
 def test_count_table_a_equals_the_part_search(q_max):
     assert count_table("A", q_max) == search_table(q_max, is_valid_A, profile_A)

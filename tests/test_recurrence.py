@@ -296,11 +296,11 @@ def test_residuals_over_mutated_rules_are_pinned(name):
 
 
 @pytest.mark.parametrize("name", sorted(P_MUTANT_DIGESTS))
-def test_residuals_over_mutated_p_tables_are_pinned(memo, name):
+def test_residuals_over_mutated_p_tables_are_pinned(name):
     residual, expected = P_MUTANT_DIGESTS[name]
 
     def args(rng):
-        return memo, mutate_p_tables(DEFAULT_P_TABLES, rng)[0]
+        return (SeriesMemo(p_tables=mutate_p_tables(DEFAULT_P_TABLES, rng)[0]),)
 
     assert _residual_digest(residual, args) == expected
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import time
@@ -9,6 +10,8 @@ from sixfold.partitions import B0_433, B0_533, GeneralParams
 from sixfold.poly import monomial
 from sixfold.recurrence import DEFAULT_P_TABLES, SeriesMemo, mutate_p_tables
 from sixfold.verify import (
+    IDENTITY_ORDER,
+    SUITES,
     ConfigError,
     Report,
     SuiteConfig,
@@ -64,6 +67,18 @@ def test_run_all_small_config_all_green_but_the_known_finding():
 
 def test_run_all_is_deterministic():
     assert _stripped(run_all(SMALL)) == _stripped(run_all(SMALL))
+
+
+def test_report_order_does_not_depend_on_the_case_order():
+    # the report order is IDENTITY_ORDER, derived from SUITES
+    reordered = dataclasses.replace(SMALL, general_cases=SMALL.general_cases[::-1])
+    forward, backward = run_all(SMALL), run_all(reordered)
+    assert [dataclasses.replace(r, ms=0) for r in backward] == [
+        dataclasses.replace(r, ms=0) for r in forward
+    ]
+    for entry in SUITES.values():
+        for identity, _ in entry.checks:
+            assert IDENTITY_ORDER.count(identity) == 1, identity
 
 
 def test_oracle_suite_bound_semantics():
@@ -202,7 +217,7 @@ def test_run_all_default_surfaces_the_level0_finding():
 def test_failed_reports_carry_term_diffs(memo):
     rng = random.Random(99)
     tables, _ = mutate_p_tables(DEFAULT_P_TABLES, rng)
-    reports = suite("lemma2", 1, SeriesMemo(), tables)
+    reports = suite("lemma2", 1, SeriesMemo(p_tables=tables))
     failed = [r for r in reports if not r.passed]
     assert failed
     for r in failed:
@@ -213,7 +228,7 @@ def test_failed_reports_carry_term_diffs(memo):
 def test_mutating_p_tables_fails_lemma2_only_where_injected():
     rng = random.Random(5)
     tables, _ = mutate_p_tables(DEFAULT_P_TABLES, rng)
-    assert not all_passed(suite("lemma2", 2, SeriesMemo(), tables))
+    assert not all_passed(suite("lemma2", 2, SeriesMemo(p_tables=tables)))
     # the untouched suites stay green
     memo = SeriesMemo()
     assert all_passed(suite("lemma1", 2, memo))
