@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--extra", choices=["none", *verify.EXTRA_CASES], default="none")
+    p.add_argument("--extra", choices=["none", *partitions.EXTRA_PARAMS], default="none")
     p.add_argument("--n-max", type=int, default=40)
 
     p = sub.add_parser("product", help="truncated product of the side-A generating factors")

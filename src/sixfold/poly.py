@@ -105,23 +105,6 @@ def _unpack(x: int, w: int):
     return units
 
 
-def _encode(slots: dict[int, int], w: int) -> Row:
-    """Row of the non-zero coefficients {e_q: c}."""
-    q0 = min(slots)
-    half = 1 << (w - 1)
-    digits = [half] * (max(slots) - q0 + 1)
-    for e, c in slots.items():
-        digits[e - q0] = c + half
-    if w > 64:
-        raw = b"".join(u.to_bytes(w // 8, "little") for u in digits)
-    else:
-        units = array("I" if w == 32 else "Q", digits)
-        if sys.byteorder == "big":
-            units.byteswap()
-        raw = units.tobytes()
-    return q0, int.from_bytes(raw, "little") - _bias(w, len(digits))
-
-
 def _widen(x: int, w: int, w2: int) -> int:
     """The row x re-encoded from w-bit to w2-bit slots (w2 > w): each biased
     slot c + 2^(w-1) is copied, as whole 32-bit units, into the low end of a
@@ -210,13 +193,13 @@ class TriPoly:
         for (e_a, e_b, e_q), c in terms.items():
             _check_ab(e_a, e_b)
             if c:
-                row = grouped.get((e_a, e_b))
-                if row is None:
-                    grouped[e_a, e_b] = row = {}
-                row[e_q] = c
+                grouped.setdefault((e_a, e_b), {})[e_q] = c
         bound = max(map(abs, terms.values()), default=0)
         w = _width(bound)
-        self._rows = {key: _encode(slots, w) for key, slots in grouped.items()}
+        self._rows = {}
+        for key, slots in grouped.items():
+            q0 = min(slots)  # so slot 0 is non-zero
+            self._rows[key] = q0, sum(c << w * (e - q0) for e, c in slots.items())
         self._w, self._bound, self._len = w, bound, None
 
     def _rows_at(self, w: int) -> dict[tuple[int, int], Row]:

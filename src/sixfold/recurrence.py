@@ -299,8 +299,8 @@ IdentityTerm = tuple[int | tuple[tuple[PolyTerm, ...] | int, ...], ...]
 
 def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> TriPoly:
     """Sum of the terms at level n >= 0.  A term whose series is zero is
-    skipped before its factors are built; small factors are multiplied
-    first, and a polynomial part of 1 or -1 adds or subtracts the series."""
+    skipped before its factors are built, and small factors are multiplied
+    first."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     acc = ZERO
@@ -313,12 +313,7 @@ def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> T
             if isinstance(table, int):
                 table = memo.p_tables[table - 1]
             small = small * _at(table, n - d, *shift)
-        if small == ONE:
-            acc = acc + series
-        elif -small == ONE:
-            acc = acc - series
-        else:
-            acc = acc + small * series
+        acc = acc + small * series
     return acc
 
 

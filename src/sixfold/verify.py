@@ -29,9 +29,10 @@ class Report:
     """Outcome of one identity check.
 
     `n` is the check parameter: the level for per-level checks, the q bound
-    for table checks, and 100*lam + 10*k + a for general-family cases
-    (which have three parameters but one integer slot).  `detail` and
-    `diff` are diagnostics and not part of the serialized line.
+    for table checks, the bound n_max for Conj433 and Thm2Consistency, and
+    100*lam + 10*k + a for Theorem1 (three parameters but one integer
+    slot).  `detail` and `diff` are diagnostics and not part of the
+    serialized line.
     """
 
     identity: str
@@ -116,13 +117,20 @@ SUITES: dict[str, Suite] = {
     "lemma4": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma4", "lemma4_residual"),)),
 }
 
+# The general-family checks, keyed by their extra restriction set (None for
+# Theorem1; a set's parameter triple is partitions.EXTRA_PARAMS): identity and
+# detail template, filled with the parameters and n_max.
+GENERAL_CHECKS: dict[str | None, tuple[str, str]] = {
+    None: ("Theorem1", "lam={lam} k={k} a={a}, all n <= {n_max}"),
+    B0_433: ("Conj433", "(4,3,3) with extras, all n <= {n_max}"),
+    B0_533: ("Thm2Consistency", "pointwise A = B0 and refined-table row sums, all n <= {n_max}"),
+}
+
 IDENTITY_ORDER: tuple[str, ...] = (
     *(identity for entry in SUITES.values() for identity, _ in entry.checks),
     "Product",
     "Theorem3",
-    "Theorem1",
-    "Conj433",
-    "Thm2Consistency",
+    *(identity for identity, _ in GENERAL_CHECKS.values()),
 )
 _ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
@@ -193,31 +201,33 @@ def theorem3_check(q_max: int) -> Report:
     )
 
 
-def _check_theorem1_params(gp: GeneralParams) -> None:
-    if gp.lam < 1 or gp.k < 1 or gp.a < 1:
+def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> None:
+    if n_max < 0:
+        raise ConfigError(f"general case {gp}: n_max must be >= 0")
+    if extra is not None:
+        try:
+            partitions.validate_extra(gp, extra)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+    elif gp.lam < 1 or gp.k < 1 or gp.a < 1:
         raise ConfigError(f"lam, k and a must be positive, got {gp}")
-    if not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
+    elif not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
         raise ConfigError(f"params {gp} violate lam/2 < a <= k and k >= lam")
 
 
-def _family_report(
-    identity: str,
-    key: int,
-    gp: GeneralParams,
-    extra: str | None,
-    n_max: int,
-    detail: str,
-    table_sums: bool = False,
-) -> Report:
-    """Pointwise A = B (or B0, with `extra`) for all n <= n_max; with
-    `table_sums`, also the refined side-B table's row sums against B0."""
-    if n_max < 0:
-        raise ConfigError(f"n_max must be >= 0, got {n_max}")
+def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
+    """Report of one general-family case (identity and detail from
+    GENERAL_CHECKS): family A against family B, or B0 with an extra
+    restriction set, pointwise for all n <= n_max; with b0-533, also the
+    refined side-B table's row sums against B0."""
+    _check_general_case(gp, extra, n_max)
+    identity, detail = GENERAL_CHECKS[extra]
     t0 = time.perf_counter()
     left = partitions.general_A_series(gp, n_max)
     right = partitions.general_B_series(gp, n_max, extra=extra)
-    totals = [0] * (n_max + 1)
-    if table_sums:
+    totals = right  # row sums are compared for b0-533 only
+    if extra == B0_533:
+        totals = [0] * (n_max + 1)
         for c, _, _, n in count_table("B", n_max).terms():
             totals[n] += c
     name = "B" if extra is None else "B0"
@@ -225,63 +235,27 @@ def _family_report(
     for n in range(n_max + 1):
         if left[n] != right[n]:
             bad.append(f"n={n}: A={left[n]} {name}={right[n]}")
-        if table_sums and totals[n] != right[n]:
+        if totals[n] != right[n]:
             bad.append(f"n={n}: refined-table-sum={totals[n]} {name}={right[n]}")
-    return Report(
-        identity, key, not bad, len(bad), _elapsed_ms(t0), detail=detail, diff=tuple(bad[:20])
-    )
+    key = 100 * gp.lam + 10 * gp.k + gp.a if extra is None else n_max
+    detail = detail.format(**gp._asdict(), n_max=n_max)
+    return Report(identity, key, not bad, len(bad), _elapsed_ms(t0), detail, tuple(bad[:20]))
 
 
 def theorem1_check(gp: GeneralParams, n_max: int) -> Report:
     """Pointwise equality of the two general families for all n <= n_max."""
-    _check_theorem1_params(gp)
-    key = 100 * gp.lam + 10 * gp.k + gp.a
-    detail = f"lam={gp.lam} k={gp.k} a={gp.a}, all n <= {n_max}"
-    return _family_report("Theorem1", key, gp, None, n_max, detail)
+    return general_case(gp, None, n_max)
 
 
 def conj433_check(n_max: int) -> Report:
     """Family A at (4,3,3) against family B with the b0-433 extras."""
-    detail = f"(4,3,3) with extras, all n <= {n_max}"
-    gp = EXTRA_PARAMS[B0_433]
-    return _family_report("Conj433", n_max, gp, B0_433, n_max, detail)
+    return general_case(EXTRA_PARAMS[B0_433], B0_433, n_max)
 
 
 def thm2_consistency(n_max: int) -> Report:
     """Family A at (5,3,3) against family B with the b0-533 extras, and the
     refined (mu, nu, N) table's row sums against the same family."""
-    detail = f"pointwise A = B0 and refined-table row sums, all n <= {n_max}"
-    gp = EXTRA_PARAMS[B0_533]
-    return _family_report("Thm2Consistency", n_max, gp, B0_533, n_max, detail, table_sums=True)
-
-
-# Each extra restriction set has one check; its parameter triple is
-# partitions.EXTRA_PARAMS.
-EXTRA_CASES: dict[str, Callable[[int], Report]] = {
-    B0_433: conj433_check,
-    B0_533: thm2_consistency,
-}
-
-
-def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> None:
-    if n_max < 0:
-        raise ConfigError(f"general case {gp}: n_max must be >= 0")
-    if extra is None:
-        _check_theorem1_params(gp)
-        return
-    try:
-        partitions.validate_extra(gp, extra)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
-    """Report of one general-family case: Theorem1 without an extra
-    restriction set, else the check that the set belongs to."""
-    _check_general_case(gp, extra, n_max)
-    if extra is None:
-        return theorem1_check(gp, n_max)
-    return EXTRA_CASES[extra](n_max)
+    return general_case(EXTRA_PARAMS[B0_533], B0_533, n_max)
 
 
 # --------------------------------------------------------------- full runs

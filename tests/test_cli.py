@@ -230,6 +230,56 @@ def test_general_theorem1_boundary_is_a_config_error():
 
 
 @pytest.mark.parametrize(
+    "args, line",
+    [
+        (
+            "--lambda 2 --k 3 --a 2 --n-max -1",
+            "general case GeneralParams(lam=2, k=3, a=2): n_max must be >= 0",
+        ),
+        (
+            "--lambda 4 --k 3 --a 3 --extra b0-433 --n-max -1",
+            "general case GeneralParams(lam=4, k=3, a=3): n_max must be >= 0",
+        ),
+        (
+            "--lambda 4 --k 3 --a 3 --extra b0-533",
+            "extra 'b0-533' requires lam=5 k=3 a=3, got GeneralParams(lam=4, k=3, a=3)",
+        ),
+        (
+            "--lambda 3 --k 2 --a 2",
+            "params GeneralParams(lam=3, k=2, a=2) violate lam/2 < a <= k and k >= lam",
+        ),
+        (
+            "--lambda 2 --k 2 --a 1",
+            "params GeneralParams(lam=2, k=2, a=1) violate lam/2 < a <= k and k >= lam",
+        ),
+        (
+            "--lambda 0 --k 2 --a 1",
+            "lam, k and a must be positive, got GeneralParams(lam=0, k=2, a=1)",
+        ),
+        (
+            "--lambda -1 --k 1 --a 1",
+            "lam, k and a must be positive, got GeneralParams(lam=-1, k=1, a=1)",
+        ),
+        (
+            "--lambda 3 --k 1 --a 1",
+            "params GeneralParams(lam=3, k=1, a=1) violate lam/2 < a <= k and k >= lam",
+        ),
+        (
+            "--lambda 4 --k 4 --a 3 --extra b0-433",
+            "extra 'b0-433' requires lam=4 k=3 a=3, got GeneralParams(lam=4, k=4, a=3)",
+        ),
+        (
+            "--lambda 5 --k 9 --a 9 --extra b0-533",
+            "extra 'b0-533' requires lam=5 k=3 a=3, got GeneralParams(lam=5, k=9, a=9)",
+        ),
+    ],
+)
+def test_general_error_lines_are_pinned(args, line):
+    code, out, err = _run_captured(["general", *args.split()])
+    assert (code, out, err) == (2, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
     "argv, digest",
     [
         # the digest perfbench pins for its series-deep workload (SERIES_SHA256[9])

@@ -1,11 +1,15 @@
 """The runtime is stdlib-only: numpy or sympy may be installed next to it,
-so an accidental import of either would pass every other test."""
+so an accidental import of either would pass every other test.  Likewise
+the sources must parse at the oldest Python that pyproject.toml declares,
+since the tests may run on a newer one."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
-SOURCE_DIR = Path(__file__).parent.parent / "src" / "sixfold"
+ROOT = Path(__file__).parent.parent
+SOURCE_DIR = ROOT / "src" / "sixfold"
 
 
 def test_sources_import_only_the_standard_library():
@@ -24,3 +28,13 @@ def test_sources_import_only_the_standard_library():
                 (path.name, m) for m in modules if m.split(".")[0] not in sys.stdlib_module_names
             ]
     assert outside == []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    # a regex, as tomllib is 3.11+
+    declared = re.search(
+        r'^requires-python\s*=\s*">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text(), re.M
+    )
+    floor = (int(declared[1]), int(declared[2]))
+    for path in sorted(SOURCE_DIR.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)

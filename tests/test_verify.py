@@ -10,6 +10,7 @@ from sixfold.partitions import B0_433, B0_533, GeneralParams
 from sixfold.poly import monomial
 from sixfold.recurrence import DEFAULT_P_TABLES, SeriesMemo, mutate_p_tables
 from sixfold.verify import (
+    DEFAULT_GENERAL_CASES,
     IDENTITY_ORDER,
     SUITES,
     ConfigError,
@@ -17,6 +18,7 @@ from sixfold.verify import (
     SuiteConfig,
     all_passed,
     conj433_check,
+    general_case,
     run_all,
     suite,
     suite_product,
@@ -79,6 +81,8 @@ def test_report_order_does_not_depend_on_the_case_order():
     for entry in SUITES.values():
         for identity, _ in entry.checks:
             assert IDENTITY_ORDER.count(identity) == 1, identity
+    for identity in ("Theorem1", "Conj433", "Thm2Consistency"):
+        assert IDENTITY_ORDER.count(identity) == 1, identity
 
 
 def test_oracle_suite_bound_semantics():
@@ -181,6 +185,33 @@ def test_theorem1_check_rejects_bad_params():
         theorem1_check(GeneralParams(2, 2, 1), 10)  # a = lam/2: A and B differ at n = 1
     with pytest.raises(ConfigError):
         theorem1_check(GeneralParams(2, 3, 4), 10)  # a > k
+
+
+def test_general_reports_are_pinned():
+    reports = [general_case(gp, extra, 12) for gp, extra, _ in DEFAULT_GENERAL_CASES]
+    assert [(r.identity, r.n, r.passed, r.detail) for r in reports] == [
+        ("Theorem1", 222, True, "lam=2 k=2 a=2, all n <= 12"),
+        ("Theorem1", 232, True, "lam=2 k=3 a=2, all n <= 12"),
+        ("Theorem1", 233, True, "lam=2 k=3 a=3, all n <= 12"),
+        ("Theorem1", 332, True, "lam=3 k=3 a=2, all n <= 12"),
+        ("Theorem1", 333, True, "lam=3 k=3 a=3, all n <= 12"),
+        ("Conj433", 12, True, "(4,3,3) with extras, all n <= 12"),
+        ("Thm2Consistency", 12, True, "pointwise A = B0 and refined-table row sums, all n <= 12"),
+    ]
+
+
+def test_wrappers_return_the_general_case_report():
+    def same(r):
+        return dataclasses.replace(r, ms=0)
+
+    gp = GeneralParams(2, 3, 2)
+    assert same(theorem1_check(gp, 12)) == same(general_case(gp, None, 12))
+    assert same(conj433_check(12)) == same(general_case(GeneralParams(4, 3, 3), B0_433, 12))
+    assert same(thm2_consistency(12)) == same(general_case(GeneralParams(5, 3, 3), B0_533, 12))
+    # a negative bound gets general_case's message from every wrapper
+    for check in (lambda n: theorem1_check(gp, n), conj433_check, thm2_consistency):
+        with pytest.raises(ConfigError, match=r"^general case GeneralParams\(.*\): n_max must be"):
+            check(-1)
 
 
 def test_conj433_and_thm2_small():
