@@ -17,28 +17,29 @@ polynomials (TriPoly): the coefficient of a^mu b^nu q^N is the number of
 valid partitions of N with statistics (mu, nu), so each comparison with
 the recurrence side is an exact residual.
 
-Counting never lists the partitions.  Two transfer matrices (Stanley,
-Enumerative Combinatorics I, section 4.7) read their transitions from the
-predicates themselves.  Their states hold TriPoly values, whose rows are
-packed ints (see the poly module), so a move costs one operation per
-(mu, nu) row of its state, not work per term, let alone per partition:
-count_table("B", 300) takes 0.7-1.0 s, against 8.3 s when the window
-states summed dict terms one at a time.  Side B's count table and s_oracle
-step over six-wide windows (_window_dp, from is_valid_B); s_oracle holds
-the layer of the last level it computed and steps on from it.  Side A and
-the general families step over part values (_value_dp), a state holding
-the multiplicities of the last few values, each transition a call of
+Counting never lists the partitions.  One transfer-matrix engine
+(_transfer; Stanley, Enumerative Combinatorics I, section 4.7) steps a
+layer of states, and each kind of step reads its moves from the predicates
+themselves.  The states hold TriPoly values, whose rows are packed ints
+(see the poly module), so a move costs one operation per (mu, nu) row of
+its state, not work per term, let alone per partition: count_table("B",
+300) takes 0.7-1.0 s, against 8.3 s when the window states summed dict
+terms one at a time.  Side B's count table and s_oracle step over six-wide
+windows (_window_steps, from is_valid_B); s_oracle holds the layer of the
+last level it computed and steps on from it.  Side A and the general
+families step over part values (_value_dp), a state holding the
+multiplicities of the last few values, each move checked by a call of
 is_valid_A or of a family predicate on the parts of one short window.
 Correctness of every oracle path deliberately concentrates in the
-predicates; the tests cross-check both transfer matrices against a plain
+predicates; the tests cross-check both kinds of step against a plain
 exhaustive search of the same predicates.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO, monomial
 
@@ -160,6 +161,44 @@ def profile_B(parts: Sequence[int]) -> tuple[int, int]:
 # ------------------------------------------------------------ count tables
 
 
+_Move = tuple[int, int, int, Hashable]  # (mu, nu, dq, next state)
+_Step = Callable[[Hashable], Iterable[_Move]]
+
+
+def _transfer(
+    layer: dict[Hashable, TriPoly], steps: Iterable[_Step], q_max: int | None = None
+) -> dict[Hashable, TriPoly]:
+    """The layer after `steps`, taken one after the other, starting at `layer`.
+
+    A layer maps each state to a TriPoly value.  A step maps a state to its
+    moves (mu, nu, dq, next state), and the next layer is the sum, over
+    every state and each of its moves, of the state's value times
+    a^mu b^nu q^dq at the move's next state.  A move with dq = 0 passes the
+    value on as it is; it places no part, so mu = nu = 0.  With a bound
+    q_max, a move with dq > q_max is dropped and the value is truncated to
+    q^(q_max - dq) before the product, so no term above q_max is ever built
+    from a layer that has none.  A move multiplies by a monomial, which
+    re-keys the packed rows of the value (see the poly module), so a step
+    costs time in proportion to the rows, not to the terms.  Zero terms are
+    skipped: a state that only they reach is left out of the next layer.
+    """
+    for step in steps:
+        nxt: dict[Hashable, TriPoly] = {}
+        for s, value in layer.items():
+            for mu, nu, dq, t in step(s):
+                term = value
+                if dq:
+                    if q_max is not None:
+                        if dq > q_max:
+                            continue
+                        term = value.truncate(q_max - dq)
+                    term = monomial(1, mu, nu, dq) * term
+                if term:
+                    nxt[t] = nxt[t] + term if t in nxt else term
+        layer = nxt
+    return layer
+
+
 def _value_dp(
     n_max: int,
     span: int,
@@ -180,36 +219,26 @@ def _value_dp(
     holding m + 1, so the first rejection ends the step, and m = 0 needs no
     call: its window is a run of the one accepted at v - 1 (or empty).  A
     window reaching above n_max holds the parts of the one ending at n_max,
-    so the windows ending at 1..n_max are all there is to check.  Each
-    state's value is truncated to q^n_max as it is produced.  The empty list
-    is counted only when `valid` accepts it; when it does not, no list is
-    valid, since adding parts only makes a constraint worse, and the result
-    is zero.
+    so the windows ending at 1..n_max are all there is to check.  The steps
+    run with the bound n_max (see _transfer).  The empty list is counted
+    only when `valid` accepts it; when it does not, no list is valid, since
+    adding parts only makes a constraint worse, and the result is zero.
     """
     if not valid([]):
         return ZERO
-    layer: dict[tuple[int, ...], TriPoly] = {(0,) * (span - 1): ONE}
-    for v in range(1, n_max + 1):
-        mu, nu = weight(v)
-        nxt: dict[tuple[int, ...], TriPoly] = {}
-        for state, value in layer.items():
-            # the window's parts below v, descending, at their true values
-            parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
-            m = 0
-            while True:
-                term = value
-                if m:
-                    term = monomial(1, m * mu, m * nu, m * v) * value.truncate(n_max - m * v)
-                if term:
-                    key = (*state, m)[1:]
-                    nxt[key] = nxt[key] + term if key in nxt else term
-                m += 1
-                if m * v > n_max:
-                    break
-                parts.insert(0, v)
-                if not valid(parts):
-                    break
-        layer = nxt
+
+    def moves(v: int, mu: int, nu: int, state: tuple[int, ...]) -> Iterator[_Move]:
+        yield 0, 0, 0, (*state, 0)[1:]
+        # the window's parts below v, descending, at their true values
+        parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
+        for m in range(1, n_max // v + 1):
+            parts.insert(0, v)
+            if not valid(parts):
+                return
+            yield m * mu, m * nu, m * v, (*state, m)[1:]
+
+    steps = (partial(moves, v, *weight(v)) for v in range(1, n_max + 1))
+    layer = _transfer({(0,) * (span - 1): ONE}, steps, n_max)
     return sum(layer.values(), ZERO)
 
 
@@ -220,8 +249,8 @@ def count_table(side: str, n_max: int) -> TriPoly:
 
     Side A is counted by the transfer matrix over part values (see
     _value_dp), its steps read from is_valid_A on one value at a time;
-    side B by the window transfer matrix (see _window_dp) over the windows
-    that hold parts <= n_max.
+    side B by the window steps (see _window_steps) over the windows that
+    hold parts <= n_max.
     """
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
@@ -230,7 +259,7 @@ def count_table(side: str, n_max: int) -> TriPoly:
     if side == "A":
         # is_valid_A bounds each value's multiplicity on its own: span 1
         return _value_dp(n_max, 1, is_valid_A, lambda v: profile_A([v]))
-    layer = _window_dp({0: ONE}, 0, (n_max - 1) // 6 + 1, n_max)
+    layer = _transfer({0: ONE}, _window_steps(0, (n_max - 1) // 6 + 1), n_max)
     return sum(layer.values(), ZERO)
 
 
@@ -257,16 +286,22 @@ def _triple_table(base: int = 0) -> tuple[tuple[tuple[int, ...], ...], ...]:
     )
 
 
+_Weight = tuple[int, int, int, int]  # (mu, nu, total, size)
+
+
 @lru_cache(maxsize=None)
-def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int], ...], ...]]:
     """(class of the last window, moves) per state; state 0 is the start.
 
     A state is the class c of the last window placed together with the row
     of classes allowed in the window above it, which is all the future
     depends on; the (previous class, class) pairs sharing a row merge into
-    one state.  moves[s] lists (next class, next state).  Built on first
-    use, from 4096 calls of is_valid_B.
+    one state.  moves[s] lists (weight, next state) for each next class,
+    its weight (mu, nu, total, size) being the class's profile, the sum of
+    its offsets and its number of parts: placed at window i, its parts sum
+    to total + 6*i*size.  Built on first use, from 4096 calls of is_valid_B.
     """
+    weights = [(*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES]
     allowed = _triple_table()
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     states: list[tuple[int, tuple[int, ...]]] = []
@@ -281,30 +316,21 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], .
     state(0, 0)  # windows -2 and -1, both empty
     moves = []
     for cls, row in states:  # grows while it is walked
-        moves.append(tuple((nxt, state(cls, nxt)) for nxt in row))
+        moves.append(tuple((weights[nxt], state(cls, nxt)) for nxt in row))
     return tuple(cls for cls, _ in states), tuple(moves)
 
 
-_CLASS_WEIGHTS = tuple((*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES)
+def _window_steps(start: int, stop: int) -> Iterator[_Step]:
+    """The side-B transfer steps over windows start..stop-1, read off the
+    window automaton.
 
-
-def _window_dp(
-    layer: dict[int, TriPoly], start: int, stop: int, q_max: int | None = None
-) -> dict[int, TriPoly]:
-    """Advance the side-B transfer matrix over windows start..stop-1.
-
-    `layer` maps each automaton state to the generating polynomial of the
-    valid side-B partitions with parts in windows 0..start-1 that end in
-    it, and the result is the same map after window stop-1; the layer
-    {0: ONE} before window 0 is the empty partition.  At window i, a move
-    by class cls from state s to state t adds the value of s times
-    a^mu b^nu q^dq to t, with (mu, nu) the class's profile and dq the sum
-    of its parts placed at window i.  With a bound q_max, a move with
-    dq > q_max is skipped and the value is truncated to q^(q_max - dq)
-    before the product, so no term above q_max is ever built.  A move
-    multiplies by a monomial, which re-keys the packed rows of the value
-    (see the poly module), so a step costs time in proportion to the rows,
-    not to the terms.
+    A layer before window start maps each automaton state to the generating
+    polynomial of the valid side-B partitions with parts in windows
+    0..start-1 that end in it, and _transfer takes it to the same map after
+    window stop-1; the layer {0: ONE} before window 0 is the empty
+    partition.  At window i, a move by a class from state s to state t has
+    the class's profile as (mu, nu) and the sum of its parts placed at
+    window i as dq.
 
     Soundness: a partition is valid exactly when every three consecutive
     windows of it are, and the triple table taken at windows 0..2 holds at
@@ -333,25 +359,12 @@ def _window_dp(
     """
     _, moves = _window_automaton()
     for i in range(start, stop):
-        nxt: dict[int, TriPoly] = {}
-        for s, value in layer.items():
-            for cls, t in moves[s]:
-                mu, nu, total, size = _CLASS_WEIGHTS[cls]
-                dq = total + 6 * i * size
-                term = value
-                if q_max is not None:
-                    if dq > q_max:
-                        continue
-                    term = value.truncate(q_max - dq)
-                    if not term:
-                        continue
-                term = monomial(1, mu, nu, dq) * term
-                nxt[t] = nxt[t] + term if t in nxt else term
-        layer = nxt
-    return layer
+        yield lambda s, i=i: [
+            (mu, nu, total + 6 * i * size, t) for (mu, nu, total, size), t in moves[s]
+        ]
 
 
-# (level n, _window_dp layer after window n, the 16 cumulative series by
+# (level n, window-step layer after window n, the 16 cumulative series by
 # top-window class).  _START is level -1, before window 0, where every
 # series is 1; _held is the record s_oracle computed last.
 _START: tuple[int, dict[int, TriPoly], tuple[TriPoly, ...]] = (-1, {0: ONE}, (ONE,) * 16)
@@ -373,7 +386,7 @@ def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
         return series
     if level > n:
         level, layer, _ = _START
-    layer = _window_dp(layer, level + 1, n + 1)
+    layer = _transfer(layer, _window_steps(level + 1, n + 1))
     classes, _ = _window_automaton()
     buckets = [ZERO] * 16
     for s, value in layer.items():
@@ -385,7 +398,7 @@ def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
 
 def s_oracle(n: int, j: int) -> TriPoly:
     """Generating polynomial of valid side-B partitions with parts <= 6n+6
-    and top-window class <= j, by the window transfer matrix (_window_dp).
+    and top-window class <= j, by the window steps (_window_steps).
 
     The DP layer of the last level computed is held with its 16 series, so
     the same level again costs nothing, a higher one only the windows
@@ -407,20 +420,17 @@ def s_oracle(n: int, j: int) -> TriPoly:
 # --------------------------------------------------------- general families
 
 
-def _validate_params(gp: GeneralParams) -> None:
+def validate_case(gp: GeneralParams, extra: str | None) -> None:
+    """Check that an extra restriction set (if any) belongs to the
+    parameters gp, then that lam, k and a are positive."""
+    if extra is not None:
+        if extra not in EXTRA_PARAMS:
+            raise ValueError(f"unknown extra restriction set {extra!r}")
+        if gp != EXTRA_PARAMS[extra]:
+            lam, k, a = EXTRA_PARAMS[extra]
+            raise ValueError(f"extra {extra!r} requires lam={lam} k={k} a={a}, got {gp}")
     if gp.lam < 1 or gp.k < 1 or gp.a < 1:
         raise ValueError(f"lam, k and a must be positive, got {gp}")
-
-
-def validate_extra(gp: GeneralParams, extra: str | None) -> None:
-    """Check that an extra restriction set belongs to the parameters gp."""
-    if extra is None:
-        return
-    if extra not in EXTRA_PARAMS:
-        raise ValueError(f"unknown extra restriction set {extra!r}")
-    if gp != EXTRA_PARAMS[extra]:
-        lam, k, a = EXTRA_PARAMS[extra]
-        raise ValueError(f"extra {extra!r} requires lam={lam} k={k} a={a}, got {gp}")
 
 
 def _general_a_rules(gp: GeneralParams):
@@ -536,7 +546,7 @@ def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:
     part values; every family-A rule bounds one value (span 1).  Raises
     ValueError unless the modulus of the banned residues,
     (2k - lam + 1)(lam + 1), is positive."""
-    _validate_params(gp)
+    validate_case(gp, None)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     rules = _general_a_rules(gp)
@@ -547,8 +557,7 @@ def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) ->
     """Family-B counts for every n in 0..n_max, by the transfer matrix over
     part values with windows of _general_b_span values (see
     _is_valid_general_B for why they suffice)."""
-    _validate_params(gp)
-    validate_extra(gp, extra)
+    validate_case(gp, extra)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam, k, a = gp

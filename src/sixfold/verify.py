@@ -31,8 +31,9 @@ class Report:
     `n` is the check parameter: the level for per-level checks, the q bound
     for table checks, the bound n_max for Conj433 and Thm2Consistency, and
     100*lam + 10*k + a for Theorem1 (three parameters but one integer
-    slot).  `detail` and `diff` are diagnostics and not part of the
-    serialized line.
+    slot).  No two reports of one run share (identity, n): SuiteConfig
+    rejects general cases that would (see _general_key).  `detail` and
+    `diff` are diagnostics and not part of the serialized line.
     """
 
     identity: str
@@ -204,15 +205,19 @@ def theorem3_check(q_max: int) -> Report:
 def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> None:
     if n_max < 0:
         raise ConfigError(f"general case {gp}: n_max must be >= 0")
-    if extra is not None:
-        try:
-            partitions.validate_extra(gp, extra)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    elif gp.lam < 1 or gp.k < 1 or gp.a < 1:
-        raise ConfigError(f"lam, k and a must be positive, got {gp}")
-    elif not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
+    try:
+        partitions.validate_case(gp, extra)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if extra is None and not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
         raise ConfigError(f"params {gp} violate lam/2 < a <= k and k >= lam")
+
+
+def _general_key(gp: GeneralParams, extra: str | None, n_max: int) -> tuple[str, int]:
+    """(identity, n) of one general case's report: n is 100*lam + 10*k + a
+    for Theorem1, unique only while k and a are at most 9, and n_max for
+    the extra sets."""
+    return GENERAL_CHECKS[extra][0], (100 * gp.lam + 10 * gp.k + gp.a if extra is None else n_max)
 
 
 def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
@@ -221,7 +226,7 @@ def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
     restriction set, pointwise for all n <= n_max; with b0-533, also the
     refined side-B table's row sums against B0."""
     _check_general_case(gp, extra, n_max)
-    identity, detail = GENERAL_CHECKS[extra]
+    identity, key = _general_key(gp, extra, n_max)
     t0 = time.perf_counter()
     left = partitions.general_A_series(gp, n_max)
     right = partitions.general_B_series(gp, n_max, extra=extra)
@@ -237,8 +242,7 @@ def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
             bad.append(f"n={n}: A={left[n]} {name}={right[n]}")
         if totals[n] != right[n]:
             bad.append(f"n={n}: refined-table-sum={totals[n]} {name}={right[n]}")
-    key = 100 * gp.lam + 10 * gp.k + gp.a if extra is None else n_max
-    detail = detail.format(**gp._asdict(), n_max=n_max)
+    detail = GENERAL_CHECKS[extra][1].format(**gp._asdict(), n_max=n_max)
     return Report(identity, key, not bad, len(bad), _elapsed_ms(t0), detail, tuple(bad[:20]))
 
 
@@ -286,8 +290,13 @@ class SuiteConfig:
         for name in ("n_max_lemmas", "n_max_fourth_order", "n_max_oracle", "q_max_theorem"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for case in self.general_cases:
-            _check_general_case(*case)
+        seen: dict[tuple[str, int], GeneralParams] = {}
+        for gp, extra, n_max in self.general_cases:
+            _check_general_case(gp, extra, n_max)
+            identity, n = key = _general_key(gp, extra, n_max)
+            if key in seen:
+                raise ConfigError(f"general cases {seen[key]} and {gp} both emit {identity} n={n}")
+            seen[key] = gp
 
 
 def run_all(cfg: SuiteConfig) -> list[Report]:

@@ -85,8 +85,7 @@ def ref_window_dp(windows: int, q_max: int | None = None) -> list[tuple[int, Ref
     for i in range(windows):
         nxt: dict[int, RefPoly] = {}
         for s, terms in layer.items():
-            for cls, t in moves[s]:
-                mu, nu, total, size = partitions._CLASS_WEIGHTS[cls]
+            for (mu, nu, total, size), t in moves[s]:
                 dq = total + 6 * i * size
                 out = nxt.setdefault(t, {})
                 for (a, b, e), c in terms.items():

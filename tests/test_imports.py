@@ -38,3 +38,23 @@ def test_sources_parse_at_the_declared_python_floor():
     floor = (int(declared[1]), int(declared[2]))
     for path in sorted(SOURCE_DIR.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_benchmark_tracer_wraps_and_restores_every_target():
+    """perfbench/spans.py wraps public names of every layer from outside the
+    package; a renamed or deleted target breaks only the benchmark, so it is
+    installed and removed here, with no traced run."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import spans
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        patched = list(tracer._patches)
+        assert patched
+        assert all(getattr(owner, attr) is not original for owner, attr, original in patched)
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)

@@ -1,15 +1,18 @@
 from itertools import accumulate
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
     B2_Q9,
     DISPLAY_S0_9_SHORT,
     DISPLAY_S0_15,
+    ref_add,
     ref_count_table_b,
+    ref_mul,
     ref_s_oracle,
+    ref_truncate,
     s_oracle_dfs,
     search_general_series,
     search_table,
@@ -115,6 +118,67 @@ def test_profile_B():
     assert profile_B([5, 2]) == (1, 1)
     assert profile_B([]) == (0, 0)
     assert profile_B([12, 6, 5, 1]) == (3, 3)
+
+
+# ---------------------------------------------------- transfer engine
+
+
+@st.composite
+def _transfer_cases(draw):
+    """(layer, steps, q_max) over states 0..3: the layer as dict terms
+    within q_max, each step as its moves (mu, nu, dq, next state) indexed by
+    state, dq running past q_max, and mu = nu = 0 wherever dq = 0."""
+    q_max = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    top = 6 if q_max is None else q_max
+    states = st.integers(min_value=0, max_value=3)
+    exponents = st.integers(min_value=0, max_value=2)
+    value = st.dictionaries(
+        st.tuples(exponents, exponents, st.integers(min_value=0, max_value=top)),
+        st.integers(min_value=1, max_value=3),
+        min_size=1,
+        max_size=4,
+    )
+    move = st.tuples(exponents, exponents, st.integers(min_value=0, max_value=top + 2), states)
+    moves = st.lists(move.map(lambda m: m if m[2] else (0, 0, 0, m[3])), max_size=4)
+    layer = draw(st.dictionaries(states, value, min_size=1, max_size=4))
+    steps = draw(st.lists(st.lists(moves, min_size=4, max_size=4), min_size=1, max_size=3))
+    return layer, steps, q_max
+
+
+def _ref_transfer(layer, steps, q_max):
+    """The steps by dict terms: every move's full product, then truncated."""
+    for step in steps:
+        nxt = {}
+        for s, terms in layer.items():
+            for mu, nu, dq, t in step[s]:
+                term = ref_mul(terms, {(mu, nu, dq): 1})
+                if q_max is not None:
+                    term = ref_truncate(term, q_max)
+                nxt[t] = ref_add(nxt.get(t, {}), term)
+        layer = {t: terms for t, terms in nxt.items() if terms}
+    return layer
+
+
+# q_max = 3: moves with dq == q_max, with dq > q_max and with dq = 0 pass-through,
+# several moves into state 2, and a value truncated to zero (state 1's q^3
+# moved by dq = 3).
+@example(
+    (
+        {0: {(0, 0, 0): 1, (1, 0, 2): 2}, 1: {(0, 1, 3): 1}},
+        [
+            [[(1, 0, 3, 2), (0, 1, 4, 2), (0, 0, 0, 2), (1, 1, 1, 2)], [(2, 0, 3, 0)], [], []],
+            [[(0, 0, 0, 3)], [], [(0, 0, 0, 3), (1, 0, 1, 3)], []],
+        ],
+        3,
+    )
+)
+@given(_transfer_cases())
+def test_transfer_equals_a_dict_term_step(case):
+    layer, steps, q_max = case
+    start = {s: TriPoly(terms) for s, terms in layer.items()}
+    step_fns = [step.__getitem__ for step in steps]
+    expected = {t: TriPoly(terms) for t, terms in _ref_transfer(layer, steps, q_max).items()}
+    assert partitions._transfer(start, step_fns, q_max) == expected
 
 
 # -------------------------------------------------------- count tables
@@ -294,6 +358,15 @@ def test_general_a_series_rejects_a_non_positive_modulus(gp):
     # (2k - lam + 1)(lam + 1) is 0 for (3, 1, 1) and -21 for (6, 1, 1)
     with pytest.raises(ValueError, match=r"\(2k - lam \+ 1\)\(lam \+ 1\) > 0"):
         general_A_series(gp, 5)
+
+
+def test_general_series_check_the_extra_set_before_positivity():
+    with pytest.raises(ValueError, match="must be positive"):
+        general_A_series(GeneralParams(0, 3, 3), 5)
+    with pytest.raises(ValueError, match="must be positive"):
+        general_B_series(GeneralParams(3, 0, 3), 5)
+    with pytest.raises(ValueError, match="requires lam=4 k=3 a=3"):
+        general_B_series(GeneralParams(0, 3, 3), 5, extra=B0_433)
 
 
 def test_general_extra_must_match_lambda():

@@ -235,6 +235,35 @@ def test_config_validation():
         run_all(SuiteConfig(general_cases=((GeneralParams(5, 9, 9), B0_533, 10),)))
 
 
+@pytest.mark.parametrize(
+    ("cases", "message"),
+    [
+        # 100*lam + 10*k + a is 333 for both: k = 13 spills into the hundreds
+        (
+            ((GeneralParams(2, 13, 3), None, 10), (GeneralParams(3, 3, 3), None, 10)),
+            r"^general cases GeneralParams\(lam=2, k=13, a=3\) and "
+            r"GeneralParams\(lam=3, k=3, a=3\) both emit Theorem1 n=333$",
+        ),
+        (
+            ((GeneralParams(4, 3, 3), B0_433, 10), (GeneralParams(4, 3, 3), B0_433, 10)),
+            r"^general cases GeneralParams\(lam=4, k=3, a=3\) and "
+            r"GeneralParams\(lam=4, k=3, a=3\) both emit Conj433 n=10$",
+        ),
+    ],
+    ids=["theorem1-key-collision", "case-listed-twice"],
+)
+def test_config_rejects_general_cases_with_one_report_key(cases, message):
+    with pytest.raises(ConfigError, match=message):
+        SuiteConfig(general_cases=cases).validate()
+    # each case on its own is valid, and the same triple at two bounds
+    # of an extra set emits two distinct keys
+    for case in cases:
+        SuiteConfig(general_cases=(case,)).validate()
+    SuiteConfig(
+        general_cases=((GeneralParams(4, 3, 3), B0_433, 10), (GeneralParams(4, 3, 3), B0_433, 12))
+    ).validate()
+
+
 def test_run_all_default_surfaces_the_level0_finding():
     # the one expected failure at desk scale: the fourth-order class-15
     # identity does not hold at level 0 (see README identity catalogue)
