@@ -266,26 +266,6 @@ def count_table(side: str, n_max: int) -> TriPoly:
 # --------------------------------------------------------- windowed series
 
 
-def _triple_table(base: int = 0) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """allowed[c1][c2]: the classes c3 for which is_valid_B accepts the
-    parts of classes c1, c2, c3 placed at windows base, base+1, base+2."""
-    placed = [
-        [tuple(off + 6 * (base + k) for off in cls) for cls in WINDOW_CLASSES]
-        for k in range(3)
-    ]
-    return tuple(
-        tuple(
-            tuple(
-                c3
-                for c3 in range(16)
-                if is_valid_B([*placed[2][c3], *placed[1][c2], *placed[0][c1]])
-            )
-            for c2 in range(16)
-        )
-        for c1 in range(16)
-    )
-
-
 _Weight = tuple[int, int, int, int]  # (mu, nu, total, size)
 
 
@@ -296,18 +276,24 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int
     A state is the class c of the last window placed together with the row
     of classes allowed in the window above it, which is all the future
     depends on; the (previous class, class) pairs sharing a row merge into
-    one state.  moves[s] lists (weight, next state) for each next class,
-    its weight (mu, nu, total, size) being the class's profile, the sum of
-    its offsets and its number of parts: placed at window i, its parts sum
-    to total + 6*i*size.  Built on first use, from 4096 calls of is_valid_B.
+    one state.  The row of a pair is read from is_valid_B when the pair is
+    entered: the classes nxt for which it accepts the parts of prev, cls
+    and nxt placed at windows 0, 1 and 2 (_window_steps says why windows
+    0..2 stand for every position).  moves[s] lists (weight, next state)
+    for each next class, its weight (mu, nu, total, size) being the
+    class's profile, the sum of its offsets and its number of parts: placed
+    at window i, its parts sum to total + 6*i*size.  Built on first use,
+    from 16 calls of is_valid_B for the start and for each of the 165
+    moves: 2656 in all.
     """
     weights = [(*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES]
-    allowed = _triple_table()
+    placed = [[[off + 6 * k for off in cls] for cls in WINDOW_CLASSES] for k in range(3)]
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     states: list[tuple[int, tuple[int, ...]]] = []
 
     def state(prev: int, cls: int) -> int:
-        key = (cls, allowed[prev][cls])
+        below = placed[1][cls] + placed[0][prev]
+        key = (cls, tuple(nxt for nxt in range(16) if is_valid_B(placed[2][nxt] + below)))
         if key not in index:
             index[key] = len(states)
             states.append(key)
@@ -333,8 +319,9 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     window i as dq.
 
     Soundness: a partition is valid exactly when every three consecutive
-    windows of it are, and the triple table taken at windows 0..2 holds at
-    every position, because every constraint of is_valid_B is local:
+    windows of it are, and is_valid_B judges three classes placed at windows
+    i..i+2 as it judges them at windows 0..2, where the automaton reads its
+    rows, because every constraint of is_valid_B is local:
 
     * a window [6i+1, 6i+6] of a valid partition holds at most 2 parts
       (three would differ by at most 5), so its parts are one of the 16
@@ -345,17 +332,17 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     * f(6j+3), f(6j+2)+f(6j+4) and f(6j+5)+f(6j+7) span at most 2
       windows; the widest cap, f(6j-1)+f(6j)+f(6j+6)+f(6j+7), spans the 3
       windows j-1, j and j+1;
-    * the caps repeat every 6, so shifting every part by 6 keeps validity:
-      is_valid_B skips the j = 0 instance of the widest cap, f(6)+f(7) <= 3,
-      and it can never fail, since the two-apart rule allows at most two 6s
-      and 7 cannot repeat.
+    * the caps repeat every 6, so shifting every part by 6 keeps the
+      verdict of is_valid_B: it skips the j = 0 instance of the widest cap,
+      f(6)+f(7) <= 3, and that one can never fail, since the two-apart rule
+      allows at most two 6s and 7 cannot repeat.
 
     A slice of three consecutive windows is a contiguous run of the sorted
     parts, so every violated constraint shows in the slice holding its
     windows, and a slice that fails fails in the whole partition too.  The
     start state stands for two empty windows below window 0, so the first
-    two steps check windows 0 and 0..1 on their own.  The table is read
-    only from is_valid_B, profile_B and WINDOW_CLASSES.
+    two steps check windows 0 and 0..1 on their own.  The automaton is
+    read only from is_valid_B, profile_B and WINDOW_CLASSES.
     """
     _, moves = _window_automaton()
     for i in range(start, stop):
@@ -371,50 +358,41 @@ _START: tuple[int, dict[int, TriPoly], tuple[TriPoly, ...]] = (-1, {0: ONE}, (ON
 _held = _START
 
 
-def _oracle_by_top_class(n: int) -> tuple[TriPoly, ...]:
-    """Cumulative generating polynomials at level n >= 0, indexed by
-    top-window class.
-
-    Steps the window transfer matrix on from the held layer when it is at
-    level n or below, and from window 0 otherwise, buckets the final states
-    by the class of window n, and holds the new layer with its 16
-    cumulative sums in its place.
-    """
-    global _held
-    level, layer, series = _held
-    if level == n:
-        return series
-    if level > n:
-        level, layer, _ = _START
-    layer = _transfer(layer, _window_steps(level + 1, n + 1))
-    classes, _ = _window_automaton()
-    buckets = [ZERO] * 16
-    for s, value in layer.items():
-        buckets[classes[s]] = buckets[classes[s]] + value
-    series = tuple(accumulate(buckets))
-    _held = (n, layer, series)
-    return series
-
-
 def s_oracle(n: int, j: int) -> TriPoly:
     """Generating polynomial of valid side-B partitions with parts <= 6n+6
     and top-window class <= j, by the window steps (_window_steps).
 
-    The DP layer of the last level computed is held with its 16 series, so
-    the same level again costs nothing, a higher one only the windows
-    between, and a lower one a restart from window 0.  Levels 0..10 in
-    turn take about 1.1 s in all and 0..14 about 3.4 s, against 21.5 s to
-    level 10 when every level restarted from window 0.
+    For n >= 0 the window transfer matrix steps on from the held layer
+    when it is at level n or below, and from window 0 otherwise; the final
+    states are bucketed by the class of window n, and the new layer is held
+    with its 16 cumulative sums in place of the old record.  So the same
+    level again costs nothing, a higher one only the windows between, and a
+    lower one a restart from window 0.  Levels 0..10 in turn take about
+    1.1 s in all and 0..14 about 3.4 s, against 21.5 s to level 10 when
+    every level restarted from window 0.
 
-    By convention the value is 1 at n == -1 and 0 below.
+    By convention the value is 1 at n == -1 and 0 below; neither touches
+    the held record.
     """
+    global _held
     if not 0 <= j <= 15:
         raise ValueError(f"window class must be in 0..15, got {j}")
     if n == -1:
         return ONE
     if n < -1:
         return ZERO
-    return _oracle_by_top_class(n)[j]
+    level, layer, series = _held
+    if level != n:
+        if level > n:
+            level, layer, _ = _START
+        layer = _transfer(layer, _window_steps(level + 1, n + 1))
+        classes, _ = _window_automaton()
+        buckets = [ZERO] * 16
+        for s, value in layer.items():
+            buckets[classes[s]] = buckets[classes[s]] + value
+        series = tuple(accumulate(buckets))
+        _held = (n, layer, series)
+    return series[j]
 
 
 # --------------------------------------------------------- general families

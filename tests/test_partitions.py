@@ -1,4 +1,5 @@
-from itertools import accumulate
+import hashlib
+from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
 from hypothesis import example, given
@@ -107,10 +108,39 @@ def test_is_valid_B_is_local_to_three_windows(parts):
     assert is_valid_B(parts) == all(is_valid_B(s) for s in slices)
 
 
-def test_triple_table_is_the_same_at_every_position():
-    table = partitions._triple_table(0)
-    for i in range(1, 11):
-        assert partitions._triple_table(i) == table, i
+def test_is_valid_B_is_the_same_at_every_window_position():
+    # _window_automaton reads its rows at windows 0..2: every triple of
+    # classes placed there is judged the same after a shift by 6i.
+    for triple in product(range(16), repeat=3):
+        parts = [off + 6 * k for k in (2, 1, 0) for off in WINDOW_CLASSES[triple[k]]]
+        verdict = is_valid_B(parts)
+        for i in range(1, 11):
+            assert is_valid_B([p + 6 * i for p in parts]) == verdict, (parts, i)
+
+
+@pytest.mark.parametrize("window", [0, 1, 2])
+def test_window_classes_are_what_one_window_admits(window):
+    # up to 3 offsets, so that "a window holds at most 2 parts" is checked too
+    admitted = {
+        offsets
+        for size in range(4)
+        for offsets in combinations_with_replacement(range(6, 0, -1), size)
+        if is_valid_B([off + 6 * window for off in offsets])
+    }
+    assert admitted == set(WINDOW_CLASSES)
+
+
+def test_window_automaton_is_pinned():
+    # ref_window_dp reads the same automaton, so that cross-check cannot see
+    # a change to it; its states, their order and their moves are pinned here.
+    automaton = partitions._window_automaton()
+    classes, moves = automaton
+    assert len(classes) == 17
+    assert sum(map(len, moves)) == 165
+    assert (
+        hashlib.sha256(repr(automaton).encode()).hexdigest()
+        == "1bf3574f941263c339d71b06c4df3359148155c9c6c1ec90e6cce18528d46ed1"
+    )
 
 
 def test_profile_B():
@@ -216,7 +246,7 @@ def test_count_table_b_equals_the_value_dp_over_is_valid_B():
     Span 9 suffices.  The widest cap, f(6j-1) + f(6j) + f(6j+6) + f(6j+7),
     spans 9 values and the two-apart rule at most 7; caps are upper bounds,
     so a slice never fails where the whole list passes.  This checks
-    _triple_table and _window_automaton well past the part search's reach.
+    _window_automaton well past the part search's reach.
     """
     for q_max in [*range(61), 120]:
         reference = partitions._value_dp(q_max, 9, is_valid_B, lambda v: profile_B([v]))
@@ -448,6 +478,9 @@ _PARAMS = st.tuples(*(st.integers(min_value=1, max_value=6) for _ in range(3))).
 
 
 @given(_DESCENDING, _PARAMS, st.sampled_from([None, *EXTRA_PARAMS]))
+# breaks the widest cap, f(6j-1) + f(6j) + f(6j+6) + f(6j+7) <= 3, at j = 1,
+# which spans 9 values: span 8 calls it valid
+@example([13, 12, 6, 5], GeneralParams(5, 3, 3), B0_533)
 def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     if extra is not None:
         gp = EXTRA_PARAMS[extra]
@@ -464,6 +497,7 @@ def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     assert valid_b(parts) == _local(parts, span_b, valid_b)
     assert valid_a(parts) == _local(parts, 1, valid_a)
     assert is_valid_A(parts) == _local(parts, 1, is_valid_A)
+    assert is_valid_B(parts) == _local(parts, 9, is_valid_B)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))

@@ -42,7 +42,7 @@ from sixfold.recurrence import (
     p_poly,
     product_truncated,
 )
-from sixfold.recurrence import _combination
+from sixfold.recurrence import _at, _combination
 
 
 # -------------------------------------------------------------- series
@@ -212,6 +212,30 @@ def test_lemma3_level0_finding_is_pinned(memo):
         [(1, 0, 0, 0), (1, 1, 0, -5), (1, 1, 0, -4), (1, 0, 1, -2), (1, 0, 1, -1)]
     )
     assert bracket * s_oracle(0, 15) - p_poly(1, -1).shift(6, 6) == expected
+
+
+def _term_factor_product(term, n: int, p_tables):
+    """A term's monomial times its factor product at level n, built as
+    _combination builds it (without the series)."""
+    coeff, e_a, e_b, slope, offset, _, _, *factors = term
+    small = monomial(coeff, e_a, e_b, slope * n + offset)
+    for table, d, *shift in factors:
+        if isinstance(table, int):
+            table = p_tables[table - 1]
+        small = small * _at(table, n - d, *shift)
+    return small
+
+
+def test_lemma3_terms_are_the_lemma2_terms_one_level_down_shifted():
+    # Term t of Lemma3 at level n is term t of Lemma2 at level n - 1 under
+    # a -> a*q^6, b -> b*q^6, with the class-15 series in place of class 9.
+    p_tables = SeriesMemo().p_tables
+    assert len(LEMMA3_TERMS) == len(LEMMA2_TERMS)
+    for n in range(12):
+        for t, (two, three) in enumerate(zip(LEMMA2_TERMS, LEMMA3_TERMS)):
+            assert three[5] == two[5], t
+            shifted = _term_factor_product(two, n - 1, p_tables).shift(6, 6)
+            assert _term_factor_product(three, n, p_tables) == shifted, (n, t)
 
 
 def test_lemma4_residual_vanishes(memo):
