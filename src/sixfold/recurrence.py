@@ -206,7 +206,9 @@ class SeriesMemo:
     (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
     earlier entry in that order before its own, which keeps the stack
     depth fixed at every level.  Entries are only ever written with the
-    value derived from the rules.
+    value derived from the rules.  Next to them the memo holds the value
+    of each identity table it was asked to sum at a level (`combination`),
+    so J(n) and K(n) are summed once however many checks read them.
 
     The memo carries both halves of the transcription: `rules` fill the
     entries and `p_tables` (p1..p3) enter the identities `_combination`
@@ -219,11 +221,16 @@ class SeriesMemo:
         rules: tuple[tuple[RuleTerm, ...], ...] = REC_RULES,
         p_tables: PTables = DEFAULT_P_TABLES,
     ):
+        if len(rules) != 16:
+            raise ValueError(f"need one rule per window class (16), got {len(rules)}")
+        if len(p_tables) != 3:
+            raise ValueError(f"need the three p-tables p1..p3, got {len(p_tables)}")
         if any(dn < 1 for rule in rules for *_, dn, _ in rule):
             raise ValueError("every rule term must refer to a lower level (dn >= 1)")
         self.rules = rules
         self.p_tables = p_tables
         self._table: list[TriPoly] = []  # S(n, j) at index 16n + j
+        self._held: dict[tuple[tuple[IdentityTerm, ...], int], TriPoly] = {}
 
     def s(self, n: int, j: int) -> TriPoly:
         """S(n, j) per the recurrence rules; 1 at n == -1, 0 below."""
@@ -239,6 +246,14 @@ class SeriesMemo:
         value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
         self._table.append(value)
         return value
+
+    def combination(self, terms: tuple[IdentityTerm, ...], n: int) -> TriPoly:
+        """`_combination(terms, n, self)`, summed on the first call for the
+        table and the level and held from then on."""
+        key = (terms, n)
+        if key not in self._held:
+            self._held[key] = _combination(terms, n, self)
+        return self._held[key]
 
 
 # ------------------------------------------------------ identity terms
@@ -337,18 +352,21 @@ K_TERMS: tuple[IdentityTerm, ...] = (
 
 
 def J_poly(n: int, memo: SeriesMemo) -> TriPoly:
-    """First vanishing combination of series values; zero for every n >= 0."""
-    return _combination(J_TERMS, n, memo)
+    """First vanishing combination of series values; zero for every n >= 0.
+    Summed once per memo and level."""
+    return memo.combination(J_TERMS, n)
 
 
 def K_poly(n: int, memo: SeriesMemo) -> TriPoly:
-    """Second vanishing combination of series values; zero for every n >= 0."""
-    return _combination(K_TERMS, n, memo)
+    """Second vanishing combination of series values; zero for every n >= 0.
+    Summed once per memo and level."""
+    return memo.combination(K_TERMS, n)
 
 
 def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """Combination of J(n), K(n) and K(n+1) that vanishes because each of
-    them does: its verdict at level n follows from those of J and K."""
+    them does: its verdict at level n follows from those of J and K, whose
+    values it reads from the memo."""
     bracket = (
         ONE
         + monomial(1, 1, 0, 6 * n + 2)
@@ -421,6 +439,8 @@ def product_truncated(q_max: int, extra_windows: int = 0) -> TriPoly:
     """
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
+    if extra_windows < 0:
+        raise ValueError(f"extra_windows must be >= 0, got {extra_windows}")
     windows = (q_max - 1) // 6 + 1 if q_max else 0
     out = ONE
     for n in range(windows + extra_windows):

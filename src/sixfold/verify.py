@@ -138,6 +138,8 @@ _ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
 def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
     """Reports of suite `name` for every level 0..n_max, level by level."""
+    if name not in SUITES:
+        raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     memo = memo or SeriesMemo()
     out = []
     for n in range(n_max + 1):

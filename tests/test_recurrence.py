@@ -94,6 +94,16 @@ def test_every_rule_term_refers_to_a_lower_level():
         SeriesMemo(same_level)
 
 
+def test_memo_needs_16_rules_and_3_p_tables():
+    with pytest.raises(ValueError, match="one rule per window class"):
+        SeriesMemo(rules=REC_RULES[:3])
+    with pytest.raises(ValueError, match="p1..p3"):
+        SeriesMemo(p_tables=DEFAULT_P_TABLES[:2])
+    rng = random.Random(3)
+    assert len(mutate_rec_rules(REC_RULES, rng)[0]) == 16
+    assert len(mutate_p_tables(DEFAULT_P_TABLES, rng)[0]) == 3
+
+
 def test_s_rec_rejects_bad_class(memo):
     with pytest.raises(ValueError):
         memo.s(0, 16)
@@ -148,6 +158,38 @@ def test_jk_reject_negative_level(memo):
         J_poly(-1, memo)
     with pytest.raises(ValueError):
         K_poly(-1, memo)
+
+
+def test_j_and_k_are_summed_once_and_held_by_the_memo():
+    memo = SeriesMemo()
+    for residual, terms in ((J_poly, J_TERMS), (K_poly, K_TERMS)):
+        first = residual(2, memo)
+        assert residual(2, memo) is first
+        assert first == _combination(terms, 2, SeriesMemo())
+
+
+# Seed 0 moves the q offset of rule 12, which breaks K from level 0 and J
+# from level 1.
+BROKEN_JK_RULES = mutate_rec_rules(REC_RULES, random.Random(0))[0]
+
+
+@pytest.mark.parametrize("pristine_first", [True, False])
+def test_held_values_never_cross_memos(pristine_first):
+    expected = {
+        (residual, n): _combination(terms, n, SeriesMemo(BROKEN_JK_RULES))
+        for residual, terms in ((J_poly, J_TERMS), (K_poly, K_TERMS))
+        for n in range(4)
+    }
+    assert expected[J_poly, 1] and expected[K_poly, 0]
+    pristine, mutated = SeriesMemo(), SeriesMemo(BROKEN_JK_RULES)
+    memos = (pristine, mutated) if pristine_first else (mutated, pristine)
+    for _ in range(2):  # the second pass reads held values
+        for memo in memos:
+            for (residual, n), value in expected.items():
+                if memo is pristine:
+                    assert residual(n, memo).is_zero(), (residual.__name__, n)
+                else:
+                    assert residual(n, memo) == value, (residual.__name__, n)
 
 
 # ------------------------------------------------------- auxiliary p1..p3
@@ -278,6 +320,12 @@ def test_product_truncated_stable_under_extra_windows():
 def test_product_truncated_rejects_negative_bound():
     with pytest.raises(ValueError):
         product_truncated(-1)
+
+
+def test_product_truncated_rejects_negative_extra_windows():
+    # dropping windows would truncate the product below q_max
+    with pytest.raises(ValueError, match="extra_windows must be >= 0, got -2"):
+        product_truncated(12, extra_windows=-2)
 
 
 # ------------------------------------------------ pinned non-zero residuals

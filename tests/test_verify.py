@@ -2,13 +2,20 @@ import dataclasses
 import json
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from sixfold import partitions, recurrence, verify
 from sixfold.partitions import B0_433, B0_533, GeneralParams
 from sixfold.poly import monomial
-from sixfold.recurrence import DEFAULT_P_TABLES, SeriesMemo, mutate_p_tables
+from sixfold.recurrence import (
+    DEFAULT_P_TABLES,
+    REC_RULES,
+    SeriesMemo,
+    mutate_p_tables,
+    mutate_rec_rules,
+)
 from sixfold.verify import (
     DEFAULT_GENERAL_CASES,
     IDENTITY_ORDER,
@@ -103,6 +110,56 @@ def test_lemma1_suite_emits_j_and_k_per_level(memo):
 def test_link_suite(memo):
     assert all_passed(suite("link", 2, memo))
     assert suite("link", -1, memo) == []
+
+
+def test_unknown_suite_is_a_config_error():
+    with pytest.raises(ConfigError, match="unknown suite 'bogus'; choose from oracle, lemma1, link"):
+        suite("bogus", 2)
+
+
+def _count_jk_sums(monkeypatch) -> Counter:
+    """Counter of (identity, n) for every sum of J_TERMS or K_TERMS."""
+    calls: Counter = Counter()
+    combination = recurrence._combination
+
+    def counted(terms, n, memo):
+        for name, table in (("J", recurrence.J_TERMS), ("K", recurrence.K_TERMS)):
+            if terms is table:
+                calls[name, n] += 1
+        return combination(terms, n, memo)
+
+    monkeypatch.setattr(recurrence, "_combination", counted)
+    return calls
+
+
+def test_run_all_sums_j_and_k_once_per_level(monkeypatch):
+    calls = _count_jk_sums(monkeypatch)
+    run_all(SuiteConfig(4, 0, 0, 0, ()))
+    assert calls == Counter({(name, n): 1 for name in "JK" for n in range(5)})
+
+
+def test_link_suite_sums_each_k_once(monkeypatch):
+    calls = _count_jk_sums(monkeypatch)
+    suite("link", 3, SeriesMemo())
+    assert calls == Counter({**{("J", n): 1 for n in range(4)}, **{("K", n): 1 for n in range(5)}})
+
+
+def test_link_reports_equal_a_fresh_memo_evaluation():
+    """Link reports that read held J and K equal those of a memo made for
+    the one level, on pristine rules and on rules that break J, K and Link."""
+    broken = mutate_rec_rules(REC_RULES, random.Random(0))[0]
+    for rules in (REC_RULES, broken):
+        memo = SeriesMemo(rules)
+        suite("lemma1", 3, memo)
+        held = suite("link", 2, memo)
+        fresh = [
+            verify._residual_report("Link", n, recurrence.link_residual(n, SeriesMemo(rules)), 0)
+            for n in range(3)
+        ]
+        assert [dataclasses.replace(r, ms=0) for r in held] == [
+            dataclasses.replace(r, ms=0) for r in fresh
+        ]
+        assert all_passed(held) == (rules is REC_RULES)
 
 
 def test_residual_time_is_charged_to_its_report(monkeypatch):
