@@ -428,22 +428,21 @@ def lemma4_residual(n: int, memo: SeriesMemo) -> TriPoly:
 # ------------------------------------------------------- truncated product
 
 
-def product_truncated(q_max: int, extra_windows: int = 0) -> TriPoly:
+def product_truncated(q_max: int) -> TriPoly:
     """Product of the four side-A generating factors per window, truncated
     at q exponent q_max.
 
     Only windows whose smallest factor exponent 6n+1 is <= q_max can
-    contribute; extra_windows multiplies in that many further windows
-    anyway, which the truncation-stability suite uses to confirm they
-    change nothing.
+    contribute, so the product stops after them.  The `Product` check
+    compares it with product_truncated(q_max + 18) cut at q_max: three more
+    windows, built to a later bound.  A loop that stopped a window early or
+    a truncation below q_max shows there as residual terms, which it would
+    not if both sides shared the bound.
     """
     if q_max < 0:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
-    if extra_windows < 0:
-        raise ValueError(f"extra_windows must be >= 0, got {extra_windows}")
-    windows = (q_max - 1) // 6 + 1 if q_max else 0
     out = ONE
-    for n in range(windows + extra_windows):
+    for n in range((q_max - 1) // 6 + 1):
         for term in WINDOW[1:]:  # a*q^(6n+1), a*q^(6n+2), b*q^(6n+4), b*q^(6n+5)
             out = (out * (ONE + _at((term,), n))).truncate(q_max)
     return out

@@ -137,9 +137,15 @@ _ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
 
 def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """Reports of suite `name` for every level 0..n_max, level by level."""
+    """Reports of suite `name` for every level 0..n_max, level by level.
+
+    n_max = -1 runs no level (run_all asks the link suite for it when
+    n_max_lemmas is 0); a lower n_max is a ConfigError, not an empty pass.
+    """
     if name not in SUITES:
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if n_max < -1:
+        raise ConfigError(f"n_max must be >= -1, got {n_max}")
     memo = memo or SeriesMemo()
     out = []
     for n in range(n_max + 1):
@@ -150,13 +156,13 @@ def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]
 
 
 def suite_product(q_max: int) -> list[Report]:
-    """Truncation stability: three extra factor windows change nothing."""
+    """Truncation stability: the product to q_max equals the product built
+    three windows further (to q_max + 18) and cut at q_max."""
     if q_max < 0:
         raise ConfigError(f"q_max must be >= 0, got {q_max}")
     t0 = time.perf_counter()
-    residual = recurrence.product_truncated(q_max) - recurrence.product_truncated(
-        q_max, extra_windows=3
-    )
+    wide = recurrence.product_truncated(q_max + 18).truncate(q_max)
+    residual = recurrence.product_truncated(q_max) - wide
     return [
         _residual_report(
             "Product", q_max, residual, t0, detail="truncation stability under extra windows"

@@ -197,7 +197,7 @@ def test_criterion_9_mutation_sensitivity():
 
 
 def test_truncation_stability_supporting_check():
-    residual = product_truncated(50) - product_truncated(50, extra_windows=3)
+    residual = product_truncated(50) - product_truncated(50 + 18).truncate(50)
     _conclude(
         "supporting check (product truncation stability at N <= 50)",
         residual.terms(),

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -299,6 +300,20 @@ def test_polynomial_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_output_bytes_are_pinned(capsys):
+    """`verify --suite all` at the default bounds: stdout bit-identical apart
+    from `ms`, the one `Lemma3 n=0` FAIL block on stderr, exit 1."""
+    code, out, err = run_cli(capsys, "verify", "--suite", "all")
+    out = re.sub(r'"ms": \d+', '"ms": 0', out)
+    assert (code, len(out.splitlines()), len(err.splitlines())) == (1, 124, 20)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5629ccc5b647bdaad980dc18bd5ba1df1e108f2d5c3634c1be687914bac8c5e1"
+    )
+    assert hashlib.sha256(err.encode()).hexdigest() == (
+        "9040584bf1925359fee3af97908e053f59f9c28cb4b1af8067e3f5f1fd3b3cdb"
+    )
 
 
 def test_product_golden(capsys):

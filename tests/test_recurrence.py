@@ -314,18 +314,13 @@ def test_product_truncated_coefficients_count_side_a_partitions():
 
 
 def test_product_truncated_stable_under_extra_windows():
-    assert product_truncated(30) == product_truncated(30, extra_windows=4)
+    # four more windows, built to a later bound and cut at 30
+    assert product_truncated(30) == product_truncated(30 + 24).truncate(30)
 
 
 def test_product_truncated_rejects_negative_bound():
     with pytest.raises(ValueError):
         product_truncated(-1)
-
-
-def test_product_truncated_rejects_negative_extra_windows():
-    # dropping windows would truncate the product below q_max
-    with pytest.raises(ValueError, match="extra_windows must be >= 0, got -2"):
-        product_truncated(12, extra_windows=-2)
 
 
 # ------------------------------------------------ pinned non-zero residuals

@@ -112,6 +112,12 @@ def test_link_suite(memo):
     assert suite("link", -1, memo) == []
 
 
+def test_suite_below_level_minus_one_is_a_config_error():
+    # an empty report list would read as a pass with no check run
+    with pytest.raises(ConfigError, match="n_max must be >= -1, got -3"):
+        suite("oracle", -3)
+
+
 def test_unknown_suite_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown suite 'bogus'; choose from oracle, lemma1, link"):
         suite("bogus", 2)
@@ -177,6 +183,19 @@ def test_residual_time_is_charged_to_its_report(monkeypatch):
 def test_product_suite(memo):
     reports = suite_product(12)
     assert len(reports) == 1 and reports[0].passed
+
+
+def test_product_suite_catches_a_product_truncated_one_slot_short(monkeypatch):
+    """A product cut below its bound fails the check: the wider side is
+    built to a later bound, so the two sides do not share the short cut."""
+    original = recurrence.product_truncated
+    monkeypatch.setattr(
+        recurrence,
+        "product_truncated",
+        lambda q_max, *a, **k: original(q_max, *a, **k).truncate(max(q_max - 1, 0)),
+    )
+    (report,) = suite_product(12)
+    assert not report.passed and report.residual_terms == 3
 
 
 def test_theorem3_check_small():
