@@ -23,10 +23,11 @@ homomorphism from Z[q] to Z, so the int of a sum or product of rows is the
 sum or product of their ints.  The result therefore decodes to the right
 coefficients whenever each of them stays below 2^(W-1) in absolute value,
 whatever the intermediate ints were.  Every value carries an upper bound on
-|coefficient|.  Its W is the smallest 32 * 2^k with bound < 2^(W-1) that is
-at least the W of every operand it was computed from, so no row ever has to
-narrow; operands of a narrower width are re-encoded to it first.  The bound
-of a result follows from its operands':
+|coefficient|.  The W of a result is the smallest 32 * 2^k with
+bound < 2^(W-1) that is at least the W of every operand it was computed
+from, so no operation narrows a row; operands of a narrower width are
+re-encoded to it first (`_reencode`).  The bound of a result follows from
+its operands':
 
 * sum: b1 + b2;
 * product: the sum of the |coefficients| of one operand times the bound of
@@ -43,6 +44,21 @@ of a result follows from its operands':
   rows and scales each by c, and c times a canonical row is canonical, so
   it multiplies no row pairs and re-canonicalises nothing;
 * monomial(c, ...): |c|; negation, shift and truncate: unchanged.
+
+Narrowing (`narrow`).  Where values are kept, not at every operation, they
+go back to the narrowest width their bounds allow: each memo entry S(n, j)
+as it is stored, the side-B oracle's layer after every window and its 16
+series once per level, and the truncated product after every window.  A
+bound is re-derived by _slot_bits only near an edge of its width, and the
+rows are re-encoded by the same strided copy that widens them.  Narrowing
+at every step of a count table made it slower (about 2 to 3 times at
+q = 600), since the tables are bound by per-row Python work, not by slot
+width.  The kept values hold long rows, so width pays there: without it
+S(8, .) to S(11, .) sat in 64-bit slots for coefficients of at most 29
+bits, most of S(16, .) in 128-bit slots for 45 bits, and the oracle's
+level 18 partly in 128-bit slots for 51; narrowed, S(0..11, .) and the
+oracle's levels 0..11 stay in 32-bit slots and S(16, .) and the oracle's
+level 18 in 64.
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
@@ -105,18 +121,25 @@ def _unpack(x: int, w: int):
     return units
 
 
-def _widen(x: int, w: int, w2: int) -> int:
-    """The row x re-encoded from w-bit to w2-bit slots (w2 > w): each biased
-    slot c + 2^(w-1) is copied, as whole 32-bit units, into the low end of a
-    wider one, and the narrow bias is taken off again.  (Decoding and
-    encoding instead makes `recurrence-deep` about 1.6 times slower.)"""
+def _reencode(x: int, w: int, w2: int) -> int:
+    """The row x re-encoded from w-bit to w2-bit slots, each of its
+    coefficients being |c| < 2^(v-1) for v = min(w, w2): a strided copy of
+    32-bit units, for widening (w2 > w) and narrowing (w2 < w) alike.
+
+    With the bias 2^(v-1) added in each w-bit slot, each slot holds the
+    digit c + 2^(v-1) in [0, 2^v), which fills the low v bits of a w-bit and
+    of a w2-bit slot alike; its low v/32 units are copied into the low end of
+    a w2-bit slot, and the bias is taken off again at w2.  Any row can
+    widen; a row narrows only if its slots fit w2.  (Decoding and encoding
+    instead makes `recurrence-deep` about 1.6 times slower.)"""
     k = x.bit_length() // w + 1
-    units = array("I", (x + _bias(w, k)).to_bytes(k * w // 8, "little"))
+    v = min(w, w2)
+    units = array("I", (x + (_bias(w, k) >> (w - v))).to_bytes(k * w // 8, "little"))
     m, m2 = w // 32, w2 // 32
     out = array("I", bytes(4 * m2 * k))
-    for j in range(m):
+    for j in range(v // 32):
         out[j::m2] = units[j::m]
-    return int.from_bytes(out.tobytes(), "little") - (_bias(w2, k) >> (w2 - w))
+    return int.from_bytes(out.tobytes(), "little") - (_bias(w2, k) >> (w2 - v))
 
 
 def _canon(q0: int, x: int, w: int) -> Row:
@@ -176,6 +199,42 @@ def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
     return bound, _width(bound, floor)
 
 
+def narrow(*values: "TriPoly") -> tuple["TriPoly", ...]:
+    """The values re-encoded in the narrowest slot width that holds the sum
+    of their bounds: for values that are kept, not for every result.
+
+    One value takes the narrowest width that holds it.  A group takes one
+    width, wide enough for any sum of its members: the values of a transfer
+    layer are summed together at the next step, and a sum that widens
+    re-encodes its narrower operand once for every term the step adds.
+
+    The bounds are re-derived by _slot_bits only when their sum sits within
+    3 bits of an edge of the group's width W: at the top (sum >= 2^(W-3),
+    or already past it), where the next few sums would widen, or, above
+    32-bit slots, at the bottom (sum < 2^(W/2+2)), where the values have
+    just widened and may not need to.  Elsewhere the tracked bounds are
+    kept, which saves a pass over every row: re-deriving at every memo
+    store made the fill to S(14, .) about a quarter slower.  A value
+    already in the chosen width with its bound is returned as it is; any
+    other result is a new value, equal to the old one, with equal terms and
+    hash."""
+    w = max((p._w for p in values), default=32)
+    bounds = [p._bound for p in values]
+    total = sum(bounds)
+    if total >> (w - 3) or (w > 32 and not total >> (w // 2 + 2)):
+        bounds = [min(b, 1 << (_slot_bits(p) - 1)) if p else 0 for p, b in zip(values, bounds)]
+    w = _width(sum(bounds))
+    out = []
+    for p, bound in zip(values, bounds):
+        if p._w != w:
+            rows = {key: (q0, _reencode(x, p._w, w)) for key, (q0, x) in p._rows.items()}
+            p = _make(rows, w, bound)
+        elif p._bound != bound:
+            p = _make(p._rows, w, bound)
+        out.append(p)
+    return tuple(out)
+
+
 class TriPoly:
     """Immutable sparse polynomial in a, b, q, stored as packed rows (see the
     module docstring).
@@ -206,7 +265,7 @@ class TriPoly:
         if w == self._w:
             return self._rows
         assert w > self._w
-        return {key: (q0, _widen(x, self._w, w)) for key, (q0, x) in self._rows.items()}
+        return {key: (q0, _reencode(x, self._w, w)) for key, (q0, x) in self._rows.items()}
 
     def _walk(self, term: Callable[[int, int, int, int], T]) -> list[T]:
         """term(c, e_a, e_b, e_q) of every term, ascending in (e_q, e_a, e_b),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 
-from .poly import ONE, TriPoly, ZERO, monomial
+from .poly import ONE, TriPoly, ZERO, monomial, narrow
 
 # One rule term (coeff, e_a, e_b, q_slope, q_offset, dn, jref) contributes
 #   coeff * a^e_a * b^e_b * q^(q_slope*n + q_offset) * S(n - dn, jref).
@@ -206,7 +206,10 @@ class SeriesMemo:
     (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
     earlier entry in that order before its own, which keeps the stack
     depth fixed at every level.  Entries are only ever written with the
-    value derived from the rules.  Next to them the memo holds the value
+    value derived from the rules, narrowed as it is stored (poly.narrow):
+    S(0..11, .) stay in 32-bit slots and S(16, .) in 64-bit ones, which the
+    tracked bounds alone would take to 64 and 128.  Next to them the memo
+    holds the value
     of each identity table it was asked to sum at a level (`combination`),
     so J(n) and K(n) are summed once however many checks read them.
 
@@ -243,7 +246,7 @@ class SeriesMemo:
             return self._table[index]
         for earlier in range(len(self._table), index):
             self.s(*divmod(earlier, 16))
-        value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
+        (value,) = narrow((self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self))
         self._table.append(value)
         return value
 
@@ -433,7 +436,12 @@ def product_truncated(q_max: int) -> TriPoly:
     at q exponent q_max.
 
     Only windows whose smallest factor exponent 6n+1 is <= q_max can
-    contribute, so the product stops after them.  The `Product` check
+    contribute, so the product stops after them.  Each factor 1 + m, for a
+    monomial m = a^i b^k q^e, adds m times the product so far cut at
+    q_max - e, so every step is a sum and a monomial product.  Each sum
+    doubles the tracked bound, so the product is narrowed after every
+    window: once at the end would leave product_truncated(300) in 256-bit
+    slots for coefficients of 26 bits.  The `Product` check
     compares it with product_truncated(q_max + 18) cut at q_max: three more
     windows, built to a later bound.  A loop that stopped a window early or
     a truncation below q_max shows there as residual terms, which it would
@@ -443,8 +451,12 @@ def product_truncated(q_max: int) -> TriPoly:
         raise ValueError(f"q_max must be >= 0, got {q_max}")
     out = ONE
     for n in range((q_max - 1) // 6 + 1):
-        for term in WINDOW[1:]:  # a*q^(6n+1), a*q^(6n+2), b*q^(6n+4), b*q^(6n+5)
-            out = (out * (ONE + _at((term,), n))).truncate(q_max)
+        # a*q^(6n+1), a*q^(6n+2), b*q^(6n+4), b*q^(6n+5)
+        for _, e_a, e_b, slope, offset in WINDOW[1:]:
+            e = slope * n + offset
+            if e <= q_max:
+                out = out + monomial(1, e_a, e_b, e) * out.truncate(q_max - e)
+        (out,) = narrow(out)
     return out
 
 

@@ -160,14 +160,19 @@ def suite_product(q_max: int) -> list[Report]:
     three windows further (to q_max + 18) and cut at q_max."""
     if q_max < 0:
         raise ConfigError(f"q_max must be >= 0, got {q_max}")
+    report, _ = _product_check(q_max)
+    return [report]
+
+
+def _product_check(q_max: int) -> tuple[Report, TriPoly]:
+    """The `Product` report at q_max and the product to q_max it checked."""
     t0 = time.perf_counter()
     wide = recurrence.product_truncated(q_max + 18).truncate(q_max)
-    residual = recurrence.product_truncated(q_max) - wide
-    return [
-        _residual_report(
-            "Product", q_max, residual, t0, detail="truncation stability under extra windows"
-        )
-    ]
+    product = recurrence.product_truncated(q_max)
+    report = _residual_report(
+        "Product", q_max, product - wide, t0, detail="truncation stability under extra windows"
+    )
+    return report, product
 
 
 # ------------------------------------------------------------ table checks
@@ -179,9 +184,13 @@ def theorem3_check(q_max: int) -> Report:
     if q_max < 0:
         raise ConfigError(f"q_max must be >= 0, got {q_max}")
     t0 = time.perf_counter()
+    return _theorem3(q_max, recurrence.product_truncated(q_max), t0)
+
+
+def _theorem3(q_max: int, product: TriPoly, t0: float) -> Report:
+    """theorem3_check(q_max) against the given product to q_max, timed from t0."""
     table_a = count_table("A", q_max)
     table_b = count_table("B", q_max)
-    product = recurrence.product_truncated(q_max)
 
     # Counts are positive, so the sum's terms are the union of the three key sets.
     compared = len(table_a + table_b + product)
@@ -318,8 +327,9 @@ def run_all(cfg: SuiteConfig) -> list[Report]:
     reports = []
     for name, entry in SUITES.items():
         reports += suite(name, entry.top_level(cfg), memo)
-    reports += suite_product(cfg.q_max_theorem)
-    reports.append(theorem3_check(cfg.q_max_theorem))
+    # the Product check builds the product to q_max_theorem; Theorem3 reuses it
+    report, product = _product_check(cfg.q_max_theorem)
+    reports += [report, _theorem3(cfg.q_max_theorem, product, time.perf_counter())]
     reports += [general_case(*case) for case in cfg.general_cases]
     reports.sort(key=lambda r: (_ORDER_INDEX[r.identity], r.n))
     return reports

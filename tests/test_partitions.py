@@ -327,6 +327,15 @@ def test_s_oracle_visit_order_does_not_change_values(monkeypatch):
         assert partitions._held[0] == n
 
 
+def test_s_oracle_holds_level_10_in_32_bit_slots(monkeypatch):
+    # its largest coefficient takes 26 bits; without narrowing the held
+    # record sat mostly in 64-bit slots, by tracked bounds up to 2^38
+    monkeypatch.setattr(partitions, "_held", partitions._START)
+    s_oracle(10, 15)
+    level, layer, series = partitions._held
+    assert level == 10 and {p._w for p in (*layer.values(), *series)} == {32}
+
+
 def test_s_oracle_class15_coefficients_match_count_table():
     n = 2
     table = count_table("B", 6 * n + 6)

@@ -16,7 +16,7 @@ from helpers import (
     ref_truncate,
 )
 from sixfold.partitions import count_table
-from sixfold.poly import ONE, ZERO, TriPoly, _slot_bits, monomial
+from sixfold.poly import ONE, ZERO, TriPoly, _slot_bits, _width, monomial, narrow
 from sixfold.recurrence import P2_TERMS, SeriesMemo, _at, product_truncated
 
 
@@ -387,10 +387,10 @@ _keys = st.tuples(
 )
 
 
-@given(st.data(), st.integers(min_value=1, max_value=140), st.booleans(), st.booleans())
-def test_slot_bits_agrees_with_the_decoded_maximum(data, b, out_of_range, wide):
+def _slots_of_b_bits(data, b: int, out_of_range: bool) -> TriPoly:
+    """A non-zero value whose slots all take at most b signed bits, often at
+    either edge or negative; with out_of_range, one slot takes b + 1."""
     half = 1 << (b - 1)
-    # every slot in [-2^(b-1), 2^(b-1)), often at either edge or negative
     inside = st.one_of(
         st.sampled_from([-half, half - 1, -1]), st.integers(min_value=-half, max_value=half - 1)
     )
@@ -399,6 +399,12 @@ def test_slot_bits_agrees_with_the_decoded_maximum(data, b, out_of_range, wide):
         terms[data.draw(_keys)] = data.draw(st.sampled_from([half, -half - 1]))
     p = TriPoly(terms)
     assume(p)
+    return p
+
+
+@given(st.data(), st.integers(min_value=1, max_value=140), st.booleans(), st.booleans())
+def test_slot_bits_agrees_with_the_decoded_maximum(data, b, out_of_range, wide):
+    p = _slots_of_b_bits(data, b, out_of_range)
     if wide:  # the same slots at a wider W, under a bound far above them
         big = monomial(2**200, 0, 0, 30)
         p = (p + big) - big
@@ -406,6 +412,52 @@ def test_slot_bits_agrees_with_the_decoded_maximum(data, b, out_of_range, wide):
     decoded = max(_signed_bits(c) for c, *_ in p.terms())
     assert _slot_bits(p) == decoded
     assert decoded == b + 1 if out_of_range else decoded <= b
+
+
+@given(st.data(), st.integers(min_value=1, max_value=140), st.booleans())
+def test_narrow_keeps_the_value_and_takes_the_width_its_slots_need(data, b, out_of_range):
+    p = _slots_of_b_bits(data, b, out_of_range)
+    # the same slots in wider slots, under a bound at the top edge of w
+    w = data.draw(st.sampled_from([w for w in (64, 128, 256, 512) if w > p._w]))
+    big = monomial(1 << (w - 3), 0, 0, 30)
+    wide = (p + big) - big
+    assert wide._w == w and wide._bound >> (w - 3)
+    (narrowed,) = narrow(wide)
+    assert narrowed == p and narrowed == wide
+    assert narrowed.terms() == p.terms() and hash(narrowed) == hash(p)
+    # every coefficient within the new bound, and the narrowest width holding
+    # the signed bits of the widest slot (b + 1 with one slot out of range)
+    bits = max(_signed_bits(c) for c, *_ in p.terms())
+    assert bits == b + 1 if out_of_range else bits <= b
+    assert all(abs(c) <= narrowed._bound for c, *_ in p.terms())
+    assert narrowed._w == min(w, _width(1 << (bits - 1)))
+    assert wide._w == w and wide._bound >> (w - 3)  # the old value is unchanged
+
+
+def test_narrow_stops_at_a_slot_out_of_range():
+    # slots of 31 signed bits fit 32-bit slots; one slot of 2^30 does not
+    edge = {(0, 0, 0): -(2**30), (0, 0, 1): 2**30 - 1, (1, 0, 0): -1}
+    big = monomial(2**61, 0, 0, 5)
+    assert narrow((TriPoly(edge) + big) - big)[0]._w == 32
+    for c in (2**30, -(2**30) - 1):
+        value = (TriPoly({**edge, (0, 0, 2): c}) + big) - big
+        (narrowed,) = narrow(value)
+        assert narrowed._w == 64 and narrowed.coeff(0, 0, 2) == c
+
+
+def test_narrow_leaves_a_bound_between_the_edges():
+    # 2^40 sits far from both edges of 64-bit slots: no re-derivation
+    value = (TriPoly({(0, 0, 0): 3}) + monomial(2**40, 0, 0, 1)) - monomial(2**40, 0, 0, 1)
+    assert value._w == 64 and narrow(value)[0] is value
+    assert narrow(ZERO) == (ZERO,) and narrow() == ()
+
+
+def test_narrow_gives_a_group_one_width_for_the_sum_of_its_bounds():
+    small, large = TriPoly({(0, 0, 0): 5}), TriPoly({(0, 0, 0): 2**31 - 3, (1, 0, 1): 1})
+    assert narrow(small)[0]._w == narrow(large)[0]._w == 32
+    group = narrow(small, large)
+    assert group == (small, large) and {p._w for p in group} == {64}
+    assert (group[0] + group[1])._w == 64
 
 
 @given(
@@ -444,6 +496,17 @@ def test_a_level_7_product_holds_in_32_bit_slots():
     big = monomial(2**200, 0, 0, 0)
     wide = (series + big) - big
     assert p2 * wide == prod and (p2 * wide)._w > prod._w
+
+
+def test_memo_entries_take_the_narrowest_slots():
+    # tracked bounds grow about 4 bits a level against 3 for the
+    # coefficients: without narrowing, S(8, .) to S(11, .) took 64-bit slots
+    # for coefficients of at most 29 bits, and most of S(16, .) 128-bit
+    # slots for 45
+    memo = SeriesMemo()
+    memo.s(16, 15)
+    assert {memo.s(n, j)._w for n in range(12) for j in range(16)} == {32}
+    assert {memo.s(16, j)._w for j in range(16)} == {64}
 
 
 def test_a_sum_is_never_narrower_than_an_operand():

@@ -198,6 +198,22 @@ def test_product_suite_catches_a_product_truncated_one_slot_short(monkeypatch):
     assert not report.passed and report.residual_terms == 3
 
 
+def test_run_all_builds_the_truncated_product_once(monkeypatch):
+    """Product and Theorem3 share the product to q_max_theorem: one build
+    of it, after the wider one the Product check compares it with."""
+    calls = []
+    original = recurrence.product_truncated
+
+    def recorded(q_max):
+        calls.append(q_max)
+        return original(q_max)
+
+    monkeypatch.setattr(recurrence, "product_truncated", recorded)
+    reports = run_all(SuiteConfig())
+    assert calls == [68, 50]
+    assert [r.passed for r in reports if r.identity in ("Product", "Theorem3")] == [True, True]
+
+
 def test_theorem3_check_small():
     report = theorem3_check(6)
     assert report.passed
