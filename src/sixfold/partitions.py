@@ -23,10 +23,12 @@ layer of states, and each kind of step reads its moves from the predicates
 themselves.  The states hold TriPoly values, whose rows are packed ints
 (see the poly module), so a move costs one operation per (mu, nu) row of
 its state, not work per term, let alone per partition: count_table("B",
-300) takes 0.7-1.0 s, against 8.3 s when the window states summed dict
-terms one at a time.  Side B's count table and s_oracle step over six-wide
-windows (_window_steps, from is_valid_B); s_oracle holds the layer of the
-last level it computed and steps on from it.  Side A and the general
+300) takes about 0.3 s, against 8.3 s when the window states summed dict
+terms one at a time.  The engine is also where slot widths go back down:
+it narrows each layer after every step, for every kind of step.  Side B's
+count table and s_oracle step over six-wide windows (_window_steps, from
+is_valid_B); s_oracle holds the layer of the last level it computed and
+steps on from it.  Side A and the general
 families step over part values (_value_dp), a state holding the
 multiplicities of the last few values, each move checked by a call of
 is_valid_A or of a family predicate on the parts of one short window.
@@ -181,6 +183,14 @@ def _transfer(
     re-keys the packed rows of the value (see the poly module), so a step
     costs time in proportion to the rows, not to the terms.  Zero terms are
     skipped: a state that only they reach is left out of the next layer.
+
+    After every step the layer is narrowed as one group (poly.narrow): its
+    values are summed together at the next step, so they share the
+    narrowest width that holds the sum of their bounds, and no sum of the
+    next step widens them one term at a time.  Sums and products never
+    narrow, so without this a layer keeps the widest slots its values ever
+    needed; the count tables sat at q = 1000 in 512-bit (side B) and
+    1024-bit (side A) slots for coefficients of 54 bits.
     """
     for step in steps:
         nxt: dict[Hashable, TriPoly] = {}
@@ -195,7 +205,7 @@ def _transfer(
                     term = monomial(1, mu, nu, dq) * term
                 if term:
                     nxt[t] = nxt[t] + term if t in nxt else term
-        layer = nxt
+        layer = dict(zip(nxt, narrow(*nxt.values())))
     return layer
 
 
@@ -371,14 +381,13 @@ def s_oracle(n: int, j: int) -> TriPoly:
     1.1 s in all and 0..14 about 3.4 s, against 21.5 s to level 10 when
     every level restarted from window 0.
 
-    The layer is narrowed once per level, after each window, as one group
-    (poly.narrow): its values are summed together at the next window, so
-    they share the width that holds the sum of their bounds, and the step
-    widens none of them one term at a time.  Each of the 16 series is
-    narrowed on its own.  Without narrowing, the tracked bounds grew about
-    3.4 bits a level against the coefficients' 3: level 10 was held mostly
-    in 64-bit slots for coefficients of at most 26 bits, and level 18
-    partly in 128-bit slots for 51 bits.
+    The engine narrows the layer after each window, so the held layer sits
+    at the narrowest width that holds the sum of its bounds, and the 16
+    series, its cumulative sums, widen past it only if their re-derived
+    bounds need to (see the poly module).  Tracked bounds grow about
+    3.4 bits a level against the coefficients' 3: by them alone, level 10
+    was held mostly in 64-bit slots for coefficients of at most 26 bits,
+    and level 18 partly in 128-bit slots for 51 bits.
 
     By convention the value is 1 at n == -1 and 0 below; neither touches
     the held record.
@@ -394,14 +403,12 @@ def s_oracle(n: int, j: int) -> TriPoly:
     if level != n:
         if level > n:
             level, layer, _ = _START
-        for i in range(level + 1, n + 1):
-            layer = _transfer(layer, _window_steps(i, i + 1))
-            layer = dict(zip(layer, narrow(*layer.values())))
+        layer = _transfer(layer, _window_steps(level + 1, n + 1))
         classes, _ = _window_automaton()
         buckets = [ZERO] * 16
         for s, value in layer.items():
             buckets[classes[s]] = buckets[classes[s]] + value
-        series = tuple(narrow(s)[0] for s in accumulate(buckets))
+        series = tuple(accumulate(buckets))
         _held = (n, layer, series)
     return series[j]
 

@@ -29,36 +29,43 @@ from, so no operation narrows a row; operands of a narrower width are
 re-encoded to it first (`_reencode`).  The bound of a result follows from
 its operands':
 
-* sum: b1 + b2;
+* sum: b1 + b2.  When that needs a wider W than both operands have, both
+  operands' bounds are first re-derived from their rows by a mask test
+  (_slot_bits), and the sum widens only if it still has to;
 * product: the sum of the |coefficients| of one operand times the bound of
   the other (each coefficient of the product sums at most one product per
   term of the first operand).  When that needs a wider W than both operands
-  have, the other operand's bound is first re-derived from its rows by a
-  mask test (_slot_bits), for this product only, and the product widens
-  only if it still has to.  Tracked bounds outgrow the coefficients (about
-  4 bits a memo level against 2.6), so by the tracked bounds alone
-  P2(7) * S(6, 9) took 64-bit slots where 32 hold, and
-  product_truncated(300) 256-bit ones;
+  have, the other operand's bound is first re-derived the same way, and
+  the product widens only if it still has to;
 * product by a monomial, a value of one row of one slot c: |c| times the
   other operand's bound, by the same rule.  It re-keys the other operand's
   rows and scales each by c, and c times a canonical row is canonical, so
   it multiplies no row pairs and re-canonicalises nothing;
 * monomial(c, ...): |c|; negation, shift and truncate: unchanged.
 
-Narrowing (`narrow`).  Where values are kept, not at every operation, they
-go back to the narrowest width their bounds allow: each memo entry S(n, j)
-as it is stored, the side-B oracle's layer after every window and its 16
-series once per level, and the truncated product after every window.  A
-bound is re-derived by _slot_bits only near an edge of its width, and the
-rows are re-encoded by the same strided copy that widens them.  Narrowing
-at every step of a count table made it slower (about 2 to 3 times at
-q = 600), since the tables are bound by per-row Python work, not by slot
-width.  The kept values hold long rows, so width pays there: without it
-S(8, .) to S(11, .) sat in 64-bit slots for coefficients of at most 29
-bits, most of S(16, .) in 128-bit slots for 45 bits, and the oracle's
-level 18 partly in 128-bit slots for 51; narrowed, S(0..11, .) and the
-oracle's levels 0..11 stay in 32-bit slots and S(16, .) and the oracle's
-level 18 in 64.
+Tracked bounds outgrow the coefficients: a sum adds the bounds of its
+operands, whatever their signs, so the bounds grow about 4 bits a memo
+level against the coefficients' 2.6.  By the tracked bounds alone,
+S(8, .) to S(11, .) took 64-bit slots for coefficients of at most 29
+bits, most of S(16, .) 128-bit slots for 45, P2(7) * S(6, 9) 64-bit slots
+where 32 hold, and product_truncated(300) 256-bit ones; re-derived before
+widening, all of these stay at the width their coefficients need.  A re-derived bound is
+kept on its value (`_tight`), the way the term count is: it bounds the same
+coefficients, so the value, its rows and its width stay as they are, and
+the next sum or product with the value starts from it.  Re-deriving
+without keeping the bound made `series-deep` about 10 % slower.
+
+Narrowing (`narrow`).  Sums and products never narrow, so a value whose
+coefficients shrink, by cancellation or truncation, keeps its width.  The
+transfer engine (partitions._transfer) narrows each layer, as one group,
+after every step: that is where the count tables, the value DPs and the
+side-B oracle keep their values, and a layer's values are summed together
+at the next step.  The rows are re-encoded by the same strided copy that
+widens them.  Count tables are long runs of doubling sums, and without
+narrowing they sat at q = 1000 in 512-bit (side B) and 1024-bit (side A)
+slots for coefficients of 54 bits; narrowed, in 64-bit slots,
+count_table("B", 1000) takes 15-17 s against 25-29 s.  The oracle's
+levels 0..11 stay in 32-bit slots and levels 12..18 in 64.
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
@@ -187,50 +194,54 @@ def _slot_bits(p: "TriPoly") -> int:
     return lo
 
 
+def _tight(p: "TriPoly") -> int:
+    """p's bound, re-derived from its rows by _slot_bits and kept on p, the
+    way its term count is: a bound on the same coefficients, so the value,
+    its rows and its width do not change (0 for a zero value)."""
+    p._bound = min(p._bound, 1 << (_slot_bits(p) - 1)) if p._rows else 0
+    return p._bound
+
+
 def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
     """(bound, W) of the product of p with a value whose |coefficients| sum
     to norm: norm times p's bound, in the smallest width that holds it and
     is at least floor, the operands' widest.  When that bound would need a
-    wider W than floor, p's bound is first re-derived by _slot_bits, for
-    this product only, and the product widens only if it still needs to."""
+    wider W than floor, p's bound is first re-derived (_tight), and the
+    product widens only if it still needs to."""
     bound = norm * p._bound
     if bound >> (floor - 1):
-        bound = norm * min(p._bound, 1 << (_slot_bits(p) - 1))
+        bound = norm * _tight(p)
     return bound, _width(bound, floor)
 
 
 def narrow(*values: "TriPoly") -> tuple["TriPoly", ...]:
     """The values re-encoded in the narrowest slot width that holds the sum
-    of their bounds: for values that are kept, not for every result.
+    of their bounds, for the layers of a transfer step (partitions._transfer).
 
     One value takes the narrowest width that holds it.  A group takes one
     width, wide enough for any sum of its members: the values of a transfer
     layer are summed together at the next step, and a sum that widens
     re-encodes its narrower operand once for every term the step adds.
 
-    The bounds are re-derived by _slot_bits only when their sum sits within
+    The bounds are re-derived (_tight) only when their sum sits within
     3 bits of an edge of the group's width W: at the top (sum >= 2^(W-3),
     or already past it), where the next few sums would widen, or, above
     32-bit slots, at the bottom (sum < 2^(W/2+2)), where the values have
     just widened and may not need to.  Elsewhere the tracked bounds are
-    kept, which saves a pass over every row: re-deriving at every memo
-    store made the fill to S(14, .) about a quarter slower.  A value
-    already in the chosen width with its bound is returned as it is; any
-    other result is a new value, equal to the old one, with equal terms and
-    hash."""
+    kept, which saves a pass over every row.  A value already in the
+    chosen width is returned as it is; any other result is a new value,
+    equal to the old one, with equal terms and hash, and the old value's
+    bound."""
     w = max((p._w for p in values), default=32)
-    bounds = [p._bound for p in values]
-    total = sum(bounds)
+    total = sum(p._bound for p in values)
     if total >> (w - 3) or (w > 32 and not total >> (w // 2 + 2)):
-        bounds = [min(b, 1 << (_slot_bits(p) - 1)) if p else 0 for p, b in zip(values, bounds)]
-    w = _width(sum(bounds))
+        total = sum(map(_tight, values))
+    w = _width(total)
     out = []
-    for p, bound in zip(values, bounds):
+    for p in values:
         if p._w != w:
             rows = {key: (q0, _reencode(x, p._w, w)) for key, (q0, x) in p._rows.items()}
-            p = _make(rows, w, bound)
-        elif p._bound != bound:
-            p = _make(p._rows, w, bound)
+            p = _make(rows, w, p._bound)
         out.append(p)
     return tuple(out)
 
@@ -241,7 +252,9 @@ class TriPoly:
 
     `TriPoly({(e_a, e_b, e_q): coeff, ...})` builds a value from a term dict;
     zero coefficients are dropped.  Instances are value objects, safe to
-    share across threads; every operation returns a new polynomial.
+    share across threads; every operation returns a new polynomial.  A
+    value caches its term count and a re-derived bound on its coefficients
+    (_tight); neither changes its terms, rows, width or hash.
     """
 
     __slots__ = ("_rows", "_w", "_bound", "_len")
@@ -325,7 +338,10 @@ class TriPoly:
         if not other._rows:
             return self
         bound = self._bound + other._bound
-        w = _width(bound, max(self._w, other._w))
+        w = max(self._w, other._w)
+        if bound >> (w - 1):  # about to widen: re-derive both bounds first
+            bound = _tight(self) + _tight(other)
+        w = _width(bound, w)
         out = dict(self._rows_at(w))
         for key, (q2, x2) in other._rows_at(w).items():
             if key not in out:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import random
 
-from .poly import ONE, TriPoly, ZERO, monomial, narrow
+from .poly import ONE, TriPoly, ZERO, monomial
 
 # One rule term (coeff, e_a, e_b, q_slope, q_offset, dn, jref) contributes
 #   coeff * a^e_a * b^e_b * q^(q_slope*n + q_offset) * S(n - dn, jref).
@@ -206,12 +206,13 @@ class SeriesMemo:
     (0, 0), (0, 1), ..., (0, 15), (1, 0), ...  `s` fills each missing
     earlier entry in that order before its own, which keeps the stack
     depth fixed at every level.  Entries are only ever written with the
-    value derived from the rules, narrowed as it is stored (poly.narrow):
+    value derived from the rules.  Its sums widen only when their
+    operands' re-derived bounds need it (see the poly module), so
     S(0..11, .) stay in 32-bit slots and S(16, .) in 64-bit ones, which the
     tracked bounds alone would take to 64 and 128.  Next to them the memo
-    holds the value
-    of each identity table it was asked to sum at a level (`combination`),
-    so J(n) and K(n) are summed once however many checks read them.
+    holds the value of each identity table it was asked to sum at a level
+    (`combination`), so J(n) and K(n) are summed once however many checks
+    read them.
 
     The memo carries both halves of the transcription: `rules` fill the
     entries and `p_tables` (p1..p3) enter the identities `_combination`
@@ -246,7 +247,7 @@ class SeriesMemo:
             return self._table[index]
         for earlier in range(len(self._table), index):
             self.s(*divmod(earlier, 16))
-        (value,) = narrow((self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self))
+        value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
         self._table.append(value)
         return value
 
@@ -439,9 +440,10 @@ def product_truncated(q_max: int) -> TriPoly:
     contribute, so the product stops after them.  Each factor 1 + m, for a
     monomial m = a^i b^k q^e, adds m times the product so far cut at
     q_max - e, so every step is a sum and a monomial product.  Each sum
-    doubles the tracked bound, so the product is narrowed after every
-    window: once at the end would leave product_truncated(300) in 256-bit
-    slots for coefficients of 26 bits.  The `Product` check
+    doubles the tracked bound, and one about to widen re-derives its
+    operands' bounds first (see the poly module), so product_truncated(300)
+    stays in 32-bit slots for coefficients of 26 bits, where the tracked
+    bound alone would take it to 256.  The `Product` check
     compares it with product_truncated(q_max + 18) cut at q_max: three more
     windows, built to a later bound.  A loop that stopped a window early or
     a truncation below q_max shows there as residual terms, which it would
@@ -456,7 +458,6 @@ def product_truncated(q_max: int) -> TriPoly:
             e = slope * n + offset
             if e <= q_max:
                 out = out + monomial(1, e_a, e_b, e) * out.truncate(q_max - e)
-        (out,) = narrow(out)
     return out
 
 

@@ -334,6 +334,11 @@ def test_s_oracle_holds_level_10_in_32_bit_slots(monkeypatch):
     s_oracle(10, 15)
     level, layer, series = partitions._held
     assert level == 10 and {p._w for p in (*layer.values(), *series)} == {32}
+    # at level 12 the layer takes 64-bit slots, and its 16 cumulative sums
+    # take the layer's width
+    s_oracle(12, 15)
+    level, layer, series = partitions._held
+    assert level == 12 and {p._w for p in (*layer.values(), *series)} == {64}
 
 
 def test_s_oracle_class15_coefficients_match_count_table():

@@ -431,7 +431,32 @@ def test_narrow_keeps_the_value_and_takes_the_width_its_slots_need(data, b, out_
     assert bits == b + 1 if out_of_range else bits <= b
     assert all(abs(c) <= narrowed._bound for c, *_ in p.terms())
     assert narrowed._w == min(w, _width(1 << (bits - 1)))
-    assert wide._w == w and wide._bound >> (w - 3)  # the old value is unchanged
+    # the old value keeps its width, terms and hash; its bound, possibly
+    # tightened, still bounds every coefficient
+    assert (wide._w, wide.terms(), hash(wide)) == (w, p.terms(), hash(p)) and all(
+        abs(c) <= wide._bound for c, *_ in p.terms()
+    )
+
+
+@given(st.data())
+def test_a_sum_re_derives_its_operands_bounds_before_it_widens(data):
+    # two values at width w whose tracked bounds sum past it but whose
+    # coefficients and their sums fit: the sum stays at w
+    w = data.draw(st.sampled_from([64, 128, 256]))
+    b = data.draw(st.integers(min_value=1, max_value=w - 2))
+    big = monomial(1 << (w - 3), 0, 0, 30)
+    p, q = ((_slots_of_b_bits(data, b, False) + big) - big for _ in range(2))
+    assert p._w == q._w == w and (p._bound + q._bound) >> (w - 1)
+    refs = [{(ea, eb, eq): c for c, ea, eb, eq in x.terms()} for x in (p, q)]
+    hashes = [hash(x) for x in (p, q)]
+    total = p + q
+    _assert_matches(total, ref_add(*refs))
+    assert total._w == w
+    # each operand keeps its width, terms and hash, under a bound that may
+    # have tightened
+    for x, ref, h in zip((p, q), refs, hashes):
+        assert x._w == w and x.terms() == ref_terms(ref) and hash(x) == h
+        assert all(abs(c) <= x._bound for c in ref.values())
 
 
 def test_narrow_stops_at_a_slot_out_of_range():
@@ -484,7 +509,11 @@ def test_product_truncated_holds_in_32_bit_slots():
     # re-derived
     prod = product_truncated(300)
     assert prod._w == 32
-    assert prod == count_table("A", 300)
+    # the count tables too, narrowed by the transfer engine: without it they
+    # took 256-bit (side A) and 128-bit (side B) slots
+    table_a, table_b = count_table("A", 300), count_table("B", 300)
+    assert prod == table_a
+    assert table_a._w == table_b._w == 32
 
 
 def test_a_level_7_product_holds_in_32_bit_slots():
