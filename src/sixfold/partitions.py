@@ -27,8 +27,10 @@ its state, not work per term, let alone per partition: count_table("B",
 terms one at a time.  The engine is also where slot widths go back down:
 it narrows each layer after every step, for every kind of step.  Side B's
 count table and s_oracle step over six-wide windows (_window_steps, from
-is_valid_B); s_oracle holds the layer of the last level it computed and
-steps on from it.  Side A and the general
+is_valid_B); the window classes, the part subsets one window admits, are
+enumerated from is_valid_B too (WINDOW_CLASSES), so it is the one
+statement of side B.  s_oracle holds the layer of the last level it
+computed and steps on from it.  Side A and the general
 families step over part values (_value_dp), a state holding the
 multiplicities of the last few values, each move checked by a call of
 is_valid_A or of a family predicate on the parts of one short window.
@@ -53,27 +55,6 @@ class GeneralParams(NamedTuple):
     k: int
     a: int
 
-
-# The 16 admissible part subsets of a window [6i+1, 6i+6], as offsets 1..6
-# in descending order.  The index in this tuple is the window class.
-WINDOW_CLASSES: tuple[tuple[int, ...], ...] = (
-    (),
-    (1,),
-    (2,),
-    (2, 1),
-    (4,),
-    (4, 1),
-    (5,),
-    (5, 1),
-    (5, 2),
-    (5, 4),
-    (6,),
-    (6, 1),
-    (6, 2),
-    (6, 4),
-    (6, 5),
-    (6, 6),
-)
 
 # Extra multiplicity restriction sets for the two refined B-families, each
 # with the one parameter triple it belongs to.
@@ -158,6 +139,35 @@ def profile_B(parts: Sequence[int]) -> tuple[int, int]:
         if r == 0 or r >= 4:
             nu += 1
     return mu, nu
+
+
+def _window_classes(window: int) -> tuple[tuple[int, ...], ...]:
+    """The part subsets of the window [6w+1, 6w+6], w = window, that
+    is_valid_B admits on their own, as offsets 1..6 in descending order,
+    sorted.
+
+    The lists grow from the empty one a part at a time, each new part no
+    larger than the last, and each list is_valid_B accepts is kept and
+    grown.  A list without its smallest part is a run of it, and a run of a
+    valid list is valid (see _window_steps), so every admitted subset is
+    reached through admitted ones.  Lists stop growing at six parts, so the
+    growth ends whatever is_valid_B accepts; its two-apart rule stops them
+    at two.
+    """
+    found, grow = [], [()]
+    while grow:
+        offsets = grow.pop()
+        found.append(offsets)
+        for off in range(offsets[-1] if offsets else 6, 0, -1):
+            if len(offsets) < 6 and is_valid_B([o + 6 * window for o in (*offsets, off)]):
+                grow.append((*offsets, off))
+    return tuple(sorted(found))
+
+
+# The window classes: a class is an index into this tuple.  Sorted, the
+# subsets come in the paper's class order, (), (1,), (2,), (2, 1), ...,
+# (6, 5), (6, 6).
+WINDOW_CLASSES = _window_classes(0)
 
 
 # ------------------------------------------------------------ count tables
@@ -292,18 +302,30 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int
     0..2 stand for every position).  moves[s] lists (weight, next state)
     for each next class, its weight (mu, nu, total, size) being the
     class's profile, the sum of its offsets and its number of parts: placed
-    at window i, its parts sum to total + 6*i*size.  Built on first use,
-    from 16 calls of is_valid_B for the start and for each of the 165
-    moves: 2656 in all.
+    at window i, its parts sum to total + 6*i*size.
+
+    The classes are the subsets is_valid_B admits at window 0, and the
+    rows are read at windows 0..2; both stand for every position only if
+    is_valid_B judges windows 0 and 1 alike.  So the build checks that
+    window 1 admits the same classes as window 0, and that the class pairs
+    it accepts at windows 0..1 are the pairs it accepts at windows 1..2.
+    Those are the rows of the states entered from the start, whose windows
+    below are empty.  Either difference raises ValueError.  Built on first
+    use, from 16 calls of is_valid_B for the start and for each of the 165
+    moves, 2656, and 307 for the check, 51 for the classes of window 1 and
+    256 for the pairs: 2963 in all.
     """
     weights = [(*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES]
     placed = [[[off + 6 * k for off in cls] for cls in WINDOW_CLASSES] for k in range(3)]
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     states: list[tuple[int, tuple[int, ...]]] = []
 
+    def admitted(k: int, below: list[int]) -> tuple[int, ...]:
+        """The classes nxt for which is_valid_B accepts nxt at window k on `below`."""
+        return tuple(nxt for nxt, part in enumerate(placed[k]) if is_valid_B(part + below))
+
     def state(prev: int, cls: int) -> int:
-        below = placed[1][cls] + placed[0][prev]
-        key = (cls, tuple(nxt for nxt in range(16) if is_valid_B(placed[2][nxt] + below)))
+        key = (cls, admitted(2, placed[1][cls] + placed[0][prev]))
         if key not in index:
             index[key] = len(states)
             states.append(key)
@@ -313,6 +335,10 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int
     moves = []
     for cls, row in states:  # grows while it is walked
         moves.append(tuple((weights[nxt], state(cls, nxt)) for nxt in row))
+    pairs_01 = {(cls, nxt) for cls, below in enumerate(placed[0]) for nxt in admitted(1, below)}
+    pairs_12 = {(states[t][0], nxt) for _, t in moves[0] for nxt in states[t][1]}
+    if _window_classes(1) != WINDOW_CLASSES or pairs_01 != pairs_12:
+        raise ValueError("is_valid_B judges windows 0 and 1 differently")
     return tuple(cls for cls, _ in states), tuple(moves)
 
 
@@ -333,9 +359,10 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     i..i+2 as it judges them at windows 0..2, where the automaton reads its
     rows, because every constraint of is_valid_B is local:
 
-    * a window [6i+1, 6i+6] of a valid partition holds at most 2 parts
-      (three would differ by at most 5), so its parts are one of the 16
-      WINDOW_CLASSES;
+    * the parts in a window [6i+1, 6i+6] of a valid partition are a run of
+      it, so is_valid_B admits them on their own, and they are one of the
+      WINDOW_CLASSES by construction (at most 2 parts: three would differ
+      by at most 5);
     * a repeated part is a single value;
     * the two-apart difference rule fails only on parts[i] - parts[i+2] <= 6,
       so the three parts involved span at most 2 adjacent windows;
@@ -352,7 +379,7 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     windows, and a slice that fails fails in the whole partition too.  The
     start state stands for two empty windows below window 0, so the first
     two steps check windows 0 and 0..1 on their own.  The automaton is
-    read only from is_valid_B, profile_B and WINDOW_CLASSES.
+    read only from is_valid_B and profile_B, WINDOW_CLASSES included.
     """
     _, moves = _window_automaton()
     for i in range(start, stop):
@@ -361,10 +388,11 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
         ]
 
 
-# (level n, window-step layer after window n, the 16 cumulative series by
-# top-window class).  _START is level -1, before window 0, where every
-# series is 1; _held is the record s_oracle computed last.
-_START: tuple[int, dict[int, TriPoly], tuple[TriPoly, ...]] = (-1, {0: ONE}, (ONE,) * 16)
+# (level n, window-step layer after window n, the cumulative series by
+# top-window class, one per class).  _START is level -1, before window 0,
+# with the empty partition as its layer and no series: s_oracle answers
+# level -1 without the record; _held is the record s_oracle computed last.
+_START: tuple[int, dict[int, TriPoly], tuple[TriPoly, ...]] = (-1, {0: ONE}, ())
 _held = _START
 
 
@@ -375,14 +403,14 @@ def s_oracle(n: int, j: int) -> TriPoly:
     For n >= 0 the window transfer matrix steps on from the held layer
     when it is at level n or below, and from window 0 otherwise; the final
     states are bucketed by the class of window n, and the new layer is held
-    with its 16 cumulative sums in place of the old record.  So the same
-    level again costs nothing, a higher one only the windows between, and a
-    lower one a restart from window 0.  Levels 0..10 in turn take about
+    with its cumulative sums, one per class, in place of the old record.
+    So the same level again costs nothing, a higher one only the windows
+    between, and a lower one a restart from window 0.  Levels 0..10 in turn take about
     1.1 s in all and 0..14 about 3.4 s, against 21.5 s to level 10 when
     every level restarted from window 0.
 
     The engine narrows the layer after each window, so the held layer sits
-    at the narrowest width that holds the sum of its bounds, and the 16
+    at the narrowest width that holds the sum of its bounds, and the
     series, its cumulative sums, widen past it only if their re-derived
     bounds need to (see the poly module).  Tracked bounds grow about
     3.4 bits a level against the coefficients' 3: by them alone, level 10
@@ -393,8 +421,8 @@ def s_oracle(n: int, j: int) -> TriPoly:
     the held record.
     """
     global _held
-    if not 0 <= j <= 15:
-        raise ValueError(f"window class must be in 0..15, got {j}")
+    if not 0 <= j < len(WINDOW_CLASSES):
+        raise ValueError(f"window class must be in 0..{len(WINDOW_CLASSES) - 1}, got {j}")
     if n == -1:
         return ONE
     if n < -1:
@@ -405,7 +433,7 @@ def s_oracle(n: int, j: int) -> TriPoly:
             level, layer, _ = _START
         layer = _transfer(layer, _window_steps(level + 1, n + 1))
         classes, _ = _window_automaton()
-        buckets = [ZERO] * 16
+        buckets = [ZERO] * len(WINDOW_CLASSES)
         for s, value in layer.items():
             buckets[classes[s]] = buckets[classes[s]] + value
         series = tuple(accumulate(buckets))
@@ -490,6 +518,15 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     max(offsets) - min(offsets) + 1 (9 for b0-533).  So a list is valid
     exactly when its parts in every window of _general_b_span consecutive
     values are.
+
+    An extra cap is checked only at the window indices j where it can reach
+    the parts: from j0 = (parts[-1] - max(offsets)) // modulus (or its
+    smallest window index, if larger) up to the top part.  Below j0 every
+    value modulus*j + off of the cap is at most modulus*(j0 - 1) +
+    max(offsets) <= parts[-1] - modulus, below the smallest part, so the
+    cap sums to 0, and every bound is >= 0.  So a call costs time in
+    proportion to the spread of its parts, not to the top part: a call on
+    one of the value DP's windows costs the same at every height.
     """
     step = lam + 1
     f: dict[int, int] = {}
@@ -513,7 +550,7 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         modulus, rules = _EXTRA_F_RULES[extra]
         top = parts[0] // modulus + 2
         for offsets, bound, j_start in rules:
-            for j in range(j_start, top):
+            for j in range(max(j_start, (parts[-1] - max(offsets)) // modulus), top):
                 if sum(g(modulus * j + off, 0) for off in offsets) > bound:
                     return False
     return True

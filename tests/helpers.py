@@ -122,7 +122,8 @@ def ref_s_oracle(n: int) -> list[TriPoly]:
 # Exhaustive part search: every list the predicate accepts is visited, so
 # the transfer matrices of the enumeration paths are cross-checked against
 # plain listing.  s_oracle_dfs is the side-B window series by search; it
-# shares only is_valid_B, profile_B and the window catalogue with s_oracle.
+# shares only is_valid_B and profile_B with s_oracle, and classifies the
+# top window by its own copy of the paper's class table.
 
 
 def _search(
@@ -154,7 +155,27 @@ def _search(
     extend(max_part, 0)
 
 
-_CLASS_OF_OFFSETS = {offsets: idx for idx, offsets in enumerate(partitions.WINDOW_CLASSES)}
+# The paper's 16 window classes: the part subsets of one six-wide window,
+# as offsets 1..6 in descending order, indexed by class.
+PAPER_WINDOW_CLASSES = (
+    (),
+    (1,),
+    (2,),
+    (2, 1),
+    (4,),
+    (4, 1),
+    (5,),
+    (5, 1),
+    (5, 2),
+    (5, 4),
+    (6,),
+    (6, 1),
+    (6, 2),
+    (6, 4),
+    (6, 5),
+    (6, 6),
+)
+_CLASS_OF_OFFSETS = {offsets: idx for idx, offsets in enumerate(PAPER_WINDOW_CLASSES)}
 
 
 def s_oracle_dfs(n: int, j: int) -> TriPoly:
@@ -181,6 +202,35 @@ def s_oracle_dfs(n: int, j: int) -> TriPoly:
     top_part = 6 * n + 6
     _search(top_part, top_part * (top_part + 1), partitions.is_valid_B, record)
     return TriPoly(terms)
+
+
+def ref_is_valid_general_B(parts, lam: int, k: int, a: int, extra) -> bool:
+    """partitions._is_valid_general_B with every extra cap checked at every
+    window index from its smallest up to the top part."""
+    step = lam + 1
+    f: dict[int, int] = {}
+    for p in parts:
+        f[p] = f.get(p, 0) + 1
+    if any(m > 1 and v % step for v, m in f.items()):
+        return False
+    gap = k - 1
+    for i in range(len(parts) - gap):
+        d = parts[i] - parts[i + gap]
+        if d < step or (d == step and parts[i] % step == 0):
+            return False
+    g = f.get
+    for j in range(1, (lam + 1) // 2 + 1):
+        if sum(g(i, 0) for i in range(j, lam - j + 2)) > a - j:
+            return False
+    if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
+        return False
+    if extra is not None and parts:
+        modulus, rules = partitions._EXTRA_F_RULES[extra]
+        for offsets, bound, j_start in rules:
+            for j in range(j_start, parts[0] // modulus + 2):
+                if sum(g(modulus * j + off, 0) for off in offsets) > bound:
+                    return False
+    return True
 
 
 def search_table(q_max: int, valid, profile) -> TriPoly:

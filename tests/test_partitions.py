@@ -9,8 +9,10 @@ from helpers import (
     B2_Q9,
     DISPLAY_S0_9_SHORT,
     DISPLAY_S0_15,
+    PAPER_WINDOW_CLASSES,
     ref_add,
     ref_count_table_b,
+    ref_is_valid_general_B,
     ref_mul,
     ref_s_oracle,
     ref_truncate,
@@ -128,6 +130,50 @@ def test_window_classes_are_what_one_window_admits(window):
         if is_valid_B([off + 6 * window for off in offsets])
     }
     assert admitted == set(WINDOW_CLASSES)
+
+
+def test_window_classes_are_the_papers_table_in_its_order():
+    assert WINDOW_CLASSES == (
+        (),
+        (1,),
+        (2,),
+        (2, 1),
+        (4,),
+        (4, 1),
+        (5,),
+        (5, 1),
+        (5, 2),
+        (5, 4),
+        (6,),
+        (6, 1),
+        (6, 2),
+        (6, 4),
+        (6, 5),
+        (6, 6),
+    )
+    assert WINDOW_CLASSES == PAPER_WINDOW_CLASSES
+
+
+def test_window_classes_stop_growing_whatever_the_predicate_accepts(monkeypatch):
+    # every descending list of at most six offsets: C(6 + 6, 6) = 924
+    monkeypatch.setattr(partitions, "is_valid_B", lambda parts: True)
+    classes = partitions._window_classes(0)
+    assert len(classes) == 924 == len(set(classes))
+    assert max(map(len, classes)) == 6
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        [7, 5],  # f(5) + f(7) <= 1 not checked at j = 0: pairs differ
+        [10, 8],  # f(8) + f(10) <= 1 not checked at j = 1: window 1 admits (4, 2)
+    ],
+)
+def test_window_automaton_rejects_a_predicate_that_moves_with_the_window(monkeypatch, extra):
+    valid = partitions.is_valid_B
+    monkeypatch.setattr(partitions, "is_valid_B", lambda parts: valid(parts) or parts == extra)
+    with pytest.raises(ValueError, match="is_valid_B judges windows 0 and 1 differently"):
+        partitions._window_automaton.__wrapped__()
 
 
 def test_window_automaton_is_pinned():
@@ -512,6 +558,15 @@ def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     assert valid_a(parts) == _local(parts, 1, valid_a)
     assert is_valid_A(parts) == _local(parts, 1, is_valid_A)
     assert is_valid_B(parts) == _local(parts, 9, is_valid_B)
+
+
+@given(_DESCENDING, st.sampled_from(list(EXTRA_PARAMS)))
+# each breaks one extra cap, at j = 10 and j = 7, above its smallest index
+@example([53, 52], B0_433)
+@example([49, 47], B0_533)
+def test_extra_caps_are_checked_only_where_the_parts_reach(parts, extra):
+    args = (*EXTRA_PARAMS[extra], extra)
+    assert partitions._is_valid_general_B(parts, *args) == ref_is_valid_general_B(parts, *args)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))
