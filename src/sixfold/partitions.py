@@ -20,19 +20,22 @@ the recurrence side is an exact residual.
 Counting never lists the partitions.  One transfer-matrix engine
 (_transfer; Stanley, Enumerative Combinatorics I, section 4.7) steps a
 layer of states, and each kind of step reads its moves from the predicates
-themselves.  The states hold TriPoly values, whose rows are packed ints
-(see the poly module), so a move costs one operation per (mu, nu) row of
-its state, not work per term, let alone per partition: count_table("B",
-300) takes about 0.3 s, against 8.3 s when the window states summed dict
-terms one at a time.  The engine is also where slot widths go back down:
-it narrows each layer after every step, for every kind of step.  Side B's
-count table and s_oracle step over six-wide windows (_window_steps, from
-is_valid_B); the window classes, the part subsets one window admits, are
-enumerated from is_valid_B too (WINDOW_CLASSES), so it is the one
-statement of side B.  s_oracle holds the layer of the last level it
-computed and steps on from it.  Side A and the general
-families step over part values (_value_dp), a state holding the
-multiplicities of the last few values, each move checked by a call of
+themselves.  A step runs target by target: the moves into a target state
+place the same parts, so it takes one monomial product on the sum of the
+target's sources, and each distinct source set is summed once.  The states
+hold TriPoly values, whose rows are packed ints (see the poly module), so
+a product or a sum costs one operation per (mu, nu) row, not work per
+term, let alone per partition: count_table("B", 300) takes about 0.1 s,
+against 0.3 s when the engine multiplied and summed move by move, and
+8.3 s when the window states summed dict terms one at a time.  The engine
+is also where slot widths go back down: it narrows each layer after every
+step, for every kind of step.  Side B's count table and s_oracle step over
+six-wide windows (_window_steps, from is_valid_B); the window classes, the
+part subsets one window admits, are enumerated from is_valid_B too
+(WINDOW_CLASSES), so it is the one statement of side B.  s_oracle holds
+the layer of the last level it computed and steps on from it.  Side A and
+the general families step over part values (_value_dp), a state holding
+the multiplicities of the last few values, each move checked by a call of
 is_valid_A or of a family predicate on the parts of one short window.
 Correctness of every oracle path deliberately concentrates in the
 predicates; the tests cross-check both kinds of step against a plain
@@ -173,8 +176,9 @@ WINDOW_CLASSES = _window_classes(0)
 # ------------------------------------------------------------ count tables
 
 
-_Move = tuple[int, int, int, Hashable]  # (mu, nu, dq, next state)
-_Step = Callable[[Hashable], Iterable[_Move]]
+# (target, mu, nu, dq, base, extras): see _transfer
+_Target = tuple[Hashable, int, int, int, int | None, Sequence[Hashable]]
+_Step = Callable[[dict[Hashable, TriPoly]], Iterable[_Target]]
 
 
 def _transfer(
@@ -182,17 +186,29 @@ def _transfer(
 ) -> dict[Hashable, TriPoly]:
     """The layer after `steps`, taken one after the other, starting at `layer`.
 
-    A layer maps each state to a TriPoly value.  A step maps a state to its
-    moves (mu, nu, dq, next state), and the next layer is the sum, over
-    every state and each of its moves, of the state's value times
-    a^mu b^nu q^dq at the move's next state.  A move with dq = 0 passes the
-    value on as it is; it places no part, so mu = nu = 0.  With a bound
-    q_max, a move with dq > q_max is dropped and the value is truncated to
+    A layer maps each state to a TriPoly value.  A transfer matrix whose
+    moves into a state t all place the same parts factors as D * A: A is
+    the 0/1 adjacency of the states, and D is diagonal, with t's one weight
+    a^mu b^nu q^dq.  So the next layer is next[t] = a^mu b^nu q^dq times the
+    sum of the values of t's sources, one product per target, and targets
+    that share their sources, or most of them, can share their sums.
+
+    A step therefore maps the layer to its targets, in order, each as
+    (t, mu, nu, dq, base, extras): t's weight and its source sum, which is
+    the source sum of the earlier target at position `base` of the list (or
+    zero when base is None) plus the values of the states `extras`, those
+    missing from the layer skipped.  Each source sum is built once, and
+    read by the targets that name it as their base.  A target with dq = 0
+    passes its sum on as it is; it places no part, so mu = nu = 0.  With a
+    bound q_max, a target with dq > q_max is dropped, its source sum still
+    built for the targets that build on it, and the sum is truncated to
     q^(q_max - dq) before the product, so no term above q_max is ever built
-    from a layer that has none.  A move multiplies by a monomial, which
-    re-keys the packed rows of the value (see the poly module), so a step
-    costs time in proportion to the rows, not to the terms.  Zero terms are
-    skipped: a state that only they reach is left out of the next layer.
+    from a layer that has none.  A product by a monomial re-keys the packed
+    rows of the sum (see the poly module), so it costs time in proportion
+    to the rows, not to the terms.  A target may appear more than once,
+    with a different weight each time (the value steps of span 1 do so);
+    its terms are summed.  Zero terms are skipped: a state that only they
+    reach is left out of the next layer.
 
     After every step the layer is narrowed as one group (poly.narrow): its
     values are summed together at the next step, so they share the
@@ -204,17 +220,21 @@ def _transfer(
     """
     for step in steps:
         nxt: dict[Hashable, TriPoly] = {}
-        for s, value in layer.items():
-            for mu, nu, dq, t in step(s):
-                term = value
-                if dq:
-                    if q_max is not None:
-                        if dq > q_max:
-                            continue
-                        term = value.truncate(q_max - dq)
-                    term = monomial(1, mu, nu, dq) * term
-                if term:
-                    nxt[t] = nxt[t] + term if t in nxt else term
+        sums: list[TriPoly] = []
+        for t, mu, nu, dq, base, extras in step(layer):
+            term = ZERO if base is None else sums[base]
+            for s in extras:
+                if s in layer:
+                    term = term + layer[s] if term else layer[s]
+            sums.append(term)
+            if dq:
+                if q_max is not None:
+                    if dq > q_max:
+                        continue
+                    term = term.truncate(q_max - dq)
+                term = monomial(1, mu, nu, dq) * term
+            if term:
+                nxt[t] = nxt[t] + term if t in nxt else term
         layer = dict(zip(nxt, narrow(*nxt.values())))
     return layer
 
@@ -239,25 +259,48 @@ def _value_dp(
     holding m + 1, so the first rejection ends the step, and m = 0 needs no
     call: its window is a run of the one accepted at v - 1 (or empty).  A
     window reaching above n_max holds the parts of the one ending at n_max,
-    so the windows ending at 1..n_max are all there is to check.  The steps
-    run with the bound n_max (see _transfer).  The empty list is counted
+    so the windows ending at 1..n_max are all there is to check.
+
+    The steps run with the bound n_max, target by target (see _transfer).
+    A move into the target (*state[1:], m) places m copies of v, so the
+    target has one weight, and a state accepts m copies exactly when it
+    accepts at least m.  So the sources of (rest, m + 1) are among those of
+    (rest, m): the targets of one rest come from the largest m down, each
+    building on the sum of the one before and adding the states whose most
+    copies are m, so each state is added once.  At span 1 a state keeps no
+    multiplicities, and every m moves into the one state (), which takes
+    one term per m on the sum of the one value.  The empty list is counted
     only when `valid` accepts it; when it does not, no list is valid, since
     adding parts only makes a constraint worse, and the result is zero.
     """
     if not valid([]):
         return ZERO
 
-    def moves(v: int, mu: int, nu: int, state: tuple[int, ...]) -> Iterator[_Move]:
-        yield 0, 0, 0, (*state, 0)[1:]
-        # the window's parts below v, descending, at their true values
-        parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
-        for m in range(1, n_max // v + 1):
-            parts.insert(0, v)
-            if not valid(parts):
-                return
-            yield m * mu, m * nu, m * v, (*state, m)[1:]
+    def targets(v: int, mu: int, nu: int, layer: dict[tuple[int, ...], TriPoly]) -> list[_Target]:
+        # the states by their last span - 2 entries, then by the most copies
+        # of v they accept
+        chains: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
+        top = n_max // v
+        for state in layer:
+            # the window's parts below v, descending, at their true values
+            parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
+            most = 0
+            while most < top:
+                parts.insert(0, v)
+                if not valid(parts):
+                    break
+                most += 1
+            chains.setdefault(state[1:], {}).setdefault(most, []).append(state)
+        out: list[_Target] = []
+        for rest, by_most in chains.items():
+            base = None
+            for m in range(max(by_most), -1, -1):
+                t = (*rest, m) if span > 1 else ()
+                out.append((t, m * mu, m * nu, m * v, base, by_most.get(m, ())))
+                base = len(out) - 1
+        return out
 
-    steps = (partial(moves, v, *weight(v)) for v in range(1, n_max + 1))
+    steps = (partial(targets, v, *weight(v)) for v in range(1, n_max + 1))
     layer = _transfer({(0,) * (span - 1): ONE}, steps, n_max)
     return sum(layer.values(), ZERO)
 
@@ -342,17 +385,46 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int
     return tuple(cls for cls, _ in states), tuple(moves)
 
 
+@lru_cache(maxsize=None)
+def _window_plan() -> tuple[tuple[int, _Weight, int | None, tuple[int, ...]], ...]:
+    """The targets of a window step, (t, weight, base, extras) in the order
+    _transfer builds them, derived from the window automaton.
+
+    A state is (class, row), so every move into t places t's class and
+    carries t's weight; the build checks it.  The targets come in order of
+    their source sets, smallest first, and the first target of each
+    distinct set builds its sum from the largest set already built that it
+    contains (its base), adding the states it lacks (extras); a target
+    whose set is built already reads that sum and adds nothing.  The 17
+    targets have 10 distinct source sets, and they nest almost as prefixes
+    of the state order, so a window step reads 21 values of the layer,
+    against 165 moves, and makes 19 sums, against 148.
+    """
+    _, moves = _window_automaton()
+    weights = {t: weight for row in moves for weight, t in row}
+    assert all(weights[t] == weight for row in moves for weight, t in row)
+    sources = {
+        t: frozenset(s for s, row in enumerate(moves) for _, u in row if u == t) for t in weights
+    }
+    built: dict[frozenset[int], int] = {}  # source set -> position of its sum
+    plan = []
+    for t in sorted(sources, key=lambda t: (len(sources[t]), sorted(sources[t]))):
+        below = max((b for b in built if b <= sources[t]), key=len, default=frozenset())
+        plan.append((t, weights[t], built.get(below), tuple(sorted(sources[t] - below))))
+        built.setdefault(sources[t], len(plan) - 1)
+    return tuple(plan)
+
+
 def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     """The side-B transfer steps over windows start..stop-1, read off the
-    window automaton.
+    window automaton through its plan (_window_plan).
 
     A layer before window start maps each automaton state to the generating
     polynomial of the valid side-B partitions with parts in windows
     0..start-1 that end in it, and _transfer takes it to the same map after
     window stop-1; the layer {0: ONE} before window 0 is the empty
-    partition.  At window i, a move by a class from state s to state t has
-    the class's profile as (mu, nu) and the sum of its parts placed at
-    window i as dq.
+    partition.  At window i, a target state t has its class's profile as
+    (mu, nu) and the sum of the class's parts placed at window i as dq.
 
     Soundness: a partition is valid exactly when every three consecutive
     windows of it are, and is_valid_B judges three classes placed at windows
@@ -381,10 +453,11 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     two steps check windows 0 and 0..1 on their own.  The automaton is
     read only from is_valid_B and profile_B, WINDOW_CLASSES included.
     """
-    _, moves = _window_automaton()
+    plan = _window_plan()
     for i in range(start, stop):
-        yield lambda s, i=i: [
-            (mu, nu, total + 6 * i * size, t) for (mu, nu, total, size), t in moves[s]
+        yield lambda layer, i=i: [
+            (t, mu, nu, total + 6 * i * size, base, extras)
+            for t, (mu, nu, total, size), base, extras in plan
         ]
 
 
@@ -405,9 +478,11 @@ def s_oracle(n: int, j: int) -> TriPoly:
     states are bucketed by the class of window n, and the new layer is held
     with its cumulative sums, one per class, in place of the old record.
     So the same level again costs nothing, a higher one only the windows
-    between, and a lower one a restart from window 0.  Levels 0..10 in turn take about
-    1.1 s in all and 0..14 about 3.4 s, against 21.5 s to level 10 when
-    every level restarted from window 0.
+    between, and a lower one a restart from window 0.  Levels 0..10 in
+    turn take about 0.05-0.08 s in all and 0..14 about 0.35-0.56 s
+    (0.22-0.26 s and 1.1-1.4 s when the engine multiplied and summed move
+    by move), against 21.5 s to level 10 when every level restarted from
+    window 0.
 
     The engine narrows the layer after each window, so the held layer sits
     at the narrowest width that holds the sum of its bounds, and the

@@ -202,8 +202,11 @@ def test_profile_B():
 @st.composite
 def _transfer_cases(draw):
     """(layer, steps, q_max) over states 0..3: the layer as dict terms
-    within q_max, each step as its moves (mu, nu, dq, next state) indexed by
-    state, dq running past q_max, and mu = nu = 0 wherever dq = 0."""
+    within q_max, and each step as its targets (t, mu, nu, dq, base, extras),
+    dq running past q_max, mu = nu = 0 wherever dq = 0, base an earlier
+    position or None, and extras distinct states, some of them missing from
+    the layer.  A state may be the target of several entries, with different
+    weights, as at the value steps of span 1."""
     q_max = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
     top = 6 if q_max is None else q_max
     states = st.integers(min_value=0, max_value=3)
@@ -214,20 +217,30 @@ def _transfer_cases(draw):
         min_size=1,
         max_size=4,
     )
-    move = st.tuples(exponents, exponents, st.integers(min_value=0, max_value=top + 2), states)
-    moves = st.lists(move.map(lambda m: m if m[2] else (0, 0, 0, m[3])), max_size=4)
     layer = draw(st.dictionaries(states, value, min_size=1, max_size=4))
-    steps = draw(st.lists(st.lists(moves, min_size=4, max_size=4), min_size=1, max_size=3))
+    steps = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        step = []
+        for i in range(draw(st.integers(min_value=0, max_value=5))):
+            mu, nu, dq = draw(st.tuples(exponents, exponents, st.integers(0, top + 2)))
+            if not dq:
+                mu = nu = 0
+            base = draw(st.one_of(st.none(), st.integers(0, i - 1))) if i else None
+            extras = draw(st.lists(states, max_size=4, unique=True))
+            step.append((draw(states), mu, nu, dq, base, extras))
+        steps.append(step)
     return layer, steps, q_max
 
 
 def _ref_transfer(layer, steps, q_max):
-    """The steps by dict terms: every move's full product, then truncated."""
+    """The steps by dict terms: each target's sources are its base's and its
+    extras, and every source's full product is truncated and summed."""
     for step in steps:
-        nxt = {}
-        for s, terms in layer.items():
-            for mu, nu, dq, t in step[s]:
-                term = ref_mul(terms, {(mu, nu, dq): 1})
+        nxt, sources = {}, []
+        for t, mu, nu, dq, base, extras in step:
+            sources.append((sources[base] if base is not None else []) + list(extras))
+            for s in sources[-1]:
+                term = ref_mul(layer.get(s, {}), {(mu, nu, dq): 1})
                 if q_max is not None:
                     term = ref_truncate(term, q_max)
                 nxt[t] = ref_add(nxt.get(t, {}), term)
@@ -235,15 +248,22 @@ def _ref_transfer(layer, steps, q_max):
     return layer
 
 
-# q_max = 3: moves with dq == q_max, with dq > q_max and with dq = 0 pass-through,
-# several moves into state 2, and a value truncated to zero (state 1's q^3
-# moved by dq = 3).
+# q_max = 3: a target with dq > q_max whose sum is the base of later ones,
+# dq == q_max, a value truncated to zero (state 1's q^3 moved by dq = 3,
+# so state 0 is left out), a dq = 0 pass-through into state 2 again with
+# an extra missing from the layer, and sums read one and three positions on.
 @example(
     (
         {0: {(0, 0, 0): 1, (1, 0, 2): 2}, 1: {(0, 1, 3): 1}},
         [
-            [[(1, 0, 3, 2), (0, 1, 4, 2), (0, 0, 0, 2), (1, 1, 1, 2)], [(2, 0, 3, 0)], [], []],
-            [[(0, 0, 0, 3)], [], [(0, 0, 0, 3), (1, 0, 1, 3)], []],
+            [
+                (2, 0, 1, 4, None, [0, 1]),
+                (2, 1, 0, 3, 0, []),
+                (0, 2, 0, 3, None, [1]),
+                (2, 0, 0, 0, 0, [3]),
+                (3, 1, 1, 1, 1, []),
+            ],
+            [(3, 0, 0, 0, None, [0, 2]), (1, 1, 0, 1, 0, [3])],
         ],
         3,
     )
@@ -252,9 +272,43 @@ def _ref_transfer(layer, steps, q_max):
 def test_transfer_equals_a_dict_term_step(case):
     layer, steps, q_max = case
     start = {s: TriPoly(terms) for s, terms in layer.items()}
-    step_fns = [step.__getitem__ for step in steps]
+    step_fns = [lambda _, step=step: step for step in steps]
     expected = {t: TriPoly(terms) for t, terms in _ref_transfer(layer, steps, q_max).items()}
     assert partitions._transfer(start, step_fns, q_max) == expected
+
+
+def test_window_plan_builds_each_source_set_once():
+    _, moves = partitions._window_automaton()
+    sources: dict[int, set[int]] = {}
+    for s, row in enumerate(moves):
+        for _, t in row:
+            sources.setdefault(t, set()).add(s)
+    plan = partitions._window_plan()
+    assert sorted(t for t, *_ in plan) == sorted(sources) == list(range(17))
+    for i, (t, weight, base, extras) in enumerate(plan):
+        # one weight per target: every move into t carries it
+        assert {w for row in moves for w, u in row if u == t} == {weight}
+        below = set() if base is None else sources[plan[base][0]]
+        assert base is None or base < i
+        assert below <= sources[t] and below.isdisjoint(extras)
+        assert below | set(extras) == sources[t]
+    # 10 distinct source sets; each built once, from the largest one built
+    # before it: 21 layer reads a window, where the moves were 165
+    assert len({frozenset(src) for src in sources.values()}) == 10
+    assert sum(len(extras) for *_, extras in plan) == 21
+
+
+def test_value_dp_asks_each_window_once():
+    # no call for 0 copies, and the first rejection ends a state's step: the
+    # move-by-move engine made the same 1,437 calls
+    asked = []
+
+    def valid(parts):
+        asked.append(tuple(parts))
+        return is_valid_B(parts)
+
+    partitions._value_dp(60, 9, valid, lambda v: profile_B([v]))
+    assert len(asked) == len(set(asked)) == 1437
 
 
 # -------------------------------------------------------- count tables
