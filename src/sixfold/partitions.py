@@ -25,28 +25,26 @@ place the same parts, so it takes one monomial product on the sum of the
 target's sources, and each distinct source set is summed once.  The states
 hold TriPoly values, whose rows are packed ints (see the poly module), so
 a product or a sum costs one operation per (mu, nu) row, not work per
-term, let alone per partition: count_table("B", 300) takes about 0.1 s,
-against 0.3 s when the engine multiplied and summed move by move, and
-8.3 s when the window states summed dict terms one at a time.  The engine
-is also where slot widths go back down: it narrows each layer after every
-step, for every kind of step.  Side B's count table and s_oracle step over
-six-wide windows (_window_steps, from is_valid_B); the window classes, the
-part subsets one window admits, are enumerated from is_valid_B too
-(WINDOW_CLASSES), so it is the one statement of side B.  s_oracle holds
-the layer of the last level it computed and steps on from it.  Side A and
-the general families step over part values (_value_dp), a state holding
-the multiplicities of the last few values, each move checked by a call of
-is_valid_A or of a family predicate on the parts of one short window.
-Correctness of every oracle path deliberately concentrates in the
-predicates; the tests cross-check both kinds of step against a plain
-exhaustive search of the same predicates.
+term, let alone per partition.  The engine is also where slot widths go
+back down: it narrows each layer after every step, for every kind of step.
+Side B's count table and s_oracle step over six-wide windows
+(_window_targets, from is_valid_B); the window classes, the part subsets
+one window admits, are enumerated from is_valid_B too (WINDOW_CLASSES), so
+it is the one statement of side B.  s_oracle holds the layer of the last
+level it computed and steps on from it.  Side A and the general families
+step over part values (_value_dp), a state holding the multiplicities of
+the last few values, each move checked by a call of is_valid_A or of a
+family predicate on the parts of one short window.  Correctness of every
+oracle path deliberately concentrates in the predicates; the tests
+cross-check both kinds of step against a plain exhaustive search of the
+same predicates.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO, monomial, narrow
 
@@ -152,7 +150,7 @@ def _window_classes(window: int) -> tuple[tuple[int, ...], ...]:
     The lists grow from the empty one a part at a time, each new part no
     larger than the last, and each list is_valid_B accepts is kept and
     grown.  A list without its smallest part is a run of it, and a run of a
-    valid list is valid (see _window_steps), so every admitted subset is
+    valid list is valid (see _window_targets), so every admitted subset is
     reached through admitted ones.  Lists stop growing at six parts, so the
     growth ends whatever is_valid_B accepts; its two-apart rule stops them
     at two.
@@ -178,13 +176,12 @@ WINDOW_CLASSES = _window_classes(0)
 
 # (target, mu, nu, dq, base, extras): see _transfer
 _Target = tuple[Hashable, int, int, int, int | None, Sequence[Hashable]]
-_Step = Callable[[dict[Hashable, TriPoly]], Iterable[_Target]]
 
 
 def _transfer(
-    layer: dict[Hashable, TriPoly], steps: Iterable[_Step], q_max: int | None = None
+    layer: dict[Hashable, TriPoly], targets: Iterable[_Target], q_max: int | None = None
 ) -> dict[Hashable, TriPoly]:
-    """The layer after `steps`, taken one after the other, starting at `layer`.
+    """The layer after one step from `layer`, the step given by its `targets`.
 
     A layer maps each state to a TriPoly value.  A transfer matrix whose
     moves into a state t all place the same parts factors as D * A: A is
@@ -193,7 +190,7 @@ def _transfer(
     sum of the values of t's sources, one product per target, and targets
     that share their sources, or most of them, can share their sums.
 
-    A step therefore maps the layer to its targets, in order, each as
+    A step is therefore given by its targets, in order, each as
     (t, mu, nu, dq, base, extras): t's weight and its source sum, which is
     the source sum of the earlier target at position `base` of the list (or
     zero when base is None) plus the values of the states `extras`, those
@@ -210,7 +207,7 @@ def _transfer(
     its terms are summed.  Zero terms are skipped: a state that only they
     reach is left out of the next layer.
 
-    After every step the layer is narrowed as one group (poly.narrow): its
+    After the step the layer is narrowed as one group (poly.narrow): its
     values are summed together at the next step, so they share the
     narrowest width that holds the sum of their bounds, and no sum of the
     next step widens them one term at a time.  Sums and products never
@@ -218,25 +215,23 @@ def _transfer(
     needed; the count tables sat at q = 1000 in 512-bit (side B) and
     1024-bit (side A) slots for coefficients of 54 bits.
     """
-    for step in steps:
-        nxt: dict[Hashable, TriPoly] = {}
-        sums: list[TriPoly] = []
-        for t, mu, nu, dq, base, extras in step(layer):
-            term = ZERO if base is None else sums[base]
-            for s in extras:
-                if s in layer:
-                    term = term + layer[s] if term else layer[s]
-            sums.append(term)
-            if dq:
-                if q_max is not None:
-                    if dq > q_max:
-                        continue
-                    term = term.truncate(q_max - dq)
-                term = monomial(1, mu, nu, dq) * term
-            if term:
-                nxt[t] = nxt[t] + term if t in nxt else term
-        layer = dict(zip(nxt, narrow(*nxt.values())))
-    return layer
+    nxt: dict[Hashable, TriPoly] = {}
+    sums: list[TriPoly] = []
+    for t, mu, nu, dq, base, extras in targets:
+        term = ZERO if base is None else sums[base]
+        for s in extras:
+            if s in layer:
+                term = term + layer[s] if term else layer[s]
+        sums.append(term)
+        if dq:
+            if q_max is not None:
+                if dq > q_max:
+                    continue
+                term = term.truncate(q_max - dq)
+            term = monomial(1, mu, nu, dq) * term
+        if term:
+            nxt[t] = nxt[t] + term if t in nxt else term
+    return dict(zip(nxt, narrow(*nxt.values())))
 
 
 def _value_dp(
@@ -261,7 +256,7 @@ def _value_dp(
     window reaching above n_max holds the parts of the one ending at n_max,
     so the windows ending at 1..n_max are all there is to check.
 
-    The steps run with the bound n_max, target by target (see _transfer).
+    Each value is one step, run with the bound n_max (see _transfer).
     A move into the target (*state[1:], m) places m copies of v, so the
     target has one weight, and a state accepts m copies exactly when it
     accepts at least m.  So the sources of (rest, m + 1) are among those of
@@ -275,8 +270,9 @@ def _value_dp(
     """
     if not valid([]):
         return ZERO
-
-    def targets(v: int, mu: int, nu: int, layer: dict[tuple[int, ...], TriPoly]) -> list[_Target]:
+    layer = {(0,) * (span - 1): ONE}
+    for v in range(1, n_max + 1):
+        mu, nu = weight(v)
         # the states by their last span - 2 entries, then by the most copies
         # of v they accept
         chains: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
@@ -291,17 +287,14 @@ def _value_dp(
                     break
                 most += 1
             chains.setdefault(state[1:], {}).setdefault(most, []).append(state)
-        out: list[_Target] = []
+        targets: list[_Target] = []
         for rest, by_most in chains.items():
             base = None
             for m in range(max(by_most), -1, -1):
                 t = (*rest, m) if span > 1 else ()
-                out.append((t, m * mu, m * nu, m * v, base, by_most.get(m, ())))
-                base = len(out) - 1
-        return out
-
-    steps = (partial(targets, v, *weight(v)) for v in range(1, n_max + 1))
-    layer = _transfer({(0,) * (span - 1): ONE}, steps, n_max)
+                targets.append((t, m * mu, m * nu, m * v, base, by_most.get(m, ())))
+                base = len(targets) - 1
+        layer = _transfer(layer, targets, n_max)
     return sum(layer.values(), ZERO)
 
 
@@ -312,7 +305,7 @@ def count_table(side: str, n_max: int) -> TriPoly:
 
     Side A is counted by the transfer matrix over part values (see
     _value_dp), its steps read from is_valid_A on one value at a time;
-    side B by the window steps (see _window_steps) over the windows that
+    side B by the window steps (see _window_targets) over the windows that
     hold parts <= n_max.
     """
     if side not in ("A", "B"):
@@ -322,7 +315,9 @@ def count_table(side: str, n_max: int) -> TriPoly:
     if side == "A":
         # is_valid_A bounds each value's multiplicity on its own: span 1
         return _value_dp(n_max, 1, is_valid_A, lambda v: profile_A([v]))
-    layer = _transfer({0: ONE}, _window_steps(0, (n_max - 1) // 6 + 1), n_max)
+    layer = {0: ONE}
+    for i in range((n_max - 1) // 6 + 1):
+        layer = _transfer(layer, _window_targets(i), n_max)
     return sum(layer.values(), ZERO)
 
 
@@ -333,19 +328,32 @@ _Weight = tuple[int, int, int, int]  # (mu, nu, total, size)
 
 
 @lru_cache(maxsize=None)
-def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int], ...], ...]]:
-    """(class of the last window, moves) per state; state 0 is the start.
+def _window_plan() -> tuple[
+    tuple[int, ...], tuple[tuple[int, _Weight, int | None, tuple[int, ...]], ...]
+]:
+    """(class of the last window per state, the targets of a window step);
+    state 0 is the start.
 
     A state is the class c of the last window placed together with the row
     of classes allowed in the window above it, which is all the future
     depends on; the (previous class, class) pairs sharing a row merge into
     one state.  The row of a pair is read from is_valid_B when the pair is
     entered: the classes nxt for which it accepts the parts of prev, cls
-    and nxt placed at windows 0, 1 and 2 (_window_steps says why windows
-    0..2 stand for every position).  moves[s] lists (weight, next state)
-    for each next class, its weight (mu, nu, total, size) being the
-    class's profile, the sum of its offsets and its number of parts: placed
-    at window i, its parts sum to total + 6*i*size.
+    and nxt placed at windows 0, 1 and 2 (_window_targets says why windows
+    0..2 stand for every position).  Each state's sources, the states that
+    move into it, are recorded as it is entered.
+
+    The targets are (t, weight, base, extras) in the order _transfer builds
+    them.  Every move into t places t's class, so t has one weight (mu, nu,
+    total, size): the class's profile, the sum of its offsets and its
+    number of parts; placed at window i, its parts sum to total + 6*i*size.
+    The targets come in order of their source sets, smallest first, and the
+    first target of each distinct set builds its sum from the largest set
+    already built that it contains (its base), adding the states it lacks
+    (extras); a target whose set is built already reads that sum and adds
+    nothing.  The 17 targets have 10 distinct source sets, and they nest
+    almost as prefixes of the state order, so a window step reads 21 values
+    of the layer and makes 19 sums.
 
     The classes are the subsets is_valid_B admits at window 0, and the
     rows are read at windows 0..2; both stand for every position only if
@@ -362,73 +370,53 @@ def _window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[_Weight, int
     placed = [[[off + 6 * k for off in cls] for cls in WINDOW_CLASSES] for k in range(3)]
     index: dict[tuple[int, tuple[int, ...]], int] = {}
     states: list[tuple[int, tuple[int, ...]]] = []
+    sources: list[set[int]] = []
 
     def admitted(k: int, below: list[int]) -> tuple[int, ...]:
         """The classes nxt for which is_valid_B accepts nxt at window k on `below`."""
         return tuple(nxt for nxt, part in enumerate(placed[k]) if is_valid_B(part + below))
 
-    def state(prev: int, cls: int) -> int:
+    def enter(prev: int, cls: int) -> set[int]:
+        """The sources of the state of the pair (prev, cls), added if new."""
         key = (cls, admitted(2, placed[1][cls] + placed[0][prev]))
         if key not in index:
             index[key] = len(states)
             states.append(key)
-        return index[key]
+            sources.append(set())
+        return sources[index[key]]
 
-    state(0, 0)  # windows -2 and -1, both empty
-    moves = []
-    for cls, row in states:  # grows while it is walked
-        moves.append(tuple((weights[nxt], state(cls, nxt)) for nxt in row))
+    enter(0, 0)  # windows -2 and -1, both empty
+    for s, (cls, row) in enumerate(states):  # grows while it is walked
+        for nxt in row:
+            enter(cls, nxt).add(s)
     pairs_01 = {(cls, nxt) for cls, below in enumerate(placed[0]) for nxt in admitted(1, below)}
-    pairs_12 = {(states[t][0], nxt) for _, t in moves[0] for nxt in states[t][1]}
+    pairs_12 = {(cls, nxt) for (cls, row), src in zip(states, sources) if 0 in src for nxt in row}
     if _window_classes(1) != WINDOW_CLASSES or pairs_01 != pairs_12:
         raise ValueError("is_valid_B judges windows 0 and 1 differently")
-    return tuple(cls for cls, _ in states), tuple(moves)
-
-
-@lru_cache(maxsize=None)
-def _window_plan() -> tuple[tuple[int, _Weight, int | None, tuple[int, ...]], ...]:
-    """The targets of a window step, (t, weight, base, extras) in the order
-    _transfer builds them, derived from the window automaton.
-
-    A state is (class, row), so every move into t places t's class and
-    carries t's weight; the build checks it.  The targets come in order of
-    their source sets, smallest first, and the first target of each
-    distinct set builds its sum from the largest set already built that it
-    contains (its base), adding the states it lacks (extras); a target
-    whose set is built already reads that sum and adds nothing.  The 17
-    targets have 10 distinct source sets, and they nest almost as prefixes
-    of the state order, so a window step reads 21 values of the layer,
-    against 165 moves, and makes 19 sums, against 148.
-    """
-    _, moves = _window_automaton()
-    weights = {t: weight for row in moves for weight, t in row}
-    assert all(weights[t] == weight for row in moves for weight, t in row)
-    sources = {
-        t: frozenset(s for s, row in enumerate(moves) for _, u in row if u == t) for t in weights
-    }
     built: dict[frozenset[int], int] = {}  # source set -> position of its sum
     plan = []
-    for t in sorted(sources, key=lambda t: (len(sources[t]), sorted(sources[t]))):
+    for t in sorted(range(len(states)), key=lambda t: (len(sources[t]), sorted(sources[t]))):
         below = max((b for b in built if b <= sources[t]), key=len, default=frozenset())
-        plan.append((t, weights[t], built.get(below), tuple(sorted(sources[t] - below))))
-        built.setdefault(sources[t], len(plan) - 1)
-    return tuple(plan)
+        extras = tuple(sorted(sources[t] - below))
+        plan.append((t, weights[states[t][0]], built.get(below), extras))
+        built.setdefault(frozenset(sources[t]), len(plan) - 1)
+    return tuple(cls for cls, _ in states), tuple(plan)
 
 
-def _window_steps(start: int, stop: int) -> Iterator[_Step]:
-    """The side-B transfer steps over windows start..stop-1, read off the
-    window automaton through its plan (_window_plan).
+def _window_targets(i: int) -> list[_Target]:
+    """The side-B transfer step at window i, as its targets (see _transfer),
+    read off the window plan (_window_plan).
 
-    A layer before window start maps each automaton state to the generating
-    polynomial of the valid side-B partitions with parts in windows
-    0..start-1 that end in it, and _transfer takes it to the same map after
-    window stop-1; the layer {0: ONE} before window 0 is the empty
-    partition.  At window i, a target state t has its class's profile as
-    (mu, nu) and the sum of the class's parts placed at window i as dq.
+    A layer before window i maps each state to the generating polynomial
+    of the valid side-B partitions with parts in windows 0..i-1 that end in
+    it, and _transfer takes it to the same map after window i; the layer
+    {0: ONE} before window 0 is the empty partition.  At window i, a target
+    state t has its class's profile as (mu, nu) and the sum of the class's
+    parts placed at window i as dq.
 
     Soundness: a partition is valid exactly when every three consecutive
     windows of it are, and is_valid_B judges three classes placed at windows
-    i..i+2 as it judges them at windows 0..2, where the automaton reads its
+    i..i+2 as it judges them at windows 0..2, where the plan reads its
     rows, because every constraint of is_valid_B is local:
 
     * the parts in a window [6i+1, 6i+6] of a valid partition are a run of
@@ -450,15 +438,14 @@ def _window_steps(start: int, stop: int) -> Iterator[_Step]:
     parts, so every violated constraint shows in the slice holding its
     windows, and a slice that fails fails in the whole partition too.  The
     start state stands for two empty windows below window 0, so the first
-    two steps check windows 0 and 0..1 on their own.  The automaton is
+    two steps check windows 0 and 0..1 on their own.  The plan is
     read only from is_valid_B and profile_B, WINDOW_CLASSES included.
     """
-    plan = _window_plan()
-    for i in range(start, stop):
-        yield lambda layer, i=i: [
-            (t, mu, nu, total + 6 * i * size, base, extras)
-            for t, (mu, nu, total, size), base, extras in plan
-        ]
+    _, plan = _window_plan()
+    return [
+        (t, mu, nu, total + 6 * i * size, base, extras)
+        for t, (mu, nu, total, size), base, extras in plan
+    ]
 
 
 # (level n, window-step layer after window n, the cumulative series by
@@ -471,7 +458,7 @@ _held = _START
 
 def s_oracle(n: int, j: int) -> TriPoly:
     """Generating polynomial of valid side-B partitions with parts <= 6n+6
-    and top-window class <= j, by the window steps (_window_steps).
+    and top-window class <= j, by the window steps (_window_targets).
 
     For n >= 0 the window transfer matrix steps on from the held layer
     when it is at level n or below, and from window 0 otherwise; the final
@@ -479,10 +466,7 @@ def s_oracle(n: int, j: int) -> TriPoly:
     with its cumulative sums, one per class, in place of the old record.
     So the same level again costs nothing, a higher one only the windows
     between, and a lower one a restart from window 0.  Levels 0..10 in
-    turn take about 0.05-0.08 s in all and 0..14 about 0.35-0.56 s
-    (0.22-0.26 s and 1.1-1.4 s when the engine multiplied and summed move
-    by move), against 21.5 s to level 10 when every level restarted from
-    window 0.
+    turn take about 0.05-0.08 s in all and 0..14 about 0.35-0.56 s.
 
     The engine narrows the layer after each window, so the held layer sits
     at the narrowest width that holds the sum of its bounds, and the
@@ -506,8 +490,9 @@ def s_oracle(n: int, j: int) -> TriPoly:
     if level != n:
         if level > n:
             level, layer, _ = _START
-        layer = _transfer(layer, _window_steps(level + 1, n + 1))
-        classes, _ = _window_automaton()
+        for i in range(level + 1, n + 1):
+            layer = _transfer(layer, _window_targets(i))
+        classes, _ = _window_plan()
         buckets = [ZERO] * len(WINDOW_CLASSES)
         for s, value in layer.items():
             buckets[classes[s]] = buckets[classes[s]] + value

@@ -64,7 +64,7 @@ at the next step.  The rows are re-encoded by the same strided copy that
 widens them.  Count tables are long runs of doubling sums, and without
 narrowing they sat at q = 1000 in 512-bit (side B) and 1024-bit (side A)
 slots for coefficients of 54 bits; narrowed, in 64-bit slots,
-count_table("B", 1000) takes 15-17 s against 25-29 s.  The oracle's
+count_table("B", 1000) takes 5-8 s against 8-11 s.  The oracle's
 levels 0..11 stay in 32-bit slots and levels 12..18 in 64.
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two

@@ -155,17 +155,10 @@ def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]
     return out
 
 
-def suite_product(q_max: int) -> list[Report]:
-    """Truncation stability: the product to q_max equals the product built
-    three windows further (to q_max + 18) and cut at q_max."""
-    if q_max < 0:
-        raise ConfigError(f"q_max must be >= 0, got {q_max}")
-    report, _ = _product_check(q_max)
-    return [report]
-
-
 def _product_check(q_max: int) -> tuple[Report, TriPoly]:
-    """The `Product` report at q_max and the product to q_max it checked."""
+    """The `Product` report at q_max and the product to q_max it checked:
+    truncation stability, the product to q_max equals the product built
+    three windows further (to q_max + 18) and cut at q_max."""
     t0 = time.perf_counter()
     wide = recurrence.product_truncated(q_max + 18).truncate(q_max)
     product = recurrence.product_truncated(q_max)

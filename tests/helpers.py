@@ -73,14 +73,37 @@ def ref_truncate(p: RefPoly, q_max: int) -> RefPoly:
 #
 # The side-B window transfer matrix as it was before its states held packed
 # TriPoly values: every state's terms are a plain dict, summed one term at a
-# time.  It reads the same automaton, so it checks the packed steps, the
-# truncation and the held layer of s_oracle, not the automaton itself.
+# time, move by move.  It reads the same plan, so it checks the packed
+# steps, the truncation and the held layer of s_oracle, not the plan itself.
+
+
+def window_automaton() -> tuple[
+    tuple[int, ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
+]:
+    """(class of the last window, moves) per state, read back from
+    partitions._window_plan: moves[s] lists (weight, t) for every target t
+    that s moves into, in class order.  A target's sources are its base's
+    plus its extras."""
+    classes, plan = partitions._window_plan()
+    sources: list[set[int]] = []
+    for _, _, base, extras in plan:
+        sources.append((set() if base is None else sources[base]) | set(extras))
+    moves = tuple(
+        tuple(
+            sorted(
+                ((weight, t) for (t, weight, _, _), src in zip(plan, sources) if s in src),
+                key=lambda move: classes[move[1]],
+            )
+        )
+        for s in range(len(classes))
+    )
+    return classes, moves
 
 
 def ref_window_dp(windows: int, q_max: int | None = None) -> list[tuple[int, RefPoly]]:
     """(class of window windows-1, terms) per final state, over windows
     0..windows-1; terms with N > q_max are dropped as they are produced."""
-    classes, moves = partitions._window_automaton()
+    classes, moves = window_automaton()
     layer: dict[int, RefPoly] = {0: {(0, 0, 0): 1}}
     for i in range(windows):
         nxt: dict[int, RefPoly] = {}

@@ -19,6 +19,7 @@ from helpers import (
     s_oracle_dfs,
     search_general_series,
     search_table,
+    window_automaton,
 )
 from sixfold import partitions
 from sixfold.partitions import (
@@ -111,7 +112,7 @@ def test_is_valid_B_is_local_to_three_windows(parts):
 
 
 def test_is_valid_B_is_the_same_at_every_window_position():
-    # _window_automaton reads its rows at windows 0..2: every triple of
+    # _window_plan reads its rows at windows 0..2: every triple of
     # classes placed there is judged the same after a shift by 6i.
     for triple in product(range(16), repeat=3):
         parts = [off + 6 * k for k in (2, 1, 0) for off in WINDOW_CLASSES[triple[k]]]
@@ -173,13 +174,23 @@ def test_window_automaton_rejects_a_predicate_that_moves_with_the_window(monkeyp
     valid = partitions.is_valid_B
     monkeypatch.setattr(partitions, "is_valid_B", lambda parts: valid(parts) or parts == extra)
     with pytest.raises(ValueError, match="is_valid_B judges windows 0 and 1 differently"):
-        partitions._window_automaton.__wrapped__()
+        partitions._window_plan.__wrapped__()
+
+
+def test_window_plan_asks_is_valid_B_2963_times(monkeypatch):
+    # 16 for the start and 16 for each of the 165 moves, then 51 for the
+    # classes of window 1 and 256 for the pairs of windows 0..1
+    valid, calls = partitions.is_valid_B, []
+    monkeypatch.setattr(partitions, "is_valid_B", lambda parts: calls.append(1) or valid(parts))
+    partitions._window_plan.__wrapped__()
+    assert len(calls) == 2963
 
 
 def test_window_automaton_is_pinned():
-    # ref_window_dp reads the same automaton, so that cross-check cannot see
-    # a change to it; its states, their order and their moves are pinned here.
-    automaton = partitions._window_automaton()
+    # ref_window_dp reads the same plan, so that cross-check cannot see a
+    # change to it; the automaton read back from the plan, its states, their
+    # order and their moves, is pinned here.
+    automaton = window_automaton()
     classes, moves = automaton
     assert len(classes) == 17
     assert sum(map(len, moves)) == 165
@@ -271,19 +282,20 @@ def _ref_transfer(layer, steps, q_max):
 @given(_transfer_cases())
 def test_transfer_equals_a_dict_term_step(case):
     layer, steps, q_max = case
-    start = {s: TriPoly(terms) for s, terms in layer.items()}
-    step_fns = [lambda _, step=step: step for step in steps]
+    got = {s: TriPoly(terms) for s, terms in layer.items()}
+    for step in steps:
+        got = partitions._transfer(got, step, q_max)
     expected = {t: TriPoly(terms) for t, terms in _ref_transfer(layer, steps, q_max).items()}
-    assert partitions._transfer(start, step_fns, q_max) == expected
+    assert got == expected
 
 
 def test_window_plan_builds_each_source_set_once():
-    _, moves = partitions._window_automaton()
+    _, moves = window_automaton()
     sources: dict[int, set[int]] = {}
     for s, row in enumerate(moves):
         for _, t in row:
             sources.setdefault(t, set()).add(s)
-    plan = partitions._window_plan()
+    _, plan = partitions._window_plan()
     assert sorted(t for t, *_ in plan) == sorted(sources) == list(range(17))
     for i, (t, weight, base, extras) in enumerate(plan):
         # one weight per target: every move into t carries it
@@ -346,7 +358,7 @@ def test_count_table_b_equals_the_value_dp_over_is_valid_B():
     Span 9 suffices.  The widest cap, f(6j-1) + f(6j) + f(6j+6) + f(6j+7),
     spans 9 values and the two-apart rule at most 7; caps are upper bounds,
     so a slice never fails where the whole list passes.  This checks
-    _window_automaton well past the part search's reach.
+    _window_plan well past the part search's reach.
     """
     for q_max in [*range(61), 120]:
         reference = partitions._value_dp(q_max, 9, is_valid_B, lambda v: profile_B([v]))

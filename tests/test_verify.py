@@ -28,7 +28,6 @@ from sixfold.verify import (
     general_case,
     run_all,
     suite,
-    suite_product,
     theorem1_check,
     theorem3_check,
     thm2_consistency,
@@ -181,8 +180,8 @@ def test_residual_time_is_charged_to_its_report(monkeypatch):
 
 
 def test_product_suite(memo):
-    reports = suite_product(12)
-    assert len(reports) == 1 and reports[0].passed
+    report, _ = verify._product_check(12)
+    assert report.identity == "Product" and report.passed
 
 
 def test_product_suite_catches_a_product_truncated_one_slot_short(monkeypatch):
@@ -194,7 +193,7 @@ def test_product_suite_catches_a_product_truncated_one_slot_short(monkeypatch):
         "product_truncated",
         lambda q_max, *a, **k: original(q_max, *a, **k).truncate(max(q_max - 1, 0)),
     )
-    (report,) = suite_product(12)
+    report, _ = verify._product_check(12)
     assert not report.passed and report.residual_terms == 3
 
 
