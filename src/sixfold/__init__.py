@@ -28,7 +28,6 @@ from .recurrence import (
     lemma3_residual,
     lemma4_residual,
     link_residual,
-    p_poly,
     product_truncated,
 )
 from .verify import (
@@ -70,7 +69,6 @@ __all__ = [
     "lemma4_residual",
     "link_residual",
     "monomial",
-    "p_poly",
     "product_truncated",
     "profile_A",
     "profile_B",

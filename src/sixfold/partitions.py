@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO, monomial, narrow
 
@@ -179,7 +179,7 @@ _Target = tuple[Hashable, int, int, int, int | None, Sequence[Hashable]]
 
 
 def _transfer(
-    layer: dict[Hashable, TriPoly], targets: Iterable[_Target], q_max: int | None = None
+    layer: dict[Hashable, TriPoly], targets: Sequence[_Target], q_max: int | None = None
 ) -> dict[Hashable, TriPoly]:
     """The layer after one step from `layer`, the step given by its `targets`.
 
@@ -195,7 +195,9 @@ def _transfer(
     the source sum of the earlier target at position `base` of the list (or
     zero when base is None) plus the values of the states `extras`, those
     missing from the layer skipped.  Each source sum is built once, and
-    read by the targets that name it as their base.  A target with dq = 0
+    read by the targets that name it as their base; it is dropped after the
+    last of them, and a sum that no later target reads is never kept, so a
+    step holds only the sums still to be read.  A target with dq = 0
     passes its sum on as it is; it places no part, so mu = nu = 0.  With a
     bound q_max, a target with dq > q_max is dropped, its source sum still
     built for the targets that build on it, and the sum is truncated to
@@ -216,13 +218,15 @@ def _transfer(
     1024-bit (side A) slots for coefficients of 54 bits.
     """
     nxt: dict[Hashable, TriPoly] = {}
-    sums: list[TriPoly] = []
-    for t, mu, nu, dq, base, extras in targets:
-        term = ZERO if base is None else sums[base]
+    last = {target[4]: i for i, target in enumerate(targets)}  # each base's last reader
+    sums: dict[int, TriPoly] = {}
+    for i, (t, mu, nu, dq, base, extras) in enumerate(targets):
+        term = ZERO if base is None else sums[base] if last[base] > i else sums.pop(base)
         for s in extras:
             if s in layer:
                 term = term + layer[s] if term else layer[s]
-        sums.append(term)
+        if i in last:
+            sums[i] = term
         if dq:
             if q_max is not None:
                 if dq > q_max:

@@ -2,15 +2,18 @@
 vanishing combinations J and K, the three auxiliary polynomials p1..p3,
 fourth-order residuals and the truncated generating product.
 
-The recurrence rules and the identities J, K, Lemma2 and Lemma3 are plain
-data tables in one term format: a monomial times factor tables (p1..p3
-among them) times a series S(n - dn, j).  Every q exponent is
-q_slope*n + q_offset with q_slope a multiple of 6, so each term is a
-polynomial in a, b, q and x = q^(6n) times a series.  One evaluator,
-`_combination`, sums every such table, the memo's rules included.  That
-makes the transcription reviewable term by term and lets the verification
-harness inject single-term mutations into the rules and the p-tables to
-confirm the suites actually notice a wrong coefficient or exponent.
+The recurrence rules and the identities J, K, Link, Lemma2 and Lemma3 are
+plain data tables in one term format: a monomial times factor tables
+(p1..p3 among them) times a series S(n - dn, j) or, where the term names
+an identity table in place of the class j, that identity's value at level
+n - dn (Link reads J and K so).  Every q exponent is q_slope*n + q_offset
+with q_slope a multiple of 6, so each term is a polynomial in a, b, q and
+x = q^(6n) times a series or an identity.  One evaluator, `_combination`,
+sums every such table, the memo's rules included; only Lemma4, a shifted
+series, is written as code.  That makes the transcription reviewable term
+by term and lets the verification harness inject single-term mutations
+into the rules and the p-tables to confirm the suites actually notice a
+wrong coefficient or exponent.
 """
 
 from __future__ import annotations
@@ -188,13 +191,6 @@ def _at(table: tuple[PolyTerm, ...], n: int, shift: int = 0) -> TriPoly:
     return acc.shift(shift, shift) if shift else acc
 
 
-def p_poly(i: int, n: int) -> TriPoly:
-    """Auxiliary polynomial p_i (i in 1..3) evaluated at level n."""
-    if i not in (1, 2, 3):
-        raise ValueError(f"i must be 1, 2 or 3, got {i}")
-    return _at(DEFAULT_P_TABLES[i - 1], n)
-
-
 # ---------------------------------------------------------- series memo
 
 
@@ -309,22 +305,33 @@ K_INNER: tuple[PolyTerm, ...] = (
     (1, 1, 1, 0, 6),
 )
 
+LINK_BRACKET: tuple[PolyTerm, ...] = (  # 1 + a*q^(6n+2) + b*q^(6n+4) + b*q^(6n+5)
+    (1, 0, 0, 0, 0),
+    (1, 1, 0, 6, 2),
+    (1, 0, 1, 6, 4),
+    (1, 0, 1, 6, 5),
+)
+
 P1, P2, P3 = 1, 2, 3  # factor tables that name p_i in the memo's `p_tables`
 
-# An identity term is a RuleTerm times factors (table, d) or (table, d, s):
-# the table at level n - d, with a -> a*q^s and b -> b*q^s when s is given.
-IdentityTerm = tuple[int | tuple[tuple[PolyTerm, ...] | int, ...], ...]
+# An identity term is a RuleTerm whose jref names a window class or an
+# identity table, times factors (table, d) or (table, d, s): the table at
+# level n - d, with a -> a*q^s and b -> b*q^s when s is given.  A named
+# identity stands for its value at level n - dn, held by the memo.
+IdentityTerm = tuple[int | tuple, ...]
 
 
 def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> TriPoly:
-    """Sum of the terms at level n >= 0.  A term whose series is zero is
-    skipped before its factors are built, and small factors are multiplied
-    first."""
+    """Sum of the terms at level n >= 0, each times the series S(n - dn, jref)
+    or, when jref is an identity table, that identity's value at level
+    n - dn (`SeriesMemo.combination`).  A term whose series or identity value
+    is zero is skipped before its factors are built, and small factors are
+    multiplied first."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     acc = ZERO
     for coeff, e_a, e_b, slope, offset, dn, jref, *factors in terms:
-        series = memo.s(n - dn, jref)
+        series = memo.s(n - dn, jref) if isinstance(jref, int) else memo.combination(jref, n - dn)
         if not series:
             continue
         small = monomial(coeff, e_a, e_b, slope * n + offset)
@@ -354,6 +361,13 @@ K_TERMS: tuple[IdentityTerm, ...] = (
     (-1, 3, 3, 18, 6, 2, 9, (ONE_MINUS_X, 0)),
 )
 
+# J(n) and K(n) times their factors, minus K(n+1): a dn of -1 reads the level above.
+LINK_TERMS: tuple[IdentityTerm, ...] = (
+    (1, 2, 1, 12, 19, 0, J_TERMS),
+    (-1, 0, 0, 0, 0, -1, K_TERMS),
+    (1, 1, 0, 6, 13, 0, K_TERMS, (LINK_BRACKET, 0)),
+)
+
 
 def J_poly(n: int, memo: SeriesMemo) -> TriPoly:
     """First vanishing combination of series values; zero for every n >= 0.
@@ -368,20 +382,12 @@ def K_poly(n: int, memo: SeriesMemo) -> TriPoly:
 
 
 def link_residual(n: int, memo: SeriesMemo) -> TriPoly:
-    """Combination of J(n), K(n) and K(n+1) that vanishes because each of
-    them does: its verdict at level n follows from those of J and K, whose
-    values it reads from the memo."""
-    bracket = (
-        ONE
-        + monomial(1, 1, 0, 6 * n + 2)
-        + monomial(1, 0, 1, 6 * n + 4)
-        + monomial(1, 0, 1, 6 * n + 5)
-    )
-    return (
-        monomial(1, 2, 1, 12 * n + 19) * J_poly(n, memo)
-        - K_poly(n + 1, memo)
-        + monomial(1, 1, 0, 6 * n + 13) * bracket * K_poly(n, memo)
-    )
+    """Combination of J(n), K(n) and K(n+1), read from the memo's held
+    values, that vanishes because each of them does: its verdict at level n
+    follows from those of J and K.  On a pristine memo it is zero whatever
+    its constants, since J and K are; only a memo on which J or K fails
+    shows its table."""
+    return _combination(LINK_TERMS, n, memo)
 
 
 # ------------------------------------------------- fourth-order residuals

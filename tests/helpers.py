@@ -73,31 +73,42 @@ def ref_truncate(p: RefPoly, q_max: int) -> RefPoly:
 #
 # The side-B window transfer matrix as it was before its states held packed
 # TriPoly values: every state's terms are a plain dict, summed one term at a
-# time, move by move.  It reads the same plan, so it checks the packed
-# steps, the truncation and the held layer of s_oracle, not the plan itself.
+# time, move by move.  Its automaton is built move by move straight from
+# is_valid_B, as the package built it before its window plan, so the
+# cross-checks see the plan as well as the packed steps, the truncation and
+# the held layer of s_oracle.
+
+Weight = tuple[int, int, int, int]  # (mu, nu, total, size)
 
 
-def window_automaton() -> tuple[
-    tuple[int, ...], tuple[tuple[tuple[tuple[int, ...], int], ...], ...]
-]:
-    """(class of the last window, moves) per state, read back from
-    partitions._window_plan: moves[s] lists (weight, t) for every target t
-    that s moves into, in class order.  A target's sources are its base's
-    plus its extras."""
-    classes, plan = partitions._window_plan()
-    sources: list[set[int]] = []
-    for _, _, base, extras in plan:
-        sources.append((set() if base is None else sources[base]) | set(extras))
-    moves = tuple(
-        tuple(
-            sorted(
-                ((weight, t) for (t, weight, _, _), src in zip(plan, sources) if s in src),
-                key=lambda move: classes[move[1]],
-            )
-        )
-        for s in range(len(classes))
-    )
-    return classes, moves
+def window_automaton() -> tuple[tuple[int, ...], tuple[tuple[tuple[Weight, int], ...], ...]]:
+    """(class of the last window, moves) per state; state 0 is the start.
+
+    A state is the class of the last window placed together with the row
+    of classes is_valid_B allows in the window above it, read with the
+    parts of the previous class, the class and the next one placed at
+    windows 0, 1 and 2.  moves[s] lists (weight, next state) for each next
+    class in the row, its weight being the class's profile, the sum of its
+    offsets and its number of parts.  Reads no part of the window plan."""
+    classes = PAPER_WINDOW_CLASSES
+    weights = [(*partitions.profile_B(cls), sum(cls), len(cls)) for cls in classes]
+    placed = [[[off + 6 * k for off in cls] for cls in classes] for k in range(3)]
+    index: dict[tuple[int, tuple[int, ...]], int] = {}
+    states: list[tuple[int, tuple[int, ...]]] = []
+
+    def state(prev: int, cls: int) -> int:
+        below = placed[1][cls] + placed[0][prev]
+        row = tuple(nxt for nxt, part in enumerate(placed[2]) if partitions.is_valid_B(part + below))
+        if (cls, row) not in index:
+            index[cls, row] = len(states)
+            states.append((cls, row))
+        return index[cls, row]
+
+    state(0, 0)  # windows -2 and -1, both empty
+    moves = []
+    for cls, row in states:  # grows while it is walked
+        moves.append(tuple((weights[nxt], state(cls, nxt)) for nxt in row))
+    return tuple(cls for cls, _ in states), tuple(moves)
 
 
 def ref_window_dp(windows: int, q_max: int | None = None) -> list[tuple[int, RefPoly]]:

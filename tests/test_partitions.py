@@ -187,9 +187,8 @@ def test_window_plan_asks_is_valid_B_2963_times(monkeypatch):
 
 
 def test_window_automaton_is_pinned():
-    # ref_window_dp reads the same plan, so that cross-check cannot see a
-    # change to it; the automaton read back from the plan, its states, their
-    # order and their moves, is pinned here.
+    # the reference automaton, built from is_valid_B apart from the plan:
+    # its states, their order and their moves
     automaton = window_automaton()
     classes, moves = automaton
     assert len(classes) == 17
@@ -279,6 +278,22 @@ def _ref_transfer(layer, steps, q_max):
         3,
     )
 )
+# No bound: position 0's sum is read by the two targets after it, the second
+# its last reader, and the first builds on it and is the base of a later one.
+@example(
+    (
+        {0: {(0, 0, 0): 1}, 1: {(0, 0, 1): 1}, 2: {(1, 0, 0): 3}},
+        [
+            [
+                (0, 0, 0, 1, None, [0, 1]),
+                (1, 0, 1, 2, 0, [2]),
+                (2, 0, 0, 0, 0, []),
+                (0, 1, 1, 1, 1, []),
+            ]
+        ],
+        None,
+    )
+)
 @given(_transfer_cases())
 def test_transfer_equals_a_dict_term_step(case):
     layer, steps, q_max = case
@@ -297,13 +312,16 @@ def test_window_plan_builds_each_source_set_once():
             sources.setdefault(t, set()).add(s)
     _, plan = partitions._window_plan()
     assert sorted(t for t, *_ in plan) == sorted(sources) == list(range(17))
+    built: list[set[int]] = []  # each target's source set as the plan builds it
     for i, (t, weight, base, extras) in enumerate(plan):
         # one weight per target: every move into t carries it
         assert {w for row in moves for w, u in row if u == t} == {weight}
-        below = set() if base is None else sources[plan[base][0]]
         assert base is None or base < i
-        assert below <= sources[t] and below.isdisjoint(extras)
-        assert below | set(extras) == sources[t]
+        below = set() if base is None else built[base]
+        assert below.isdisjoint(extras)
+        built.append(below | set(extras))
+        # the transpose of the reference automaton's moves
+        assert built[i] == sources[t], t
     # 10 distinct source sets; each built once, from the largest one built
     # before it: 21 layer reads a window, where the moves were 165
     assert len({frozenset(src) for src in sources.values()}) == 10

@@ -24,6 +24,8 @@ from sixfold.recurrence import (
     K_TERMS,
     LEMMA2_TERMS,
     LEMMA3_TERMS,
+    LINK_BRACKET,
+    LINK_TERMS,
     ONE_MINUS_X,
     P1_TERMS,
     P2_TERMS,
@@ -39,9 +41,9 @@ from sixfold.recurrence import (
     link_residual,
     mutate_p_tables,
     mutate_rec_rules,
-    p_poly,
     product_truncated,
 )
+from sixfold import recurrence
 from sixfold.recurrence import _at, _combination
 
 
@@ -203,28 +205,23 @@ def test_p_tables_have_the_printed_term_counts():
 
 def test_p1_spot_coefficients():
     for n in (1, 2, 5):
-        assert p_poly(1, n).coeff(1, 1, 12 * n) == 3
-        assert p_poly(1, n).coeff(2, 0, 12 * n - 3) == 2
+        assert _at(P1_TERMS, n).coeff(1, 1, 12 * n) == 3
+        assert _at(P1_TERMS, n).coeff(2, 0, 12 * n - 3) == 2
     # at n = 0 the terms ab*q^(6n) and 3ab*q^(12n) share an exponent and merge
-    assert p_poly(1, 0).coeff(1, 1, 0) == 4
+    assert _at(P1_TERMS, 0).coeff(1, 1, 0) == 4
 
 
 def test_p3_spot_coefficients():
     for n in (1, 2, 4):
-        assert p_poly(3, n).coeff(3, 3, 24 * n - 12) == -1
+        assert _at(P3_TERMS, n).coeff(3, 3, 24 * n - 12) == -1
     for n in (2, 4):
-        assert p_poly(3, n).coeff(3, 3, 18 * n - 12) == -1
+        assert _at(P3_TERMS, n).coeff(3, 3, 18 * n - 12) == -1
 
 
 def test_p_polys_merge_without_dropping_terms_at_generic_level():
-    assert len(p_poly(1, 3)) == 40
-    assert len(p_poly(2, 3)) == 43
-    assert len(p_poly(3, 3)) == 23
-
-
-def test_p_poly_rejects_bad_index():
-    with pytest.raises(ValueError):
-        p_poly(4, 0)
+    assert len(_at(P1_TERMS, 3)) == 40
+    assert len(_at(P2_TERMS, 3)) == 43
+    assert len(_at(P3_TERMS, 3)) == 23
 
 
 # ------------------------------------------------- fourth-order residuals
@@ -253,7 +250,7 @@ def test_lemma3_level0_finding_is_pinned(memo):
     bracket = poly_of(
         [(1, 0, 0, 0), (1, 1, 0, -5), (1, 1, 0, -4), (1, 0, 1, -2), (1, 0, 1, -1)]
     )
-    assert bracket * s_oracle(0, 15) - p_poly(1, -1).shift(6, 6) == expected
+    assert bracket * s_oracle(0, 15) - _at(P1_TERMS, -1).shift(6, 6) == expected
 
 
 def _term_factor_product(term, n: int, p_tables):
@@ -402,8 +399,12 @@ IDENTITIES = ((J_TERMS, 0), (K_TERMS, 0), (LEMMA2_TERMS, 0), (LEMMA3_TERMS, 1))
 FACTOR_TABLES = (WINDOW, ONE_MINUS_X, J_BRACKET, J_INNER, K_INNER)
 
 
+def _replace(items: tuple, index: int, new) -> tuple:
+    return items[:index] + (new,) + items[index + 1:]
+
+
 def _bump(term: tuple, index: int, delta: int) -> tuple:
-    return term[:index] + (term[index] + delta,) + term[index + 1:]
+    return _replace(term, index, term[index] + delta)
 
 
 def _replace_factor(terms: tuple, old: tuple, new: tuple) -> tuple:
@@ -436,5 +437,59 @@ def test_single_term_edits_of_the_identity_tables_are_caught(memo):
     for label, identities in edits:
         assert caught(identities), label
     # x = q^(6n): every term is a polynomial in a, b, q and x
-    tables = (*REC_RULES, *DEFAULT_P_TABLES, *FACTOR_TABLES, *(terms for terms, _ in IDENTITIES))
+    tables = (
+        *REC_RULES,
+        *DEFAULT_P_TABLES,
+        *FACTOR_TABLES,
+        *(terms for terms, _ in IDENTITIES),
+        LINK_TERMS,
+        LINK_BRACKET,
+    )
     assert all(term[3] % 6 == 0 for table in tables for term in table)
+
+
+def _bumped(term: tuple, fields, exponents=(1, 2)):
+    """(field, delta, term) for every +/-1 change of one of `fields` that
+    leaves the fields `exponents` >= 0."""
+    for k in fields:
+        for delta in (-1, 1):
+            if k not in exponents or term[k] + delta >= 0:
+                yield k, delta, _bump(term, k, delta)
+
+
+def _link_edits():
+    """(label, Link table) for every +/-1 change of an integer field of
+    LINK_TERMS, the bracket factor's level included, or of LINK_BRACKET that
+    leaves every a and b exponent >= 0."""
+    for t, term in enumerate(LINK_TERMS):
+        edits = list(_bumped(term, range(6)))
+        for f in range(7, len(term)):  # a factor's level d
+            edits += [(f, delta, _replace(term, f, new)) for _, delta, new in _bumped(term[f], [1], ())]
+        for k, delta, new in edits:
+            yield ("term", t, k, delta), _replace(LINK_TERMS, t, new)
+    for t, term in enumerate(LINK_BRACKET):
+        for k, delta, new in _bumped(term, range(5)):
+            bracket = _replace(LINK_BRACKET, t, new)
+            yield ("bracket", t, k, delta), _replace_factor(LINK_TERMS, LINK_BRACKET, bracket)
+
+
+def test_link_residual_reads_its_table(monkeypatch, memo):
+    # J and K vanish on the pristine memo, so Link does whatever its
+    # constants; on BROKEN_JK_RULES every edit of its table shows.
+    broken = SeriesMemo(BROKEN_JK_RULES)
+    levels = range(1, 4)
+    expected = [link_residual(n, broken) for n in levels]
+    assert all(expected)
+    edits = list(_link_edits())
+    assert len(edits) == 70
+    below_zero = []
+    for label, terms in edits:
+        monkeypatch.setattr(recurrence, "LINK_TERMS", terms)
+        assert [link_residual(n, broken) for n in levels] != expected, label
+        assert all(link_residual(n, memo).is_zero() for n in levels), label
+        try:
+            link_residual(0, broken)
+        except ValueError:
+            below_zero.append(label)
+    # a dn of 1 on J(n) or K(n) reads level -1 at n = 0, as J_poly(-1) would
+    assert below_zero == [("term", 0, 5, 1), ("term", 2, 5, 1)]

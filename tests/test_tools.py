@@ -8,6 +8,7 @@ PACKAGE = Path(__file__).parent.parent / "src" / "sixfold"
 sys.path.insert(0, str(TOOLS))
 try:
     from code_lines import code_lines, main
+    from digests import digest, entries
     from mutants import mutants, run
 finally:
     sys.path.remove(str(TOOLS))
@@ -84,3 +85,13 @@ def test_a_cap_that_skips_window_0_is_a_config_error():
     assert source.count(cap) == 1
     mutant = source.replace(cap, "        if j and g(base + 5, 0) + g(base + 7, 0) > 1:\n")
     assert run(PACKAGE, mutant) == ("", "error: is_valid_B judges windows 0 and 1 differently\n", 2)
+
+
+def test_digests_name_each_output_once_and_repeat_on_cheap_ones():
+    # 2 CLI runs, Link on 17 memos, 6 count-table groups, 21 oracle levels
+    # and 4 general series
+    outputs = dict(entries(PACKAGE.parent))
+    assert len(entries(PACKAGE.parent)) == len(outputs) == 50
+    for name in ("link_residual n=0..6 rules seed 0", "s_oracle n=4"):
+        assert len(digest(outputs[name])) == 64
+        assert digest(outputs[name]) == digest(outputs[name]), name

@@ -1,0 +1,102 @@
+"""SHA-256 digests of sixfold's outputs, to compare two versions of the
+package: run the tool on each and diff what it prints.
+
+    python3 tools/digests.py [SRC_DIR]      # default: src
+
+imports sixfold from SRC_DIR, the directory that holds the package, and
+prints one `name sha256` line per output, in this order:
+
+* `sixfold verify --suite all` and `sixfold verify --suite link --n-max 12`,
+  each run in a fresh process: stdout with every `ms` zeroed, stderr and
+  the exit code (see mutants.run);
+* link_residual at levels 0..6 on the pristine memo and on the memos of
+  mutate_rec_rules and of mutate_p_tables with seeds 0..7;
+* count_table("A") and count_table("B") at q = 0..80, 300 and 1000;
+* s_oracle(n, j) for every j at levels 0..18 in turn, then at 3 and 0, so
+  the held layer steps on and then starts again from window 0;
+* general_A_series and general_B_series at n = 1000 for b0-433 and b0-533.
+
+Each output is digested piece by piece, a polynomial at a time as its
+canonical JSON, so no more than one of them is held as text.  No bytecode
+is written, so the package is left without a __pycache__.  The package's
+path goes to stderr.  A run takes about 60-75 s and peaks at about
+530 MiB (s_oracle at level 18) on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+from typing import Callable, Iterator
+
+from mutants import run
+
+ORACLE_LEVELS = (*range(19), 3, 0)
+
+
+def _once(f: Callable[..., object], *args) -> Callable[[], Iterator[str]]:
+    """An output of one piece, the JSON of f(*args)."""
+    return lambda: iter([json.dumps(f(*args))])
+
+
+def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
+    """(name, output) per output, in print order.  output() yields the
+    output in pieces, each polynomial as its canonical JSON, computed with
+    the sixfold that is imported; the CLI runs the one under src."""
+    from sixfold import partitions, recurrence
+    from sixfold.partitions import EXTRA_PARAMS, count_table, s_oracle
+
+    package = src / "sixfold"
+
+    def link(rules=recurrence.REC_RULES, p_tables=recurrence.DEFAULT_P_TABLES):
+        memo = recurrence.SeriesMemo(rules, p_tables)
+        return lambda: (recurrence.link_residual(n, memo).to_json() for n in range(7))
+
+    out = [
+        (" ".join(argv), _once(run, package, None, argv))
+        for argv in (("verify", "--suite", "all"), ("verify", "--suite", "link", "--n-max", "12"))
+    ]
+    out.append(("link_residual n=0..6 pristine", link()))
+    for seed in range(8):
+        rules, _ = recurrence.mutate_rec_rules(recurrence.REC_RULES, random.Random(seed))
+        p_tables, _ = recurrence.mutate_p_tables(recurrence.DEFAULT_P_TABLES, random.Random(seed))
+        out.append((f"link_residual n=0..6 rules seed {seed}", link(rules=rules)))
+        out.append((f"link_residual n=0..6 p-tables seed {seed}", link(p_tables=p_tables)))
+    for side in "AB":
+        for name, qs in (("0..80", range(81)), ("300", [300]), ("1000", [1000])):
+            tables = lambda side=side, qs=qs: (count_table(side, q).to_json() for q in qs)
+            out.append((f"count_table {side} q={name}", tables))
+    for i, n in enumerate(ORACLE_LEVELS):
+        name = f"s_oracle n={n}" + (" again" if n in ORACLE_LEVELS[:i] else "")
+        out.append((name, lambda n=n: (s_oracle(n, j).to_json() for j in range(16))))
+    for extra, gp in EXTRA_PARAMS.items():
+        out.append((f"general_A_series {extra} n=1000", _once(partitions.general_A_series, gp, 1000)))
+        out.append((f"general_B_series {extra} n=1000", _once(partitions.general_B_series, gp, 1000, extra)))
+    return out
+
+
+def digest(output: Callable[[], Iterator[str]]) -> str:
+    """SHA-256 of the pieces output() yields, joined."""
+    h = hashlib.sha256()
+    for piece in output():
+        h.update(piece.encode())
+    return h.hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    src = Path(argv[0] if argv else "src").resolve()
+    sys.dont_write_bytecode = True
+    sys.path.insert(0, str(src))
+    import sixfold
+
+    print(f"sixfold from {Path(sixfold.__file__).parent}", file=sys.stderr)
+    for name, output in entries(src):
+        print(f"{name} {digest(output)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -115,11 +115,14 @@ def mutants(source: str) -> list[tuple[str, str]]:
     return out
 
 
-def run(package: Path, partitions_source: str | None = None) -> tuple[str, str, int | None]:
-    """(stdout with every `ms` zeroed, stderr, exit code) of `sixfold verify
-    --suite all` run in a fresh process on a copy of `package`, its
-    partitions module replaced by `partitions_source` when given.  The exit
-    code is None when the run took more than TIMEOUT_S seconds."""
+def run(
+    package: Path, partitions_source: str | None = None, argv: tuple[str, ...] = VERIFY
+) -> tuple[str, str, int | None]:
+    """(stdout with every `ms` zeroed, stderr, exit code) of `sixfold <argv>`,
+    by default `sixfold verify --suite all`, run in a fresh process on a copy
+    of `package`, its partitions module replaced by `partitions_source` when
+    given.  The exit code is None when the run took more than TIMEOUT_S
+    seconds."""
     with tempfile.TemporaryDirectory() as tmp:
         copy_dir = Path(tmp) / package.name
         shutil.copytree(package, copy_dir, ignore=shutil.ignore_patterns("__pycache__"))
@@ -129,7 +132,7 @@ def run(package: Path, partitions_source: str | None = None) -> tuple[str, str, 
             sys.executable,
             "-c",
             "import sys; from sixfold.cli import main; sys.exit(main(sys.argv[1:]))",
-            *VERIFY,
+            *argv,
         ]
         env = {**os.environ, "PYTHONPATH": tmp, "PYTHONDONTWRITEBYTECODE": "1"}
         try:
