@@ -13,9 +13,10 @@ a^e_a * b^e_b * q^(q0 + i) as one Python int
     x = sum_i c_i * 2^(W*i),   |c_i| < 2^(W-1),
 
 with the same slot width W for every row of a value.  Adding two rows is one
-int addition, a monomial times a row one int multiplication, and the product
-of two rows one int product, all done by CPython's big-int code instead of
-per term in Python.
+int addition, a monomial times a row one int multiplication, and a general
+product one int product per pair of a row of one operand and an occupied
+run of a row of the other (Products, below), all done by CPython's big-int
+code instead of per term in Python.
 
 Injectivity.  Such an x is a balanced base-2^W numeral, and every integer has
 exactly one, so x determines its slots.  Substituting q = 2^W is a ring
@@ -32,11 +33,13 @@ its operands':
 * sum: b1 + b2.  When that needs a wider W than both operands have, both
   operands' bounds are first re-derived from their rows by a mask test
   (_slot_bits), and the sum widens only if it still has to;
-* product: the sum of the |coefficients| of one operand times the bound of
-  the other (each coefficient of the product sums at most one product per
-  term of the first operand).  When that needs a wider W than both operands
-  have, the other operand's bound is first re-derived the same way, and
-  the product widens only if it still has to;
+* product: the sum of the |coefficients| of one operand, the one with fewer
+  rows, times the bound of the other (each coefficient of the product sums
+  at most one product per term of the first operand).  When that needs a
+  wider W than both operands have, the other operand's bound is first
+  re-derived the same way, and the product widens only if it still has to.
+  Cutting the first operand's rows into pieces (Products) changes neither
+  that sum nor the width;
 * product by a monomial, a value of one row of one slot c: |c| times the
   other operand's bound, by the same rule.  It re-keys the other operand's
   rows and scales each by c, and c times a canonical row is canonical, so
@@ -70,10 +73,32 @@ levels 0..11 stay in 32-bit slots and levels 12..18 in 64.
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
 dict.  Terms are decoded only to print, count, hash or look one up, and
-for the norm of a general product's smaller operand, all by `_unpack`: the
-biased value x + 2^(W-1) * sum_i 2^(W*i) has digits c_i + 2^(W-1) in
-[0, 2^W), so `to_bytes` and one array conversion read every slot in
-linear time.
+for the norm and the cuts of a general product's smaller operand, all from
+the biased bytes (`_biased`): the biased value x + 2^(W-1) * sum_i 2^(W*i)
+has digits c_i + 2^(W-1) in [0, 2^W), so `to_bytes` and one array
+conversion read every slot in linear time.
+
+Products (`_cut`, GAP).  The factor tables of the identities carry
+x = q^(6n) (`ONE_MINUS_X`, and p1..p3 inside), so their rows are mostly
+zero slots: a row of 1 - q^(6n) holds 2 terms in 6n + 1 slots, and
+P3 * (1 - x)(1 - x') at level 7 holds 79 terms in 673.  Over the
+`recurrence-deep` benchmark the smaller operands of the general products
+hold 3,146 terms in 15,792 slots, and whole rows make 49.2 M slot products
+with the other operands' slots.  So a general product cuts each row of its
+operand with fewer rows at every run of GAP or more zero slots, and
+multiplies each piece, at its own q offset, by the other operand's rows
+into the same accumulator row: there, 1,037 pieces from 664 rows and
+13.2 M slot products.  A piece is read from the biased digits of its slots,
+so it is exactly their balanced numeral, whatever the borrow of the slots
+below the cut; a row with no such run is one piece, the row itself.
+GAP = 16 because a piece costs one more int product and one more shift-add
+into its accumulator row for each row of the other operand, which a short
+zero run does not repay.  On `recurrence-deep`'s residuals (2-core VM,
+fresh processes, least CPU time over seven fresh memos) GAP = 12..24 took
+0.065-0.069 s against 0.087 s uncut; GAP = 1 and 4 took 0.072-0.075 s
+(GAP = 1 leaves 9.6 M slot products, in 1,574 pieces), and GAP = 48 lost
+the gain (0.092-0.097 s): at level 7 the zero runs between the x terms are
+about 6n = 42 slots less the widths of the runs.
 
 Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
 and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
@@ -98,6 +123,8 @@ Key = tuple[int, int, int]  # (e_a, e_b, e_q)
 Row = tuple[int, int]  # (q0, x)
 T = TypeVar("T")
 
+GAP = 16  # zero slots at which a general product cuts a row (module docstring, Products)
+
 
 def _width(bound: int, floor: int = 32) -> int:
     """Smallest slot width 32 * 2^k, and at least floor, whose balanced slots
@@ -114,11 +141,16 @@ def _bias(w: int, k: int) -> int:
     return int.from_bytes((1 << (w - 1)).to_bytes(w // 8, "little") * k, "little")
 
 
-def _unpack(x: int, w: int):
-    """Biased slots c_i + 2^(w-1) of the row x, lowest first, in one pass
-    (the last slot may be padding, which reads as c = 0)."""
+def _biased(x: int, w: int) -> bytes:
+    """The row x with 2^(w-1) added in each of its slots, as little-endian
+    bytes: slot i holds the digit c_i + 2^(w-1) in [0, 2^w) (the last slot
+    may be padding, which reads as c = 0)."""
     k = x.bit_length() // w + 1
-    raw = (x + _bias(w, k)).to_bytes(k * w // 8, "little")
+    return (x + _bias(w, k)).to_bytes(k * w // 8, "little")
+
+
+def _digits(raw: bytes, w: int):
+    """The w-bit digits of raw (from _biased), lowest first, in one pass."""
     if w > 64:
         size = w // 8
         return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
@@ -126,6 +158,11 @@ def _unpack(x: int, w: int):
     if sys.byteorder == "big":
         units.byteswap()
     return units
+
+
+def _unpack(x: int, w: int):
+    """Biased slots c_i + 2^(w-1) of the row x, lowest first."""
+    return _digits(_biased(x, w), w)
 
 
 def _reencode(x: int, w: int, w2: int) -> int:
@@ -153,6 +190,35 @@ def _canon(q0: int, x: int, w: int) -> Row:
     """The non-zero row (q0, x) with its zero low slots dropped."""
     k = ((x & -x).bit_length() - 1) // w
     return (q0 + k, x >> (k * w)) if k else (q0, x)
+
+
+def _cut(x: int, w: int) -> tuple[int, list[tuple[int, int]]]:
+    """(norm, pieces) of the canonical row x: the sum of its |coefficients|
+    and its slots cut at every run of GAP or more zero slots, as pieces
+    (i, x_run), x_run holding slots i, i+1, ... of x up to the next cut.
+
+    A piece is read from the biased digits (_biased), not shifted out of x:
+    the digits of its slots, less 2^(w-1) in each, are exactly its balanced
+    numeral, whatever the signs of the slots below the cut.  A row with no
+    such run is one piece, x itself."""
+    raw = _biased(x, w)
+    half = 1 << (w - 1)
+    slots = _digits(raw, w)
+    occupied = [i for i, u in enumerate(slots) if u != half]
+    norm = sum(abs(slots[i] - half) for i in occupied)
+    runs, start = [], 0  # slot 0 of a canonical row is occupied
+    for prev, i in zip(occupied, occupied[1:]):
+        if i - prev > GAP:
+            runs.append((start, prev + 1))
+            start = i
+    if not runs:
+        return norm, [(0, x)]
+    runs.append((start, occupied[-1] + 1))
+    size = w // 8
+    return norm, [
+        (i, int.from_bytes(raw[i * size : end * size], "little") - _bias(w, end - i))
+        for i, end in runs
+    ]
 
 
 def _check_ab(e_a: int, e_b: int) -> None:
@@ -398,12 +464,17 @@ class TriPoly:
                         bound,
                     )
         small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
-        half = 1 << (small._w - 1)
-        norm = sum(abs(u - half) for _, x in small._rows.values() for u in _unpack(x, small._w))
+        norm, pieces = 0, []
+        for (ea, eb), (q0, x) in small._rows.items():
+            row_norm, runs = _cut(x, small._w)
+            norm += row_norm
+            pieces += [(ea, eb, q0 + i, x_run) for i, x_run in runs]
         bound, w = _product_bound(norm, big, floor)
+        if w != small._w:
+            pieces = [(ea, eb, q, _reencode(x, small._w, w)) for ea, eb, q, x in pieces]
         acc: dict[tuple[int, int], list[int]] = {}
         big_rows = big._rows_at(w).items()
-        for (ea1, eb1), (q1, x1) in small._rows_at(w).items():
+        for ea1, eb1, q1, x1 in pieces:
             for (ea2, eb2), (q2, x2) in big_rows:
                 key = (ea1 + ea2, eb1 + eb2)
                 q, x = q1 + q2, x1 * x2

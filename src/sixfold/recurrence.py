@@ -184,11 +184,17 @@ DEFAULT_P_TABLES: PTables = (P1_TERMS, P2_TERMS, P3_TERMS)
 
 def _at(table: tuple[PolyTerm, ...], n: int, shift: int = 0) -> TriPoly:
     """The table's polynomial at level n (q exponents may be negative at small
-    n), with a -> a*q^shift and b -> b*q^shift when shift is non-zero."""
-    acc = ZERO
+    n), with a -> a*q^shift and b -> b*q^shift when shift is non-zero.
+
+    Terms whose exponents coincide at n are summed into one term dict, and
+    the value is built from it at once (`TriPoly(terms)`), so its bound is
+    its largest |coefficient|, not the sum of them."""
+    terms: dict[tuple[int, int, int], int] = {}
     for coeff, e_a, e_b, slope, offset in table:
-        acc = acc + monomial(coeff, e_a, e_b, slope * n + offset)
-    return acc.shift(shift, shift) if shift else acc
+        key = (e_a, e_b, slope * n + offset)
+        terms[key] = terms.get(key, 0) + coeff
+    value = TriPoly(terms)
+    return value.shift(shift, shift) if shift else value
 
 
 # ---------------------------------------------------------- series memo

@@ -16,7 +16,7 @@ from helpers import (
     ref_truncate,
 )
 from sixfold.partitions import count_table
-from sixfold.poly import ONE, ZERO, TriPoly, _slot_bits, _width, monomial, narrow
+from sixfold.poly import GAP, ONE, ZERO, TriPoly, _cut, _slot_bits, _width, monomial, narrow
 from sixfold.recurrence import P2_TERMS, SeriesMemo, _at, product_truncated
 
 
@@ -321,6 +321,50 @@ def test_products_of_values_whose_bound_exceeds_their_coefficients(p_terms, q_te
         _assert_matches(x * q, ref_mul(rx, rq))
         _assert_matches(q * x, ref_mul(rq, rx))
         _assert_matches(x * x, ref_mul(rx, rx))
+
+
+# A general product cuts the rows of its operand with fewer rows at every run
+# of GAP or more zero slots.  Rows of a few q exponents spread over 0..400
+# carry zero runs both shorter and longer than GAP; the clustered exponents
+# make short ones; the coefficients take 32-, 64- and 128-bit slots.
+_sparse_terms = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=-10, max_value=400) | st.integers(min_value=0, max_value=2 * GAP),
+    ),
+    st.integers(min_value=-3, max_value=3)
+    | st.integers(min_value=-(2**40), max_value=2**40)
+    | st.integers(min_value=-(2**100), max_value=2**100),
+    min_size=2,
+    max_size=12,
+)
+_TWO_ROWS = {(0, 0, 0): 1, (0, 0, 3): -2, (1, 0, 1): 5}
+
+
+@settings(max_examples=300)
+@given(_sparse_terms, _sparse_terms)
+@example({(0, 0, 0): 1, (0, 0, GAP + 1): 1}, _TWO_ROWS)  # a run of exactly GAP zeros
+@example({(0, 0, 0): 1, (0, 0, GAP): 1}, _TWO_ROWS)  # GAP - 1 zeros: no cut
+# a negative lowest slot of a later run, and a negative top slot below a cut
+@example({(0, 0, 0): 5, (0, 0, GAP + 1): -3, (0, 0, GAP + 2): 7}, _TWO_ROWS)
+@example({(0, 0, 0): 1, (0, 0, 1): -1, (0, 0, GAP + 3): 1}, _TWO_ROWS)
+# every run one slot, alternating in sign
+@example({(0, 0, i * (GAP + 1)): (-1) ** i for i in range(5)}, _TWO_ROWS)
+@example({(0, 0, -7): -1, (0, 0, GAP - 6): 2, (1, 0, -3): 1}, _TWO_ROWS)  # negative q0
+@example({(0, 0, 0): -(2**100), (0, 0, 2 * GAP): 2**99 + 1}, {(0, 0, 0): 2**60, (0, 1, 5): -1})
+def test_products_of_sparse_rows_match_the_reference(p_terms, q_terms):
+    (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
+    for prod, ref in ((p * q, ref_mul(rp, rq)), (q * p, ref_mul(rq, rp)), (p * p, ref_mul(rp, rp))):
+        _assert_matches(prod, ref)
+
+
+def test_rows_are_cut_at_runs_of_gap_zero_slots():
+    for gap, pieces in ((GAP, 2), (GAP - 1, 1)):
+        (_, x), = TriPoly({(0, 0, 0): -1, (0, 0, gap + 1): 2})._rows.values()
+        assert [i for i, _ in _cut(x, 32)[1]] == [0, gap + 1][:pieces]
+    (_, x), = TriPoly({(0, 0, i * (GAP + 1)): (-1) ** i for i in range(4)})._rows.values()
+    assert _cut(x, 32) == (4, [(i * (GAP + 1), (-1) ** i) for i in range(4)])
 
 
 # ------------------------------------------------------- the canonical walk

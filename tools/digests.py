@@ -6,11 +6,14 @@ package: run the tool on each and diff what it prints.
 imports sixfold from SRC_DIR, the directory that holds the package, and
 prints one `name sha256` line per output, in this order:
 
-* `sixfold verify --suite all` and `sixfold verify --suite link --n-max 12`,
-  each run in a fresh process: stdout with every `ms` zeroed, stderr and
-  the exit code (see mutants.run);
-* link_residual at levels 0..6 on the pristine memo and on the memos of
-  mutate_rec_rules and of mutate_p_tables with seeds 0..7;
+* `sixfold verify --suite all`, and `sixfold verify --suite S --n-max 12`
+  for S = link, lemma2 and lemma3, each run in a fresh process: stdout with
+  every `ms` zeroed, stderr and the exit code (see mutants.run);
+* link_residual at levels 0..6 on the pristine memo; then for seeds 0..7,
+  on the memos of mutate_rec_rules and of mutate_p_tables, link_residual at
+  levels 0..6 and J, K, Lemma2, Lemma3 and Lemma4 at levels 0..8, which
+  on a pristine memo are zero but here are polynomials built from general
+  products;
 * count_table("A") and count_table("B") at q = 0..80, 300 and 1000;
 * s_oracle(n, j) for every j at levels 0..18 in turn, then at 3 and 0, so
   the held layer steps on and then starts again from window 0;
@@ -35,6 +38,7 @@ from typing import Callable, Iterator
 from mutants import run
 
 ORACLE_LEVELS = (*range(19), 3, 0)
+SERIES_IDENTITIES = ("J_poly", "K_poly", "lemma2_residual", "lemma3_residual", "lemma4_residual")
 
 
 def _once(f: Callable[..., object], *args) -> Callable[[], Iterator[str]]:
@@ -51,20 +55,33 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
 
     package = src / "sixfold"
 
-    def link(rules=recurrence.REC_RULES, p_tables=recurrence.DEFAULT_P_TABLES):
-        memo = recurrence.SeriesMemo(rules, p_tables)
-        return lambda: (recurrence.link_residual(n, memo).to_json() for n in range(7))
+    def residuals(names, levels, **memo_args):
+        """Each named residual at each level in turn, on a memo built when
+        the output is read and dropped when it is done."""
 
+        def output():
+            memo = recurrence.SeriesMemo(**memo_args)
+            return (getattr(recurrence, name)(n, memo).to_json() for name in names for n in levels)
+
+        return output
+
+    link = ("link_residual",)
     out = [
         (" ".join(argv), _once(run, package, None, argv))
-        for argv in (("verify", "--suite", "all"), ("verify", "--suite", "link", "--n-max", "12"))
+        for argv in (
+            ("verify", "--suite", "all"),
+            *(("verify", "--suite", suite, "--n-max", "12") for suite in ("link", "lemma2", "lemma3")),
+        )
     ]
-    out.append(("link_residual n=0..6 pristine", link()))
+    out.append(("link_residual n=0..6 pristine", residuals(link, range(7))))
     for seed in range(8):
         rules, _ = recurrence.mutate_rec_rules(recurrence.REC_RULES, random.Random(seed))
         p_tables, _ = recurrence.mutate_p_tables(recurrence.DEFAULT_P_TABLES, random.Random(seed))
-        out.append((f"link_residual n=0..6 rules seed {seed}", link(rules=rules)))
-        out.append((f"link_residual n=0..6 p-tables seed {seed}", link(p_tables=p_tables)))
+        for kind, memo_args in (("rules", {"rules": rules}), ("p-tables", {"p_tables": p_tables})):
+            name = f"link_residual n=0..6 {kind} seed {seed}"
+            out.append((name, residuals(link, range(7), **memo_args)))
+            name = f"J K Lemma2-4 n=0..8 {kind} seed {seed}"
+            out.append((name, residuals(SERIES_IDENTITIES, range(9), **memo_args)))
     for side in "AB":
         for name, qs in (("0..80", range(81)), ("300", [300]), ("1000", [1000])):
             tables = lambda side=side, qs=qs: (count_table(side, q).to_json() for q in qs)
