@@ -76,7 +76,8 @@ dict.  Terms are decoded only to print, count, hash or look one up, and
 for the norm and the cuts of a general product's smaller operand, all from
 the biased bytes (`_biased`): the biased value x + 2^(W-1) * sum_i 2^(W*i)
 has digits c_i + 2^(W-1) in [0, 2^W), so `to_bytes` and one array
-conversion read every slot in linear time.
+conversion read every slot in linear time.  Printing, counting and lookup
+read them as signed slots (`_slots`, Printing below).
 
 Products (`_cut`, GAP).  The factor tables of the identities carry
 x = q^(6n) (`ONE_MINUS_X`, and p1..p3 inside), so their rows are mostly
@@ -103,25 +104,38 @@ about 6n = 42 slots less the widths of the runs.
 Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
 and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
 them: the few hundred row keys are sorted once, each row is decoded once,
-and each non-zero slot is formatted once and appended to the bucket of its
-q exponent (offset by the smallest q0, as q may be negative).  A row holds
+and each non-zero slot becomes one term, appended to the bucket of its q
+exponent (offset by the smallest q0, as q may be negative).  A row holds
 at most one term per q exponent and the rows come in ascending (e_a, e_b),
 so each bucket is ascending in (e_a, e_b), and the buckets joined in q
 order are in canonical order.  Decoding every term to a tuple and sorting
 those made `sixfold series --n 9 --format json` spend twice as long
 printing its 69,452 terms as filling the memo.
+
+A row is decoded to its coefficients in C, with no Python step per slot
+(`_slots`).  XOR with the bias flips the top bit of each biased digit
+c + 2^(W-1): for c >= 0 that leaves c, for c < 0 it leaves c + 2^W, which
+is c in W-bit two's complement.  So the slots of (x + bias) ^ bias, read
+as signed W-bit numbers (array "i" or "q", or int.from_bytes(signed=True)
+past 64 bits), are exactly the c_i, and `itertools.compress` skips the
+zero ones.  The text forms format each row's (e_a, e_b) part once and
+each q exponent once, so a term costs one f-string (`_format`).  On
+S(9, 15), in-process on a 2-core VM, `to_json` takes 21-24 ms and
+`to_text` 19-21 ms, against 40-48 ms and 37-50 ms when a callback
+formatted each term from its biased digit.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain
-from typing import Callable, TypeVar
+from itertools import chain, compress
+from typing import Callable, Iterator, TypeVar
 
 Key = tuple[int, int, int]  # (e_a, e_b, e_q)
 Row = tuple[int, int]  # (q0, x)
 T = TypeVar("T")
+L = TypeVar("L")
 
 GAP = 16  # zero slots at which a general product cuts a row (module docstring, Products)
 
@@ -149,20 +163,30 @@ def _biased(x: int, w: int) -> bytes:
     return (x + _bias(w, k)).to_bytes(k * w // 8, "little")
 
 
-def _digits(raw: bytes, w: int):
-    """The w-bit digits of raw (from _biased), lowest first, in one pass."""
+def _digits(raw: bytes, w: int, signed: bool = False):
+    """The w-bit digits of the little-endian bytes raw, lowest first, in one
+    pass, read as unsigned or as two's-complement signed numbers."""
     if w > 64:
         size = w // 8
-        return [int.from_bytes(raw[i : i + size], "little") for i in range(0, len(raw), size)]
-    units = array("I" if w == 32 else "Q", raw)
+        return [
+            int.from_bytes(raw[i : i + size], "little", signed=signed)
+            for i in range(0, len(raw), size)
+        ]
+    code = "I" if w == 32 else "Q"
+    units = array(code.lower() if signed else code, raw)
     if sys.byteorder == "big":
         units.byteswap()
     return units
 
 
-def _unpack(x: int, w: int):
-    """Biased slots c_i + 2^(w-1) of the row x, lowest first."""
-    return _digits(_biased(x, w), w)
+def _slots(x: int, w: int):
+    """The coefficients c_i of the row x, lowest first (the last slot may be
+    padding, which reads as 0): the biased digits c_i + 2^(w-1) of _biased,
+    their top bits flipped, read as signed w-bit numbers (module docstring,
+    Printing)."""
+    k = x.bit_length() // w + 1
+    bias = _bias(w, k)
+    return _digits(((x + bias) ^ bias).to_bytes(k * w // 8, "little"), w, signed=True)
 
 
 def _reencode(x: int, w: int, w2: int) -> int:
@@ -346,23 +370,40 @@ class TriPoly:
         assert w > self._w
         return {key: (q0, _reencode(x, self._w, w)) for key, (q0, x) in self._rows.items()}
 
-    def _walk(self, term: Callable[[int, int, int, int], T]) -> list[T]:
-        """term(c, e_a, e_b, e_q) of every term, ascending in (e_q, e_a, e_b),
-        by the canonical walk of the module docstring: rows in key order,
-        one bucket per q exponent, no comparison sort of terms."""
+    def _walk(
+        self,
+        fill: Callable[[int, int, Iterator[tuple[int, L, list[T]]]], None],
+        label: Callable[[int], L],
+    ) -> list[T]:
+        """The terms fill puts in the buckets of the canonical walk (module
+        docstring, Printing), the buckets joined in q order.  fill(e_a, e_b,
+        slots) is called once per row, in key order; slots yields
+        (c, label(e_q), bucket) for each non-zero slot, and fill appends
+        that term to bucket.  label is called once per q exponent."""
         if not self._rows:
             return []
         w = self._w
-        half = 1 << (w - 1)
         q_min = min(q0 for q0, _ in self._rows.values())
-        # _unpack reads x.bit_length() // w + 1 slots
+        # _slots reads x.bit_length() // w + 1 slots
         q_top = max(q0 + x.bit_length() // w for q0, x in self._rows.values())
         buckets: list[list[T]] = [[] for _ in range(q_top - q_min + 1)]
+        labels = list(map(label, range(q_min, q_top + 1)))
         for (e_a, e_b), (q0, x) in sorted(self._rows.items()):
-            for e_q, u in enumerate(_unpack(x, w), q0):
-                if u != half:
-                    buckets[e_q - q_min].append(term(u - half, e_a, e_b, e_q))
+            cs, i = _slots(x, w), q0 - q_min
+            fill(e_a, e_b, compress(zip(cs, labels[i:], buckets[i:]), cs))
         return list(chain.from_iterable(buckets))
+
+    def _format(self, lead: str, mid: str, tail: str) -> list[str]:
+        """Every term as the string lead + c + mid.format(e_a, e_b) +
+        tail.format(e_q), in canonical order: mid is formatted once per row
+        and tail once per q exponent, so a term is one f-string."""
+
+        def fill(e_a, e_b, slots):
+            row = mid.format(e_a, e_b)
+            for c, q, bucket in slots:
+                bucket.append(f"{lead}{c}{row}{q}")
+
+        return self._walk(fill, tail.format)
 
     # ------------------------------------------------------------ queries
 
@@ -374,9 +415,8 @@ class TriPoly:
 
     def __len__(self) -> int:
         if self._len is None:
-            half = 1 << (self._w - 1)
-            slots = [_unpack(x, self._w) for _, x in self._rows.values()]
-            self._len = sum(len(s) - s.count(half) for s in slots)
+            slots = [_slots(x, self._w) for _, x in self._rows.values()]
+            self._len = sum(len(cs) - cs.count(0) for cs in slots)
         return self._len
 
     def coeff(self, e_a: int, e_b: int, e_q: int) -> int:
@@ -384,13 +424,18 @@ class TriPoly:
         row = self._rows.get((e_a, e_b))
         if row is None or e_q < row[0]:
             return 0
-        slots = _unpack(row[1], self._w)
+        cs = _slots(row[1], self._w)
         i = e_q - row[0]
-        return slots[i] - (1 << (self._w - 1)) if i < len(slots) else 0
+        return cs[i] if i < len(cs) else 0
 
     def terms(self) -> list[tuple[int, int, int, int]]:
         """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
-        return self._walk(lambda c, e_a, e_b, e_q: (c, e_a, e_b, e_q))
+
+        def fill(e_a, e_b, slots):
+            for c, e_q, bucket in slots:
+                bucket.append((c, e_a, e_b, e_q))
+
+        return self._walk(fill, int)
 
     # ---------------------------------------------------- ring operations
 
@@ -527,17 +572,21 @@ class TriPoly:
         """Canonical text form: "c*a^i*b^j*q^k" terms joined by " + "."""
         if not self._rows:
             return "0"
-        return " + ".join(self._walk(lambda c, ea, eb, eq: f"{c}*a^{ea}*b^{eb}*q^{eq}"))
+        return " + ".join(self._format("", "*a^{}*b^{}*q^", "{}"))
 
     def to_json_terms(self) -> list[list]:
         """Canonical JSON form: [coeff-as-decimal-string, e_a, e_b, e_q] rows."""
-        return self._walk(lambda c, ea, eb, eq: [str(c), ea, eb, eq])
+
+        def fill(e_a, e_b, slots):
+            for c, e_q, bucket in slots:
+                bucket.append([str(c), e_a, e_b, e_q])
+
+        return self._walk(fill, int)
 
     def to_json(self) -> str:
         """json.dumps(self.to_json_terms()), byte for byte, with each term
-        formatted once by the walk ("[]" for zero)."""
-        terms = self._walk(lambda c, ea, eb, eq: f'["{c}", {ea}, {eb}, {eq}]')
-        return "[" + ", ".join(terms) + "]"
+        one f-string ("[]" for zero)."""
+        return "[" + ", ".join(self._format('["', '", {}, {}, ', "{}]")) + "]"
 
     # ----------------------------------------------------------- identity
 

@@ -293,8 +293,26 @@ def test_general_error_lines_are_pinned(args, line):
             "65bd896af1ecdbf7e07490ae3acf3fca74b4e4c6f618d5cef433cc7aab54903a",
         ),
         ("product --q-max 50", "2746a537abdd1285d3fff75a9bcd6addd0799f97aada04e82968522be4a68e4c"),
+        # taken from the printer that read biased digits through a per-term
+        # callback, so they pin the bytes independently of the printer
+        (
+            "series --n 6 --j 15 --source recurrence --format text",
+            "d56f4b9d3a628694f1e046f56977da12d7c5412ce0e08657af25aaba0725d77a",
+        ),
+        (
+            "series --n 6 --j 15 --source recurrence --format json",
+            "d8c628dea83f6c108c4e69fddcab681bb9421d7b987bf365d9942658ffea36f9",
+        ),
+        ("product --q-max 60", "6acba8851b67a2670b8342fb965b156763b09acb799d999f33bc2933b0f3f5e7"),
     ],
-    ids=["series-9-recurrence-json", "series-4-oracle-text", "product-50"],
+    ids=[
+        "series-9-recurrence-json",
+        "series-4-oracle-text",
+        "product-50",
+        "series-6-recurrence-text",
+        "series-6-recurrence-json",
+        "product-60",
+    ],
 )
 def test_polynomial_output_bytes_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv.split())

@@ -411,6 +411,24 @@ def test_the_walk_interleaves_rows_that_start_at_different_q():
         _assert_serialised(p, ref)
 
 
+@pytest.mark.parametrize("w", [32, 64, 128])
+def test_the_walk_reads_the_extreme_slots_of_each_width(w):
+    # |c| = 2^(w-1) - 1 is the widest a w-bit slot holds: its biased digit
+    # is 1 or 2^w - 1, so a sign flip of the top bit that went wrong shows
+    top = 2 ** (w - 1) - 1
+    ref = {
+        (0, 0, 0): top, (0, 0, 1): -top, (0, 0, 3): top,  # a zero slot at q = 2
+        (0, 0, 5 + GAP): -top, (0, 0, 6 + GAP): 1,  # after a run of zero slots
+        (1, 2, -7): -top, (1, 2, -6): -1, (1, 2, -4): top,  # a row from q0 < 0
+    }
+    p = TriPoly(ref)
+    assert p._w == w and [q0 for q0, _ in p._rows.values()] == [0, -7]
+    _assert_serialised(p, ref)
+    assert len(p) == len(ref)
+    assert all(p.coeff(*key) == c for key, c in ref.items())
+    assert p.coeff(0, 0, 2) == p.coeff(1, 2, -5) == 0
+
+
 def test_zero_serialises_as_empty():
     assert ZERO.to_json() == "[]" and ZERO.to_json_terms() == [] and ZERO.terms() == []
     assert ZERO.to_text() == "0"

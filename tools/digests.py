@@ -7,8 +7,10 @@ imports sixfold from SRC_DIR, the directory that holds the package, and
 prints one `name sha256` line per output, in this order:
 
 * `sixfold verify --suite all`, and `sixfold verify --suite S --n-max 12`
-  for S = link, lemma2 and lemma3, each run in a fresh process: stdout with
-  every `ms` zeroed, stderr and the exit code (see mutants.run);
+  for S = link, lemma2 and lemma3, then the printed polynomials of
+  `sixfold series --n 9 --j 15 --source recurrence` as text and as JSON and
+  of `sixfold product --q-max 300`, each run in a fresh process: stdout
+  with every `ms` zeroed, stderr and the exit code (see mutants.run);
 * link_residual at levels 0..6 on the pristine memo; then for seeds 0..7,
   on the memos of mutate_rec_rules and of mutate_p_tables, link_residual at
   levels 0..6 and J, K, Lemma2, Lemma3 and Lemma4 at levels 0..8, which
@@ -71,6 +73,11 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
         for argv in (
             ("verify", "--suite", "all"),
             *(("verify", "--suite", suite, "--n-max", "12") for suite in ("link", "lemma2", "lemma3")),
+            *(
+                ("series", "--n", "9", "--j", "15", "--source", "recurrence", "--format", form)
+                for form in ("text", "json")
+            ),
+            ("product", "--q-max", "300"),
         )
     ]
     out.append(("link_residual n=0..6 pristine", residuals(link, range(7))))
