@@ -121,8 +121,9 @@ past 64 bits), are exactly the c_i, and `itertools.compress` skips the
 zero ones.  The text forms format each row's (e_a, e_b) part once and
 each q exponent once, so a term costs one f-string (`_format`).  On
 S(9, 15), in-process on a 2-core VM, `to_json` takes 21-24 ms and
-`to_text` 19-21 ms, against 40-48 ms and 37-50 ms when a callback
-formatted each term from its biased digit.
+`to_text` 19-26 ms (best of seven), against 41-49 ms and 37-50 ms when a
+callback formatted each term from its biased digit, so printing the
+series costs less than filling it.
 """
 
 from __future__ import annotations
