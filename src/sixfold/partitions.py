@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Callable, Hashable, NamedTuple, Sequence
 
-from .poly import ONE, TriPoly, ZERO, monomial, narrow
+from .poly import ONE, TriPoly, ZERO, _times_monomial, narrow
 
 
 class GeneralParams(NamedTuple):
@@ -202,12 +202,12 @@ def _transfer(
     bound q_max, a target with dq > q_max is dropped, its source sum still
     built for the targets that build on it, and the sum is truncated to
     q^(q_max - dq) before the product, so no term above q_max is ever built
-    from a layer that has none.  A product by a monomial re-keys the packed
-    rows of the sum (see the poly module), so it costs time in proportion
-    to the rows, not to the terms.  A target may appear more than once,
-    with a different weight each time (the value steps of span 1 do so);
-    its terms are summed.  Zero terms are skipped: a state that only they
-    reach is left out of the next layer.
+    from a layer that has none.  The product re-keys the packed rows of the
+    sum (poly._times_monomial), so it costs time in proportion to the rows,
+    not to the terms, and builds no monomial to multiply by.  A target may
+    appear more than once, with a different weight each time (the value
+    steps of span 1 do so); its terms are summed.  Zero terms are skipped:
+    a state that only they reach is left out of the next layer.
 
     After the step the layer is narrowed as one group (poly.narrow): its
     values are summed together at the next step, so they share the
@@ -232,7 +232,7 @@ def _transfer(
                 if dq > q_max:
                     continue
                 term = term.truncate(q_max - dq)
-            term = monomial(1, mu, nu, dq) * term
+            term = _times_monomial(term, 1, mu, nu, dq)
         if term:
             nxt[t] = nxt[t] + term if t in nxt else term
     return dict(zip(nxt, narrow(*nxt.values())))
@@ -583,14 +583,24 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     exactly when its parts in every window of _general_b_span consecutive
     values are.
 
-    An extra cap is checked only at the window indices j where it can reach
-    the parts: from j0 = (parts[-1] - max(offsets)) // modulus (or its
-    smallest window index, if larger) up to the top part.  Below j0 every
-    value modulus*j + off of the cap is at most modulus*(j0 - 1) +
-    max(offsets) <= parts[-1] - modulus, below the smallest part, so the
-    cap sums to 0, and every bound is >= 0.  So a call costs time in
-    proportion to the spread of its parts, not to the top part: a call on
-    one of the value DP's windows costs the same at every height.
+    Reach: a cap is summed only where its values can reach the parts.  A
+    cap whose values all lie outside [parts[-1], parts[0]] sums to 0, so it
+    fails only if its bound is negative:
+
+    * the first-window caps reach only values 1..lam+1, so they are summed
+      only when parts[-1] <= lam+1.  Otherwise each compares 0 with its
+      bound, and a - j < 0 for some j exactly when a < (lam+1)//2 (the
+      largest j; a - 1 is no smaller), so such a triple still rejects
+      every list, the empty one included;
+    * an extra cap at window index j holds the values modulus*j + off, so
+      it reaches the parts only for ceil((parts[-1] - max(offsets)) /
+      modulus) <= j <= floor((parts[0] - min(offsets)) / modulus), and is
+      checked at exactly those j (from its smallest index, if larger);
+      every extra bound is >= 0.
+
+    So a call costs time in proportion to the spread of its parts, not to
+    the top part: a call on one of the value DP's windows, which sit above
+    lam+1 at almost every value, costs the same at every height.
     """
     step = lam + 1
     f: dict[int, int] = {}
@@ -605,16 +615,19 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         if d < step or (d == step and parts[i] % step == 0):
             return False
     g = f.get
-    for j in range(1, (lam + 1) // 2 + 1):
-        if sum(g(i, 0) for i in range(j, lam - j + 2)) > a - j:
+    if parts and parts[-1] <= step:
+        for j in range(1, (lam + 1) // 2 + 1):
+            if sum(g(i, 0) for i in range(j, lam - j + 2)) > a - j:
+                return False
+        if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
             return False
-    if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
+    elif a < (lam + 1) // 2:  # every cap sums to 0, and a - j < 0 at the last j
         return False
     if extra is not None and parts:
         modulus, rules = _EXTRA_F_RULES[extra]
-        top = parts[0] // modulus + 2
         for offsets, bound, j_start in rules:
-            for j in range(max(j_start, (parts[-1] - max(offsets)) // modulus), top):
+            first = max(j_start, -((max(offsets) - parts[-1]) // modulus))
+            for j in range(first, (parts[0] - min(offsets)) // modulus + 1):
                 if sum(g(modulus * j + off, 0) for off in offsets) > bound:
                     return False
     return True

@@ -43,7 +43,11 @@ its operands':
 * product by a monomial, a value of one row of one slot c: |c| times the
   other operand's bound, by the same rule.  It re-keys the other operand's
   rows and scales each by c, and c times a canonical row is canonical, so
-  it multiplies no row pairs and re-canonicalises nothing;
+  it multiplies no row pairs and re-canonicalises nothing.  One helper
+  does it (`_times_monomial`), for `*` and for the callers that hold the
+  monomial as its exponents (partitions._transfer and
+  recurrence.product_truncated), which would otherwise build a monomial
+  only for `*` to take it apart again;
 * monomial(c, ...): |c|; negation, shift and truncate: unchanged.
 
 Tracked bounds outgrow the coefficients: a sum adds the bounds of its
@@ -305,6 +309,19 @@ def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
     return bound, _width(bound, floor)
 
 
+def _times_monomial(
+    p: "TriPoly", c: int, e_a: int, e_b: int, e_q: int, floor: int = 32
+) -> "TriPoly":
+    """c * a^e_a * b^e_b * q^e_q times p (c != 0), in slots at least floor
+    and p's width wide: p's rows re-keyed and scaled by c (module
+    docstring, product by a monomial)."""
+    bound, w = _product_bound(abs(c), p, max(floor, p._w))
+    rows = p._rows_at(w).items()
+    if c != 1:  # x * 1 would copy x
+        rows = [(key, (q0, x * c)) for key, (q0, x) in rows]
+    return _make({(ea + e_a, eb + e_b): (q0 + e_q, x) for (ea, eb), (q0, x) in rows}, w, bound)
+
+
 def narrow(*values: "TriPoly") -> tuple["TriPoly", ...]:
     """The values re-encoded in the narrowest slot width that holds the sum
     of their bounds, for the layers of a transfer step (partitions._transfer).
@@ -499,16 +516,7 @@ class TriPoly:
             if len(mono._rows) == 1:
                 ((ma, mb), (mq, c)), = mono._rows.items()
                 if c.bit_length() < mono._w:  # one row of one slot: c is the coefficient
-                    # c times a canonical row is canonical: re-key and scale
-                    bound, w = _product_bound(abs(c), poly, floor)
-                    rows = poly._rows_at(w).items()
-                    if c != 1:  # x * 1 would copy x
-                        rows = [(key, (q0, x * c)) for key, (q0, x) in rows]
-                    return _make(
-                        {(ea + ma, eb + mb): (q0 + mq, x) for (ea, eb), (q0, x) in rows},
-                        w,
-                        bound,
-                    )
+                    return _times_monomial(poly, c, ma, mb, mq, floor)
         small, big = (self, other) if len(self._rows) <= len(other._rows) else (other, self)
         norm, pieces = 0, []
         for (ea, eb), (q0, x) in small._rows.items():

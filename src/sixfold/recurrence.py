@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import random
 
-from .poly import ONE, TriPoly, ZERO, monomial
+from .poly import ONE, TriPoly, ZERO, _times_monomial, monomial
 
 # One rule term (coeff, e_a, e_b, q_slope, q_offset, dn, jref) contributes
 #   coeff * a^e_a * b^e_b * q^(q_slope*n + q_offset) * S(n - dn, jref).
@@ -451,7 +451,8 @@ def product_truncated(q_max: int) -> TriPoly:
     Only windows whose smallest factor exponent 6n+1 is <= q_max can
     contribute, so the product stops after them.  Each factor 1 + m, for a
     monomial m = a^i b^k q^e, adds m times the product so far cut at
-    q_max - e, so every step is a sum and a monomial product.  Each sum
+    q_max - e, so every step is a sum and a product by a monomial, which
+    re-keys the rows of the cut product (poly._times_monomial).  Each sum
     doubles the tracked bound, and one about to widen re-derives its
     operands' bounds first (see the poly module), so product_truncated(300)
     stays in 32-bit slots for coefficients of 26 bits, where the tracked
@@ -469,7 +470,7 @@ def product_truncated(q_max: int) -> TriPoly:
         for _, e_a, e_b, slope, offset in WINDOW[1:]:
             e = slope * n + offset
             if e <= q_max:
-                out = out + monomial(1, e_a, e_b, e) * out.truncate(q_max - e)
+                out = out + _times_monomial(out.truncate(q_max - e), 1, e_a, e_b, e)
     return out
 
 

@@ -239,7 +239,8 @@ def s_oracle_dfs(n: int, j: int) -> TriPoly:
 
 
 def ref_is_valid_general_B(parts, lam: int, k: int, a: int, extra) -> bool:
-    """partitions._is_valid_general_B with every extra cap checked at every
+    """partitions._is_valid_general_B with every cap checked everywhere: the
+    first-window caps whatever the parts, and every extra cap at every
     window index from its smallest up to the top part."""
     step = lam + 1
     f: dict[int, int] = {}

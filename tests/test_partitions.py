@@ -644,12 +644,28 @@ def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     assert is_valid_B(parts) == _local(parts, 9, is_valid_B)
 
 
-@given(_DESCENDING, st.sampled_from(list(EXTRA_PARAMS)))
+# Each extra set with its triple, and no extra over _PARAMS and again over
+# the triples with a < (lam + 1) // 2, whose first-window caps reject every list.
+_CAP_CASES = st.one_of(
+    st.sampled_from([(gp, extra) for extra, gp in EXTRA_PARAMS.items()]),
+    st.tuples(_PARAMS, st.none()),
+    st.tuples(_PARAMS.filter(lambda gp: gp.a < (gp.lam + 1) // 2), st.none()),
+)
+
+
+@given(_DESCENDING, _CAP_CASES)
 # each breaks one extra cap, at j = 10 and j = 7, above its smallest index
-@example([53, 52], B0_433)
-@example([49, 47], B0_533)
-def test_extra_caps_are_checked_only_where_the_parts_reach(parts, extra):
-    args = (*EXTRA_PARAMS[extra], extra)
+@example([53, 52], (GeneralParams(4, 3, 3), B0_433))
+@example([49, 47], (GeneralParams(5, 3, 3), B0_533))
+# smallest part lam + 1: each breaks the last first-window cap, f(1) + ... + f(lam+1) <= a - 1
+@example([4, 4], (GeneralParams(3, 3, 2), None))
+@example([2], (GeneralParams(1, 2, 1), None))
+# smallest part lam + 2: no first-window cap reaches it, so only a - j < 0 (a = 1) rejects
+@example([6, 5], (GeneralParams(3, 3, 1), None))
+@example([5], (GeneralParams(3, 3, 2), None))
+def test_extra_caps_are_checked_only_where_the_parts_reach(parts, case):
+    (lam, k, a), extra = case
+    args = (lam, k, a, extra)
     assert partitions._is_valid_general_B(parts, *args) == ref_is_valid_general_B(parts, *args)
 
 

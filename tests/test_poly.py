@@ -16,7 +16,18 @@ from helpers import (
     ref_truncate,
 )
 from sixfold.partitions import count_table
-from sixfold.poly import GAP, ONE, ZERO, TriPoly, _cut, _slot_bits, _width, monomial, narrow
+from sixfold.poly import (
+    GAP,
+    ONE,
+    ZERO,
+    TriPoly,
+    _cut,
+    _slot_bits,
+    _times_monomial,
+    _width,
+    monomial,
+    narrow,
+)
 from sixfold.recurrence import P2_TERMS, SeriesMemo, _at, product_truncated
 
 
@@ -563,6 +574,24 @@ def test_monomial_products_match_the_reference(terms, c, key):
         _assert_matches(prod, ref)
         if p:
             assert prod._w >= max(p._w, m._w)
+
+
+@pytest.mark.parametrize("w", [32, 64, 128, None])
+@pytest.mark.parametrize(
+    "mono", [(1, 0, 0, 0), (1, 2, 1, 6), (-3, 0, 2, -9), (2**40 + 1, 1, 0, 3), (-(2**70), 0, 0, -1)]
+)
+def test_times_monomial_builds_the_product_by_a_monomial(w, mono):
+    # the same rows, width and bound as monomial(...) * p, not only an equal
+    # value: a value in w-bit slots with rows from negative q0, or zero
+    def value():
+        if w is None:
+            return ZERO
+        top = 2 ** (w - 1) - 1
+        return TriPoly({(0, 0, -4): top, (0, 0, 1): -1, (1, 2, -7): -top, (2, 0, 5): 7})
+
+    got, want = _times_monomial(value(), *mono), monomial(*mono) * value()
+    assert (got._rows, got._w, got._bound) == (want._rows, want._w, want._bound)
+    assert value()._w == (w or 32)
 
 
 def test_product_truncated_holds_in_32_bit_slots():

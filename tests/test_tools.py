@@ -89,9 +89,9 @@ def test_a_cap_that_skips_window_0_is_a_config_error():
 
 def test_digests_name_each_output_once_and_repeat_on_cheap_ones():
     # 7 CLI runs, Link on 17 memos, J to Lemma4 on 16, 6 count-table groups,
-    # 21 oracle levels and 4 general series
+    # 21 oracle levels and 14 general series, two for each default case
     outputs = dict(entries(PACKAGE.parent))
-    assert len(entries(PACKAGE.parent)) == len(outputs) == 71
+    assert len(entries(PACKAGE.parent)) == len(outputs) == 81
     for name in ("link_residual n=0..6 rules seed 0", "s_oracle n=4"):
         assert len(digest(outputs[name])) == 64
         assert digest(outputs[name]) == digest(outputs[name]), name

@@ -19,7 +19,10 @@ prints one `name sha256` line per output, in this order:
 * count_table("A") and count_table("B") at q = 0..80, 300 and 1000;
 * s_oracle(n, j) for every j at levels 0..18 in turn, then at 3 and 0, so
   the held layer steps on and then starts again from window 0;
-* general_A_series and general_B_series at n = 1000 for b0-433 and b0-533.
+* general_A_series and general_B_series at n = 1000 for each of the seven
+  default general cases (verify.DEFAULT_GENERAL_CASES): the five Theorem1
+  triples, whose first-window caps reach the small parts, then b0-433 and
+  b0-533 with their extra caps.
 
 Each output is digested piece by piece, a polynomial at a time as its
 canonical JSON, so no more than one of them is held as text.  No bytecode
@@ -53,7 +56,8 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
     output in pieces, each polynomial as its canonical JSON, computed with
     the sixfold that is imported; the CLI runs the one under src."""
     from sixfold import partitions, recurrence
-    from sixfold.partitions import EXTRA_PARAMS, count_table, s_oracle
+    from sixfold.partitions import count_table, s_oracle
+    from sixfold.verify import DEFAULT_GENERAL_CASES
 
     package = src / "sixfold"
 
@@ -96,9 +100,10 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
     for i, n in enumerate(ORACLE_LEVELS):
         name = f"s_oracle n={n}" + (" again" if n in ORACLE_LEVELS[:i] else "")
         out.append((name, lambda n=n: (s_oracle(n, j).to_json() for j in range(16))))
-    for extra, gp in EXTRA_PARAMS.items():
-        out.append((f"general_A_series {extra} n=1000", _once(partitions.general_A_series, gp, 1000)))
-        out.append((f"general_B_series {extra} n=1000", _once(partitions.general_B_series, gp, 1000, extra)))
+    for gp, extra, _ in DEFAULT_GENERAL_CASES:
+        case = extra or "lam={} k={} a={}".format(*gp)
+        out.append((f"general_A_series {case} n=1000", _once(partitions.general_A_series, gp, 1000)))
+        out.append((f"general_B_series {case} n=1000", _once(partitions.general_B_series, gp, 1000, extra)))
     return out
 
 
