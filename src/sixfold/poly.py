@@ -85,25 +85,33 @@ read them as signed slots (`_slots`, Printing below).
 
 Products (`_cut`, GAP).  The factor tables of the identities carry
 x = q^(6n) (`ONE_MINUS_X`, and p1..p3 inside), so their rows are mostly
-zero slots: a row of 1 - q^(6n) holds 2 terms in 6n + 1 slots, and
-P3 * (1 - x)(1 - x') at level 7 holds 79 terms in 673.  Over the
+zero slots: a row of 1 - q^(6n) holds 2 terms in 6n + 1 slots, P3 at
+level 7 23 terms in 127, and P3 * (1 - x)(1 - x') 79 in 673.  Over the
 `recurrence-deep` benchmark the smaller operands of the general products
-hold 3,146 terms in 15,792 slots, and whole rows make 49.2 M slot products
-with the other operands' slots.  So a general product cuts each row of its
-operand with fewer rows at every run of GAP or more zero slots, and
-multiplies each piece, at its own q offset, by the other operand's rows
-into the same accumulator row: there, 1,037 pieces from 664 rows and
-13.2 M slot products.  A piece is read from the biased digits of its slots,
-so it is exactly their balanced numeral, whatever the borrow of the slots
-below the cut; a row with no such run is one piece, the row itself.
+hold 1,875 terms in 6,731 slots, and whole rows make 32.9 M slot products
+with the other operands' slots (3,146 terms, 15,792 slots and 49.2 M when
+recurrence._combination multiplied each 1 - q^(6n) into them, not into
+the series).  So a general product cuts each row of its operand with
+fewer rows at every run of GAP or more zero slots, and multiplies each
+piece, at its own q offset, by the other operand's rows into the same
+accumulator row: there, 799 pieces from 663 rows and 11.0 M slot
+products (1,037 pieces and 13.2 M then).  A piece is read from the
+biased digits of its slots, so it is exactly their balanced numeral,
+whatever the borrow of the slots below the cut; a row with no such run
+is one piece, the row itself.
 GAP = 16 because a piece costs one more int product and one more shift-add
 into its accumulator row for each row of the other operand, which a short
-zero run does not repay.  On `recurrence-deep`'s residuals (2-core VM,
-fresh processes, least CPU time over seven fresh memos) GAP = 12..24 took
+zero run does not repay.  On `recurrence-deep`'s residuals, when the
+1 - q^(6n) factors were still multiplied into the smaller operands (2-core
+VM, fresh processes, least CPU time over seven fresh memos) GAP = 12..24 took
 0.065-0.069 s against 0.087 s uncut; GAP = 1 and 4 took 0.072-0.075 s
 (GAP = 1 leaves 9.6 M slot products, in 1,574 pieces), and GAP = 48 lost
 the gain (0.092-0.097 s): at level 7 the zero runs between the x terms are
-about 6n = 42 slots less the widths of the runs.
+about 6n = 42 slots less the widths of the runs.  Swept again with the
+1 - q^(6n) factors in the series (the whole `recurrence-deep` run, fresh
+processes, least CPU time of seven, six rounds), GAP = 1..24 took
+0.09-0.15 s, with no value apart from 16 beyond the drift between
+rounds, GAP = 32 0.11-0.15 s, and GAP = 48 and uncut 0.15-0.18 s.
 
 Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
 and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting

@@ -19,9 +19,12 @@ wrong coefficient or exponent.
 from __future__ import annotations
 
 import math
-import random
+from typing import TYPE_CHECKING
 
 from .poly import ONE, TriPoly, ZERO, _times_monomial, monomial
+
+if TYPE_CHECKING:  # named in annotations only, which are never evaluated
+    import random
 
 # One rule term (coeff, e_a, e_b, q_slope, q_offset, dn, jref) contributes
 #   coeff * a^e_a * b^e_b * q^(q_slope*n + q_offset) * S(n - dn, jref).
@@ -331,8 +334,20 @@ def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> T
     """Sum of the terms at level n >= 0, each times the series S(n - dn, jref)
     or, when jref is an identity table, that identity's value at level
     n - dn (`SeriesMemo.combination`).  A term whose series or identity value
-    is zero is skipped before its factors are built, and small factors are
-    multiplied first."""
+    is zero is skipped before its factors are built.
+
+    A factor table in q alone (`ONE_MINUS_X`, 1 - q^(6n): every term has
+    e_a = e_b = 0) is multiplied into the series, every other factor into
+    the monomial, which then multiplies the series.  A general product
+    costs an int product and a shift-add per pair of a piece of its
+    smaller operand and a row of the other (poly module, Products), and
+    the two slots of 1 - q^(6n) lie 6n apart, past GAP from n = 3.  In the
+    smaller operand each such factor would double the pieces:
+    m * P3 * (1 - x)(1 - x') would pass four times over the series' rows
+    per piece of P3, where the series times each 1 - x passes twice, once.
+    No term has more than one factor in a or b, so the monomial times it
+    is a re-key (poly._times_monomial), and the general products left are
+    that factor times the series and the passes of each 1 - x."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     acc = ZERO
@@ -344,7 +359,11 @@ def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> T
         for table, d, *shift in factors:
             if isinstance(table, int):
                 table = memo.p_tables[table - 1]
-            small = small * _at(table, n - d, *shift)
+            value = _at(table, n - d, *shift)
+            if any(t[1] or t[2] for t in table):
+                small = small * value
+            else:
+                series = series * value
         acc = acc + small * series
     return acc
 

@@ -254,8 +254,8 @@ def test_lemma3_level0_finding_is_pinned(memo):
 
 
 def _term_factor_product(term, n: int, p_tables):
-    """A term's monomial times its factor product at level n, built as
-    _combination builds it (without the series)."""
+    """A term's monomial times its factor product at level n: the monomial
+    times the factor tables in table order (without the series)."""
     coeff, e_a, e_b, slope, offset, _, _, *factors = term
     small = monomial(coeff, e_a, e_b, slope * n + offset)
     for table, d, *shift in factors:
@@ -275,6 +275,37 @@ def test_lemma3_terms_are_the_lemma2_terms_one_level_down_shifted():
             assert three[5] == two[5], t
             shifted = _term_factor_product(two, n - 1, p_tables).shift(6, 6)
             assert _term_factor_product(three, n, p_tables) == shifted, (n, t)
+
+
+def _transcribed(terms, n: int, memo):
+    """The table summed at level n in transcription order: each term's
+    monomial times its factor tables in table order, times its series or,
+    for a named identity table, that table transcribed at level n - dn."""
+    acc = ZERO
+    for term in terms:
+        dn, jref = term[5], term[6]
+        value = memo.s(n - dn, jref) if isinstance(jref, int) else _transcribed(jref, n - dn, memo)
+        acc = acc + _term_factor_product(term, n, memo.p_tables) * value
+    return acc
+
+
+def test_combination_equals_the_terms_in_transcription_order():
+    # _combination multiplies the factors in q alone into the series, not
+    # into the monomial; on mutated memos, where the residuals are general
+    # products and not zero, the sum must not change by it.
+    memos = [
+        *(SeriesMemo(mutate_rec_rules(REC_RULES, random.Random(seed))[0]) for seed in range(3)),
+        *(SeriesMemo(p_tables=mutate_p_tables(DEFAULT_P_TABLES, random.Random(seed))[0]) for seed in range(3)),
+    ]
+    tables = {"J": J_TERMS, "K": K_TERMS, "Link": LINK_TERMS, "Lemma2": LEMMA2_TERMS, "Lemma3": LEMMA3_TERMS}
+    for name, terms in tables.items():
+        nonzero = 0
+        for k, memo in enumerate(memos):
+            for n in range(7):
+                value = _combination(terms, n, memo)
+                assert value == _transcribed(terms, n, memo), (name, k, n)
+                nonzero += bool(value)
+        assert nonzero, name
 
 
 def test_lemma4_residual_vanishes(memo):
