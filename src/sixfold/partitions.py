@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
+from math import lcm
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO, _times_monomial, narrow
@@ -243,6 +244,8 @@ def _value_dp(
     span: int,
     valid: Callable[[list[int]], bool],
     weight: Callable[[int], tuple[int, int]],
+    period: int | None = None,
+    low: int = 0,
 ) -> TriPoly:
     """Generating polynomial of the weakly decreasing lists of positive parts
     summing to at most n_max that `valid` accepts, by the transfer-matrix
@@ -258,7 +261,9 @@ def _value_dp(
     holding m + 1, so the first rejection ends the step, and m = 0 needs no
     call: its window is a run of the one accepted at v - 1 (or empty).  A
     window reaching above n_max holds the parts of the one ending at n_max,
-    so the windows ending at 1..n_max are all there is to check.
+    so the windows ending at 1..n_max are all there is to check, and one
+    wider than n_max values holds every part up to its top, so span is cut
+    to n_max: a state has fewer than n_max entries, whatever `valid`.
 
     Each value is one step, run with the bound n_max (see _transfer).
     A move into the target (*state[1:], m) places m copies of v, so the
@@ -271,25 +276,44 @@ def _value_dp(
     one term per m on the sum of the one value.  The empty list is counted
     only when `valid` accepts it; when it does not, no list is valid, since
     adding parts only makes a constraint worse, and the result is zero.
+
+    With a `period`, `valid` must keep its verdict on a window whose parts
+    all exceed `low` when they all move up by `period`.  Such a state's
+    most copies of v are then recorded under (state, v mod period) and
+    read back, capped at n_max // v, at the higher values that meet the
+    key, without a call: a count below its value's cap is exact, and the
+    cap only shrinks as v grows.
     """
     if not valid([]):
         return ZERO
+    span = max(1, min(span, n_max))
     layer = {(0,) * (span - 1): ONE}
+    accepted: dict[int, dict[tuple[int, ...], int]] = {}  # v mod period -> state -> most
     for v in range(1, n_max + 1):
         mu, nu = weight(v)
         # the states by their last span - 2 entries, then by the most copies
         # of v they accept
         chains: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
         top = n_max // v
+        # a state whose first `cut` entries, the values <= low, are empty
+        # has the verdicts of its key one period down and up
+        memo = accepted.setdefault(v % period, {}) if period and v > low else None
+        cut = max(0, low + span - v)
         for state in layer:
-            # the window's parts below v, descending, at their true values
-            parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
-            most = 0
-            while most < top:
-                parts.insert(0, v)
-                if not valid(parts):
-                    break
-                most += 1
+            shared = memo is not None and not any(state[:cut])
+            if shared and state in memo:
+                most = min(memo[state], top)
+            else:
+                # the window's parts below v, descending, at their true values
+                parts = [v - span + 1 + i for i in range(span - 2, -1, -1) for _ in range(state[i])]
+                most = 0
+                while most < top:
+                    parts.insert(0, v)
+                    if not valid(parts):
+                        break
+                    most += 1
+                if shared:
+                    memo[state] = most
             chains.setdefault(state[1:], {}).setdefault(most, []).append(state)
         targets: list[_Target] = []
         for rest, by_most in chains.items():
@@ -587,20 +611,29 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     cap whose values all lie outside [parts[-1], parts[0]] sums to 0, so it
     fails only if its bound is negative:
 
-    * the first-window caps reach only values 1..lam+1, so they are summed
-      only when parts[-1] <= lam+1.  Otherwise each compares 0 with its
-      bound, and a - j < 0 for some j exactly when a < (lam+1)//2 (the
-      largest j; a - 1 is no smaller), so such a triple still rejects
-      every list, the empty one included;
+    * the first-window caps reach only values 1..lam+1.  a - j < 0 for some
+      j exactly when a < (lam+1)//2 (the largest j; a - 1 is no smaller),
+      and such a triple rejects every list, the empty one included.  Else
+      they are checked only when parts[-1] <= lam+1, the nested intervals
+      [j, lam+1-j] at once: the i-th deepest part, of depth d =
+      min(p, lam+1-p), breaks the cap at j = d exactly when i + d > a;
     * an extra cap at window index j holds the values modulus*j + off, so
       it reaches the parts only for ceil((parts[-1] - max(offsets)) /
       modulus) <= j <= floor((parts[0] - min(offsets)) / modulus), and is
       checked at exactly those j (from its smallest index, if larger);
       every extra bound is >= 0.
 
-    So a call costs time in proportion to the spread of its parts, not to
-    the top part: a call on one of the value DP's windows, which sit above
-    lam+1 at almost every value, costs the same at every height.
+    So a call costs time in proportion to its parts, not to lam or the top
+    part: a call on one of the value DP's windows costs the same at every
+    height.
+
+    Period: above low (_general_b_period) no first-window cap and no extra
+    cap below its smallest index reaches a part, and the repeat rule, the
+    difference rule and the extra caps repeat every lcm(lam+1, modulus),
+    so moving every part of such a list up by that period keeps its
+    verdict.  The value DP reuses verdicts on it (_value_dp), so a change
+    that breaks the period above low shows only in the first period; the
+    tests of the period and of the DP with and without it catch that.
     """
     step = lam + 1
     f: dict[int, int] = {}
@@ -614,16 +647,17 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         d = parts[i] - parts[i + gap]
         if d < step or (d == step and parts[i] % step == 0):
             return False
-    g = f.get
-    if parts and parts[-1] <= step:
-        for j in range(1, (lam + 1) // 2 + 1):
-            if sum(g(i, 0) for i in range(j, lam - j + 2)) > a - j:
-                return False
-        if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
-            return False
-    elif a < (lam + 1) // 2:  # every cap sums to 0, and a - j < 0 at the last j
+    if a < (lam + 1) // 2:  # a - j < 0 at the last j
         return False
+    if parts and parts[-1] <= step:
+        first_window = [p for p in parts if p <= step]
+        if len(first_window) > a - 1:
+            return False
+        depths = sorted((min(p, step - p) for p in first_window), reverse=True)
+        if any(i + d > a for i, d in enumerate(depths, 1)):
+            return False
     if extra is not None and parts:
+        g = f.get
         modulus, rules = _EXTRA_F_RULES[extra]
         for offsets, bound, j_start in rules:
             first = max(j_start, -((max(offsets) - parts[-1]) // modulus))
@@ -643,10 +677,28 @@ def _general_b_span(lam: int, extra: str | None) -> int:
     return span
 
 
-def _series(n_max: int, span: int, valid: Callable[[list[int]], bool]) -> list[int]:
+def _general_b_period(lam: int, extra: str | None) -> tuple[int, int]:
+    """(period, low) of the family-B predicate (see _is_valid_general_B):
+    lcm(lam+1, modulus), and the largest of lam+1 and the values that each
+    extra cap reaches one index below its smallest."""
+    step = lam + 1
+    if extra is None:
+        return step, step
+    modulus, rules = _EXTRA_F_RULES[extra]
+    low = max(step, *(modulus * (j0 - 1) + max(offsets) for offsets, _, j0 in rules))
+    return lcm(step, modulus), low
+
+
+def _series(
+    n_max: int,
+    span: int,
+    valid: Callable[[list[int]], bool],
+    period: int | None = None,
+    low: int = 0,
+) -> list[int]:
     """Counts of the lists `valid` accepts, for every n in 0..n_max."""
     counts = [0] * (n_max + 1)
-    for c, _, _, n in _value_dp(n_max, span, valid, lambda v: (0, 0)).terms():
+    for c, _, _, n in _value_dp(n_max, span, valid, lambda v: (0, 0), period, low).terms():
         counts[n] = c
     return counts
 
@@ -666,7 +718,8 @@ def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:
 def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) -> list[int]:
     """Family-B counts for every n in 0..n_max, by the transfer matrix over
     part values with windows of _general_b_span values (see
-    _is_valid_general_B for why they suffice)."""
+    _is_valid_general_B for why they suffice), each window's verdict reused
+    one period up (see _general_b_period)."""
     validate_case(gp, extra)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -675,4 +728,5 @@ def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) ->
         n_max,
         _general_b_span(lam, extra),
         lambda parts: _is_valid_general_B(parts, lam, k, a, extra),
+        *_general_b_period(lam, extra),
     )

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +381,18 @@ def _assert_clean_exit(argv):
 
 
 _small = st.integers(min_value=-3, max_value=30)
+
+
+@pytest.mark.parametrize("n_max", ["3", "20"])
+def test_general_at_a_huge_lambda_exits_within_seconds(n_max):
+    # each family-B call once summed every first-window cap over 1..lam+1,
+    # and each value DP state held lam + 1 entries
+    start = time.perf_counter()
+    argv = ["general", "--lambda", "99999", "--k", "99999", "--a", "99999", "--n-max", n_max]
+    code, out, err = _run_captured(argv)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    assert json.loads(out)["pass"] is True
 
 
 @settings(max_examples=40, deadline=None)

@@ -663,10 +663,100 @@ _CAP_CASES = st.one_of(
 # smallest part lam + 2: no first-window cap reaches it, so only a - j < 0 (a = 1) rejects
 @example([6, 5], (GeneralParams(3, 3, 1), None))
 @example([5], (GeneralParams(3, 3, 2), None))
+# the nested first-window caps: [3] breaks f(3) <= a - 3 by its one part of
+# depth 3, [4] breaks f(3) + f(4) <= 0 and [4, 3, 2] f(3) + f(4) <= 1
+@example([3], (GeneralParams(5, 3, 3), None))
+@example([4], (GeneralParams(6, 6, 3), None))
+@example([4, 3, 2], (GeneralParams(6, 6, 4), None))
 def test_extra_caps_are_checked_only_where_the_parts_reach(parts, case):
     (lam, k, a), extra = case
     args = (lam, k, a, extra)
     assert partitions._is_valid_general_B(parts, *args) == ref_is_valid_general_B(parts, *args)
+
+
+def test_general_b_period_reads_lambda_and_the_extra_set():
+    assert partitions._general_b_period(2, None) == (3, 3)
+    assert partitions._general_b_period(4, B0_433) == (5, 6)
+    assert partitions._general_b_period(5, B0_533) == (6, 7)
+    # at low itself a first-window cap can still reach a part: [3, 3]
+    # breaks f(1) + f(2) + f(3) <= a - 1, one period up it is valid
+    assert not partitions._is_valid_general_B([3, 3], 2, 3, 2, None)
+    assert partitions._is_valid_general_B([6, 6], 2, 3, 2, None)
+
+
+# Every default case, each extra set's triple without it, and _PARAMS;
+# the lists reach up to 84, so many lie wholly above low.
+@given(
+    st.tuples(_DESCENDING, st.integers(min_value=0, max_value=24)).map(
+        lambda t: [p + t[1] for p in t[0]]
+    ),
+    st.one_of(st.sampled_from(_FAMILY_CASES), st.tuples(_PARAMS, st.none())),
+)
+# smallest part low, where the period is not promised, and low + 1
+@example([13, 7], (GeneralParams(5, 3, 3), B0_533))
+@example([3, 3], (GeneralParams(2, 3, 2), None))
+@example([14, 8], (GeneralParams(5, 3, 3), B0_533))
+@example([4, 4], (GeneralParams(2, 3, 2), None))
+def test_general_b_predicate_repeats_every_period_above_low(parts, case):
+    (lam, k, a), extra = case
+    period, low = partitions._general_b_period(lam, extra)
+    if parts and parts[-1] > low:
+        up = [p + period for p in parts]
+        valid = partitions._is_valid_general_B
+        assert valid(parts, lam, k, a, extra) == valid(up, lam, k, a, extra)
+
+
+def _b_series(gp, extra, n_max, periodic):
+    """general_B_series through the value DP, with or without the period."""
+    lam, k, a = gp
+    period = partitions._general_b_period(lam, extra) if periodic else ()
+    return partitions._series(
+        n_max,
+        partitions._general_b_span(lam, extra),
+        lambda parts: partitions._is_valid_general_B(parts, lam, k, a, extra),
+        *period,
+    )
+
+
+@pytest.mark.parametrize(("gp", "extra"), _FAMILY_CASES)
+def test_reused_verdicts_give_the_plain_value_dp(gp, extra):
+    periodic = _b_series(gp, extra, 150, True)
+    assert periodic == _b_series(gp, extra, 150, False)
+    assert periodic == general_B_series(gp, 150, extra)
+
+
+def _general_b_calls(gp, extra, n_max) -> int:
+    """The calls of _is_valid_general_B that general_B_series makes."""
+    calls = 0
+    valid = partitions._is_valid_general_B
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return valid(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(partitions, "_is_valid_general_B", counted)
+        general_B_series(gp, n_max, extra)
+    return calls
+
+
+def test_general_b_calls_stop_growing_with_n():
+    gp = EXTRA_PARAMS[B0_433]
+    # 1,242 calls when every window was asked at every value
+    assert _general_b_calls(gp, B0_433, 45) == 673
+    assert _general_b_calls(gp, B0_433, 300) == _general_b_calls(gp, B0_433, 600)
+
+
+def test_general_b_period_follows_the_extra_modulus(monkeypatch):
+    # modulus 2(lam + 1) = 10, and a cap from index 2 that reaches up to 21
+    rules = (10, (((2, 3), 1, 0), ((4, 6, 9), 1, 0), ((-1, 0, 10, 11), 2, 2)))
+    monkeypatch.setitem(partitions._EXTRA_F_RULES, B0_433, rules)
+    gp = EXTRA_PARAMS[B0_433]
+    assert partitions._general_b_period(gp.lam, B0_433) == (10, 21)
+    # a period of lam + 1 alone would reuse wrong verdicts by n = 60
+    series = general_B_series(gp, 60, B0_433)
+    assert series == _b_series(gp, B0_433, 60, False) == search_general_series(gp, 60, B0_433)[1]
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))
