@@ -45,7 +45,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Hashable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
 from .poly import ONE, TriPoly, ZERO, _times_monomial, narrow
 
@@ -58,14 +59,24 @@ class GeneralParams(NamedTuple):
     a: int
 
 
-# Extra multiplicity restriction sets for the two refined B-families, each
-# with the one parameter triple it belongs to.
+# Extra multiplicity restriction sets for the two refined B-families: each
+# is the one parameter triple it belongs to, a modulus and its caps, each cap
+# (offsets, bound, smallest window index j0): for every window index j >= j0,
+# the multiplicities of the values modulus*j + offset sum to at most bound.
 B0_433 = "b0-433"
 B0_533 = "b0-533"
-EXTRA_PARAMS: dict[str, GeneralParams] = {
-    B0_433: GeneralParams(4, 3, 3),
-    B0_533: GeneralParams(5, 3, 3),
+_EXTRA_SETS = {
+    B0_433: (GeneralParams(4, 3, 3), 5, (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1))),
+    B0_533: (
+        GeneralParams(5, 3, 3),
+        6,
+        (((3,), 0, 0), ((2, 4), 1, 0), ((5, 7), 1, 0), ((-1, 0, 6, 7), 3, 1)),
+    ),
 }
+# each set's parameter triple, read-only
+EXTRA_PARAMS: Mapping[str, GeneralParams] = MappingProxyType(
+    {extra: gp for extra, (gp, _, _) in _EXTRA_SETS.items()}
+)
 
 
 # ------------------------------------------------------------- predicates
@@ -580,13 +591,6 @@ def _is_valid_general_A(parts: Sequence[int], rules) -> bool:
     return True
 
 
-_EXTRA_F_RULES = {
-    # modulus, then (offsets, bound, smallest window index) triples
-    B0_433: (5, (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1))),
-    B0_533: (6, (((3,), 0, 0), ((2, 4), 1, 0), ((5, 7), 1, 0), ((-1, 0, 6, 7), 3, 1))),
-}
-
-
 def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: str | None) -> bool:
     """Family-B predicate; `parts` must be weakly decreasing.
 
@@ -594,7 +598,7 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     lam+1, strictly when parts[i] is a multiple of lam+1; the first-window
     caps f(j) + ... + f(lam+1-j) <= a - j for 1 <= j <= (lam+1)/2 and
     f(1) + ... + f(lam+1) <= a - 1 hold; and, with `extra`, every cap of
-    _EXTRA_F_RULES[extra] holds.
+    the extra set holds (_EXTRA_SETS).
 
     Locality: every constraint is an upper bound on the multiplicities over
     a fixed set of values, or the (k-1)-apart difference rule.  The parts in
@@ -604,12 +608,11 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     involves parts at most lam+1 apart, so it spans at most lam+2 values; a
     first-window cap spans at most lam+1, and an extra cap
     max(offsets) - min(offsets) + 1 (9 for b0-533).  So a list is valid
-    exactly when its parts in every window of _general_b_span consecutive
-    values are.
+    exactly when its parts in every window of span consecutive values are
+    (_general_b_window).
 
-    Reach: a cap is summed only where its values can reach the parts.  A
-    cap whose values all lie outside [parts[-1], parts[0]] sums to 0, so it
-    fails only if its bound is negative:
+    Reach: a cap whose values all lie outside [parts[-1], parts[0]] sums
+    to 0, so it fails only if its bound is negative:
 
     * the first-window caps reach only values 1..lam+1.  a - j < 0 for some
       j exactly when a < (lam+1)//2 (the largest j; a - 1 is no smaller),
@@ -618,22 +621,24 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
       [j, lam+1-j] at once: the i-th deepest part, of depth d =
       min(p, lam+1-p), breaks the cap at j = d exactly when i + d > a;
     * an extra cap at window index j holds the values modulus*j + off, so
-      it reaches the parts only for ceil((parts[-1] - max(offsets)) /
-      modulus) <= j <= floor((parts[0] - min(offsets)) / modulus), and is
-      checked at exactly those j (from its smallest index, if larger);
-      every extra bound is >= 0.
+      none above floor((parts[0] - min(offsets)) / modulus) reaches the
+      parts, and every extra bound is >= 0: each extra cap is checked from
+      its smallest index up to that one.
 
-    So a call costs time in proportion to its parts, not to lam or the top
-    part: a call on one of the value DP's windows costs the same at every
-    height.
+    So a call costs time in proportion to its parts plus, with extra caps,
+    its top part over the modulus.  The value DP asks only windows whose
+    top part is below low + span + period (see Period), so its calls cost
+    the same at every n.
 
-    Period: above low (_general_b_period) no first-window cap and no extra
+    Period: above low (_general_b_window) no first-window cap and no extra
     cap below its smallest index reaches a part, and the repeat rule, the
     difference rule and the extra caps repeat every lcm(lam+1, modulus),
     so moving every part of such a list up by that period keeps its
-    verdict.  The value DP reuses verdicts on it (_value_dp), so a change
-    that breaks the period above low shows only in the first period; the
-    tests of the period and of the DP with and without it catch that.
+    verdict.  The value DP reuses verdicts on it (_value_dp): from value
+    low + span on, every window lies above low, so after one period of
+    such values every verdict is read back.  A change that breaks the
+    period above low therefore shows only in the first period; the tests
+    of the period and of the DP with and without it catch that.
     """
     step = lam + 1
     f: dict[int, int] = {}
@@ -658,35 +663,27 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
             return False
     if extra is not None and parts:
         g = f.get
-        modulus, rules = _EXTRA_F_RULES[extra]
-        for offsets, bound, j_start in rules:
-            first = max(j_start, -((max(offsets) - parts[-1]) // modulus))
-            for j in range(first, (parts[0] - min(offsets)) // modulus + 1):
+        _, modulus, caps = _EXTRA_SETS[extra]
+        for offsets, bound, j0 in caps:
+            for j in range(j0, (parts[0] - min(offsets)) // modulus + 1):
                 if sum(g(modulus * j + off, 0) for off in offsets) > bound:
                     return False
     return True
 
 
-def _general_b_span(lam: int, extra: str | None) -> int:
-    """Values a family-B constraint can span: lam + 2 for the difference
-    rule and the first-window caps, widened to the widest extra cap."""
-    span = lam + 2
-    if extra is not None:
-        _, rules = _EXTRA_F_RULES[extra]
-        span = max(span, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in rules))
-    return span
-
-
-def _general_b_period(lam: int, extra: str | None) -> tuple[int, int]:
-    """(period, low) of the family-B predicate (see _is_valid_general_B):
-    lcm(lam+1, modulus), and the largest of lam+1 and the values that each
-    extra cap reaches one index below its smallest."""
+def _general_b_window(lam: int, extra: str | None) -> tuple[int, int, int]:
+    """(span, period, low) of the family-B predicate (see _is_valid_general_B):
+    the values a constraint can span, lam + 2 for the difference rule and
+    the first-window caps, widened to the widest extra cap; lcm(lam+1,
+    modulus); and the largest of lam+1 and the values that each extra cap
+    reaches one index below its smallest."""
     step = lam + 1
     if extra is None:
-        return step, step
-    modulus, rules = _EXTRA_F_RULES[extra]
-    low = max(step, *(modulus * (j0 - 1) + max(offsets) for offsets, _, j0 in rules))
-    return lcm(step, modulus), low
+        return step + 1, step, step
+    _, modulus, caps = _EXTRA_SETS[extra]
+    span = max(step + 1, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in caps))
+    low = max(step, *(modulus * (j0 - 1) + max(offsets) for offsets, _, j0 in caps))
+    return span, lcm(step, modulus), low
 
 
 def _series(
@@ -717,16 +714,14 @@ def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:
 
 def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) -> list[int]:
     """Family-B counts for every n in 0..n_max, by the transfer matrix over
-    part values with windows of _general_b_span values (see
-    _is_valid_general_B for why they suffice), each window's verdict reused
-    one period up (see _general_b_period)."""
+    part values with windows of span values (see _is_valid_general_B for
+    why they suffice), each window's verdict reused one period up; span,
+    period and low from _general_b_window."""
     validate_case(gp, extra)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam, k, a = gp
+    span, period, low = _general_b_window(lam, extra)
     return _series(
-        n_max,
-        _general_b_span(lam, extra),
-        lambda parts: _is_valid_general_B(parts, lam, k, a, extra),
-        *_general_b_period(lam, extra),
+        n_max, span, lambda parts: _is_valid_general_B(parts, lam, k, a, extra), period, low
     )

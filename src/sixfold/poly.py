@@ -593,12 +593,7 @@ class TriPoly:
 
     def to_json_terms(self) -> list[list]:
         """Canonical JSON form: [coeff-as-decimal-string, e_a, e_b, e_q] rows."""
-
-        def fill(e_a, e_b, slots):
-            for c, e_q, bucket in slots:
-                bucket.append([str(c), e_a, e_b, e_q])
-
-        return self._walk(fill, int)
+        return [[str(c), e_a, e_b, e_q] for c, e_a, e_b, e_q in self.terms()]
 
     def to_json(self) -> str:
         """json.dumps(self.to_json_terms()), byte for byte, with each term

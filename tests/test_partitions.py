@@ -593,9 +593,9 @@ def test_general_series_equal_the_part_search_under_theorem1(gp, n_max):
 
 
 def test_general_b_span_reads_the_widest_rule():
-    assert partitions._general_b_span(5, None) == 7
-    assert partitions._general_b_span(5, B0_533) == 9
-    assert partitions._general_b_span(4, B0_433) == 8
+    assert partitions._general_b_window(5, None)[0] == 7
+    assert partitions._general_b_window(5, B0_533)[0] == 9
+    assert partitions._general_b_window(4, B0_433)[0] == 8
 
 
 def _local(parts, span, valid) -> bool:
@@ -637,7 +637,7 @@ def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     def valid_a(p):
         return partitions._is_valid_general_A(p, rules)
 
-    span_b = partitions._general_b_span(lam, extra)
+    span_b, _, _ = partitions._general_b_window(lam, extra)
     assert valid_b(parts) == _local(parts, span_b, valid_b)
     assert valid_a(parts) == _local(parts, 1, valid_a)
     assert is_valid_A(parts) == _local(parts, 1, is_valid_A)
@@ -668,16 +668,16 @@ _CAP_CASES = st.one_of(
 @example([3], (GeneralParams(5, 3, 3), None))
 @example([4], (GeneralParams(6, 6, 3), None))
 @example([4, 3, 2], (GeneralParams(6, 6, 4), None))
-def test_extra_caps_are_checked_only_where_the_parts_reach(parts, case):
+def test_skipping_the_caps_that_miss_the_parts_changes_no_verdict(parts, case):
     (lam, k, a), extra = case
     args = (lam, k, a, extra)
     assert partitions._is_valid_general_B(parts, *args) == ref_is_valid_general_B(parts, *args)
 
 
 def test_general_b_period_reads_lambda_and_the_extra_set():
-    assert partitions._general_b_period(2, None) == (3, 3)
-    assert partitions._general_b_period(4, B0_433) == (5, 6)
-    assert partitions._general_b_period(5, B0_533) == (6, 7)
+    assert partitions._general_b_window(2, None)[1:] == (3, 3)
+    assert partitions._general_b_window(4, B0_433)[1:] == (5, 6)
+    assert partitions._general_b_window(5, B0_533)[1:] == (6, 7)
     # at low itself a first-window cap can still reach a part: [3, 3]
     # breaks f(1) + f(2) + f(3) <= a - 1, one period up it is valid
     assert not partitions._is_valid_general_B([3, 3], 2, 3, 2, None)
@@ -699,7 +699,7 @@ def test_general_b_period_reads_lambda_and_the_extra_set():
 @example([4, 4], (GeneralParams(2, 3, 2), None))
 def test_general_b_predicate_repeats_every_period_above_low(parts, case):
     (lam, k, a), extra = case
-    period, low = partitions._general_b_period(lam, extra)
+    _, period, low = partitions._general_b_window(lam, extra)
     if parts and parts[-1] > low:
         up = [p + period for p in parts]
         valid = partitions._is_valid_general_B
@@ -709,12 +709,12 @@ def test_general_b_predicate_repeats_every_period_above_low(parts, case):
 def _b_series(gp, extra, n_max, periodic):
     """general_B_series through the value DP, with or without the period."""
     lam, k, a = gp
-    period = partitions._general_b_period(lam, extra) if periodic else ()
+    span, *period = partitions._general_b_window(lam, extra)
     return partitions._series(
         n_max,
-        partitions._general_b_span(lam, extra),
+        span,
         lambda parts: partitions._is_valid_general_B(parts, lam, k, a, extra),
-        *period,
+        *(period if periodic else ()),
     )
 
 
@@ -725,35 +725,42 @@ def test_reused_verdicts_give_the_plain_value_dp(gp, extra):
     assert periodic == general_B_series(gp, 150, extra)
 
 
-def _general_b_calls(gp, extra, n_max) -> int:
-    """The calls of _is_valid_general_B that general_B_series makes."""
-    calls = 0
+def _general_b_calls(gp, extra, n_max) -> tuple[int, int]:
+    """The calls of _is_valid_general_B that general_B_series makes, and the
+    highest top part among them."""
+    calls = top = 0
     valid = partitions._is_valid_general_B
 
-    def counted(*args):
-        nonlocal calls
+    def counted(parts, *args):
+        nonlocal calls, top
         calls += 1
-        return valid(*args)
+        if parts:
+            top = max(top, parts[0])
+        return valid(parts, *args)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(partitions, "_is_valid_general_B", counted)
         general_B_series(gp, n_max, extra)
-    return calls
+    return calls, top
 
 
 def test_general_b_calls_stop_growing_with_n():
-    gp = EXTRA_PARAMS[B0_433]
     # 1,242 calls when every window was asked at every value
-    assert _general_b_calls(gp, B0_433, 45) == 673
-    assert _general_b_calls(gp, B0_433, 300) == _general_b_calls(gp, B0_433, 600)
+    assert _general_b_calls(EXTRA_PARAMS[B0_433], B0_433, 45)[0] == 673
+    # past low + span + period every verdict is read back (see _value_dp)
+    for gp, extra, _ in DEFAULT_GENERAL_CASES:
+        span, period, low = partitions._general_b_window(gp.lam, extra)
+        calls, top = _general_b_calls(gp, extra, 300)
+        assert (calls, top) == _general_b_calls(gp, extra, 600), (gp, extra)
+        assert top < low + span + period, (gp, extra)
 
 
 def test_general_b_period_follows_the_extra_modulus(monkeypatch):
     # modulus 2(lam + 1) = 10, and a cap from index 2 that reaches up to 21
-    rules = (10, (((2, 3), 1, 0), ((4, 6, 9), 1, 0), ((-1, 0, 10, 11), 2, 2)))
-    monkeypatch.setitem(partitions._EXTRA_F_RULES, B0_433, rules)
     gp = EXTRA_PARAMS[B0_433]
-    assert partitions._general_b_period(gp.lam, B0_433) == (10, 21)
+    caps = (((2, 3), 1, 0), ((4, 6, 9), 1, 0), ((-1, 0, 10, 11), 2, 2))
+    monkeypatch.setitem(partitions._EXTRA_SETS, B0_433, (gp, 10, caps))
+    assert partitions._general_b_window(gp.lam, B0_433)[1:] == (10, 21)
     # a period of lam + 1 alone would reuse wrong verdicts by n = 60
     series = general_B_series(gp, 60, B0_433)
     assert series == _b_series(gp, B0_433, 60, False) == search_general_series(gp, 60, B0_433)[1]
