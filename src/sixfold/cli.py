@@ -28,10 +28,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--suite",
         choices=["all", *verify.SUITES, "theorem3"],
         default="all",
+        help="all reads --n-max and --q-max, theorem3 only --q-max, every other suite only --n-max",
     )
-    p.add_argument("--n-max", type=int, default=None, help="largest level checked (suite default if omitted)")
+    p.add_argument("--n-max", type=int, help="largest level checked (suite default if omitted)")
     q_max = verify.SuiteConfig().q_max_theorem
-    p.add_argument("--q-max", type=int, default=q_max, help="q bound for the table/product checks")
+    p.add_argument("--q-max", type=int, help=f"q bound of Product and Theorem3 (default {q_max})")
 
     p = sub.add_parser("counts", help="refined (mu, nu, N) count table for one side")
     p.add_argument("--side", choices=["A", "B"], required=True)
@@ -69,17 +70,22 @@ def _emit(reports: list[verify.Report]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # all reads both bounds, theorem3 only --q-max, a per-level suite only --n-max
+    unread = {"all": (), "theorem3": ("--n-max",)}.get(args.suite, ("--q-max",))
     for flag, value in (("--n-max", args.n_max), ("--q-max", args.q_max)):
         if value is not None and value < 0:
             raise verify.ConfigError(f"{flag} must be >= 0")
+        if value is not None and flag in unread:
+            raise verify.ConfigError(f"--suite {args.suite} does not read {flag}")
+    q_max = verify.SuiteConfig().q_max_theorem if args.q_max is None else args.q_max
     if args.suite == "all":
         overrides = {}
         if args.n_max is not None:
             overrides = {entry.level_field: args.n_max for entry in verify.SUITES.values()}
-        cfg = verify.SuiteConfig(q_max_theorem=args.q_max, **overrides)
+        cfg = verify.SuiteConfig(q_max_theorem=q_max, **overrides)
         return _emit(verify.run_all(cfg))
     if args.suite == "theorem3":
-        return _emit([verify.theorem3_check(args.q_max)])
+        return _emit([verify.theorem3_check(q_max)])
     n_max = args.n_max
     if n_max is None:
         n_max = verify.SUITES[args.suite].top_level(verify.SuiteConfig())

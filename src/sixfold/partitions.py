@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from math import lcm
 from types import MappingProxyType
 from typing import Callable, Hashable, Mapping, NamedTuple, Sequence
 
@@ -60,22 +59,21 @@ class GeneralParams(NamedTuple):
 
 
 # Extra multiplicity restriction sets for the two refined B-families: each
-# is the one parameter triple it belongs to, a modulus and its caps, each cap
-# (offsets, bound, smallest window index j0): for every window index j >= j0,
-# the multiplicities of the values modulus*j + offset sum to at most bound.
+# is the one parameter triple it belongs to and its caps, each cap (offsets,
+# bound, smallest window index j0): for every window index j >= j0, the
+# multiplicities of the values (lam+1)*j + offset sum to at most bound.
 B0_433 = "b0-433"
 B0_533 = "b0-533"
 _EXTRA_SETS = {
-    B0_433: (GeneralParams(4, 3, 3), 5, (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1))),
+    B0_433: (GeneralParams(4, 3, 3), (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1))),
     B0_533: (
         GeneralParams(5, 3, 3),
-        6,
         (((3,), 0, 0), ((2, 4), 1, 0), ((5, 7), 1, 0), ((-1, 0, 6, 7), 3, 1)),
     ),
 }
 # each set's parameter triple, read-only
 EXTRA_PARAMS: Mapping[str, GeneralParams] = MappingProxyType(
-    {extra: gp for extra, (gp, _, _) in _EXTRA_SETS.items()}
+    {extra: gp for extra, (gp, _) in _EXTRA_SETS.items()}
 )
 
 
@@ -250,6 +248,19 @@ def _transfer(
     return dict(zip(nxt, narrow(*nxt.values())))
 
 
+# The most states a layer of _value_dp may hold.  A value step costs about
+# 25-35 us per state of its layer (measured on a 2-core machine, on the wide
+# family-B windows of lam = k = a = 99999, where no verdict is reused), so
+# past 50,000 states each value takes 1.3-1.8 s, and a run with tens of
+# values left is past the 60 s of a desk run: that triple at n = 60 passes
+# 50,000 states at value 20, peaks at 102,000 and would take 150 s.  The
+# budget judges a layer, not the run, so it also ends some runs whose layers
+# thin out again and that would finish sooner: (20, 20, 20) at n = 70 peaks
+# at 126,580 states and takes 17.5 s.  The seven default general cases peak
+# at 4-40 states.
+_STATE_BUDGET = 50_000
+
+
 def _value_dp(
     n_max: int,
     span: int,
@@ -294,6 +305,8 @@ def _value_dp(
     read back, capped at n_max // v, at the higher values that meet the
     key, without a call: a count below its value's cap is exact, and the
     cap only shrinks as v grows.
+
+    A layer of more than _STATE_BUDGET states raises ValueError.
     """
     if not valid([]):
         return ZERO
@@ -334,6 +347,11 @@ def _value_dp(
                 targets.append((t, m * mu, m * nu, m * v, base, by_most.get(m, ())))
                 base = len(targets) - 1
         layer = _transfer(layer, targets, n_max)
+        if len(layer) > _STATE_BUDGET:
+            raise ValueError(
+                f"n_max={n_max} is out of reach: the value DP holds {len(layer)} states"
+                f" at value {v}, past its budget of {_STATE_BUDGET}"
+            )
     return sum(layer.values(), ZERO)
 
 
@@ -620,25 +638,25 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
       they are checked only when parts[-1] <= lam+1, the nested intervals
       [j, lam+1-j] at once: the i-th deepest part, of depth d =
       min(p, lam+1-p), breaks the cap at j = d exactly when i + d > a;
-    * an extra cap at window index j holds the values modulus*j + off, so
-      none above floor((parts[0] - min(offsets)) / modulus) reaches the
+    * an extra cap at window index j holds the values (lam+1)*j + off, so
+      none above floor((parts[0] - min(offsets)) / (lam+1)) reaches the
       parts, and every extra bound is >= 0: each extra cap is checked from
       its smallest index up to that one.
 
     So a call costs time in proportion to its parts plus, with extra caps,
-    its top part over the modulus.  The value DP asks only windows whose
-    top part is below low + span + period (see Period), so its calls cost
-    the same at every n.
+    its top part over lam+1.  The value DP asks only windows whose top
+    part is below low + span + period (see Period), so its calls cost the
+    same at every n.
 
     Period: above low (_general_b_window) no first-window cap and no extra
     cap below its smallest index reaches a part, and the repeat rule, the
-    difference rule and the extra caps repeat every lcm(lam+1, modulus),
-    so moving every part of such a list up by that period keeps its
-    verdict.  The value DP reuses verdicts on it (_value_dp): from value
-    low + span on, every window lies above low, so after one period of
-    such values every verdict is read back.  A change that breaks the
-    period above low therefore shows only in the first period; the tests
-    of the period and of the DP with and without it catch that.
+    difference rule and the extra caps repeat every lam+1 values, so
+    moving every part of such a list up by lam+1 keeps its verdict.  The
+    value DP reuses verdicts on it (_value_dp): from value low + span on,
+    every window lies above low, so after one period of such values every
+    verdict is read back.  A change that breaks the period above low
+    therefore shows only in the first period; the tests of the period and
+    of the DP with and without it catch that.
     """
     step = lam + 1
     f: dict[int, int] = {}
@@ -661,29 +679,24 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         depths = sorted((min(p, step - p) for p in first_window), reverse=True)
         if any(i + d > a for i, d in enumerate(depths, 1)):
             return False
-    if extra is not None and parts:
-        g = f.get
-        _, modulus, caps = _EXTRA_SETS[extra]
-        for offsets, bound, j0 in caps:
-            for j in range(j0, (parts[0] - min(offsets)) // modulus + 1):
-                if sum(g(modulus * j + off, 0) for off in offsets) > bound:
-                    return False
+    for offsets, bound, j0 in _EXTRA_SETS[extra][1] if extra is not None else ():
+        for j in range(j0, (max(parts, default=0) - min(offsets)) // step + 1):
+            if sum(f.get(step * j + off, 0) for off in offsets) > bound:
+                return False
     return True
 
 
 def _general_b_window(lam: int, extra: str | None) -> tuple[int, int, int]:
     """(span, period, low) of the family-B predicate (see _is_valid_general_B):
     the values a constraint can span, lam + 2 for the difference rule and
-    the first-window caps, widened to the widest extra cap; lcm(lam+1,
-    modulus); and the largest of lam+1 and the values that each extra cap
-    reaches one index below its smallest."""
+    the first-window caps, widened to the widest extra cap; lam + 1; and
+    the largest of lam + 1 and the values that each extra cap reaches one
+    index below its smallest.  No extra set is the empty tuple of caps."""
     step = lam + 1
-    if extra is None:
-        return step + 1, step, step
-    _, modulus, caps = _EXTRA_SETS[extra]
-    span = max(step + 1, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in caps))
-    low = max(step, *(modulus * (j0 - 1) + max(offsets) for offsets, _, j0 in caps))
-    return span, lcm(step, modulus), low
+    caps = _EXTRA_SETS[extra][1] if extra is not None else ()
+    span = max((step + 1, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in caps)))
+    low = max((step, *(step * (j0 - 1) + max(offsets) for offsets, _, j0 in caps)))
+    return span, step, low
 
 
 def _series(

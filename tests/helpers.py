@@ -260,10 +260,10 @@ def ref_is_valid_general_B(parts, lam: int, k: int, a: int, extra) -> bool:
     if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
         return False
     if extra is not None and parts:
-        _, modulus, caps = partitions._EXTRA_SETS[extra]
+        _, caps = partitions._EXTRA_SETS[extra]
         for offsets, bound, j0 in caps:
-            for j in range(j0, parts[0] // modulus + 2):
-                if sum(g(modulus * j + off, 0) for off in offsets) > bound:
+            for j in range(j0, parts[0] // step + 2):
+                if sum(g(step * j + off, 0) for off in offsets) > bound:
                     return False
     return True
 

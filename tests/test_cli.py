@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DISPLAY_S0_15
-from sixfold import recurrence
+from sixfold import partitions, recurrence
 from sixfold.cli import main
 from sixfold.verify import SUITES, SuiteConfig
 
@@ -176,9 +176,17 @@ def test_suite_choices_and_defaults_come_from_the_registry(capsys):
 
 @pytest.mark.parametrize("suite", ["all", *SUITES, "theorem3"])
 def test_verify_rejects_a_negative_q_max_for_every_suite(capsys, suite):
-    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--n-max", "0", "--q-max", "-7")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    n_max = [] if suite == "theorem3" else ["--n-max", "0"]  # theorem3 does not read it
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, *n_max, "--q-max", "-7")
+    assert (code, out, err) == (2, "", "error: --q-max must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    ("suite", "flag"), [("theorem3", "--n-max"), *((suite, "--q-max") for suite in SUITES)]
+)
+def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, suite, flag):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "5")
+    assert (code, out, err) == (2, "", f"error: --suite {suite} does not read {flag}\n")
 
 
 def test_verify_determinism_modulo_timing(capsys):
@@ -393,6 +401,18 @@ def test_general_at_a_huge_lambda_exits_within_seconds(n_max):
     assert time.perf_counter() - start < 5
     assert code == 0 and err == ""
     assert json.loads(out)["pass"] is True
+
+
+def test_general_past_the_state_budget_exits_2(monkeypatch):
+    # at n = 20 the layers of lam = k = a = 99999 peak at 370 states
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", 300)
+    argv = ["general", "--lambda", "99999", "--k", "99999", "--a", "99999", "--n-max", "20"]
+    code, out, err = _run_captured(argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: n_max=20 is out of reach: the value DP holds 310 states at value 12,"
+        " past its budget of 300\n"
+    )
 
 
 @settings(max_examples=40, deadline=None)

@@ -675,9 +675,18 @@ def test_skipping_the_caps_that_miss_the_parts_changes_no_verdict(parts, case):
 
 
 def test_general_b_period_reads_lambda_and_the_extra_set():
-    assert partitions._general_b_window(2, None)[1:] == (3, 3)
-    assert partitions._general_b_window(4, B0_433)[1:] == (5, 6)
-    assert partitions._general_b_window(5, B0_533)[1:] == (6, 7)
+    # (span, period, low): every extra cap sits on windows of lam + 1 values,
+    # so the period is lam + 1, and low reads the extra caps
+    windows = {
+        (gp.lam, extra): partitions._general_b_window(gp.lam, extra)
+        for gp, extra, _ in DEFAULT_GENERAL_CASES
+    }
+    assert windows == {
+        (2, None): (4, 3, 3),
+        (3, None): (5, 4, 4),
+        (4, B0_433): (8, 5, 6),
+        (5, B0_533): (9, 6, 7),
+    }
     # at low itself a first-window cap can still reach a part: [3, 3]
     # breaks f(1) + f(2) + f(3) <= a - 1, one period up it is valid
     assert not partitions._is_valid_general_B([3, 3], 2, 3, 2, None)
@@ -755,15 +764,12 @@ def test_general_b_calls_stop_growing_with_n():
         assert top < low + span + period, (gp, extra)
 
 
-def test_general_b_period_follows_the_extra_modulus(monkeypatch):
-    # modulus 2(lam + 1) = 10, and a cap from index 2 that reaches up to 21
-    gp = EXTRA_PARAMS[B0_433]
-    caps = (((2, 3), 1, 0), ((4, 6, 9), 1, 0), ((-1, 0, 10, 11), 2, 2))
-    monkeypatch.setitem(partitions._EXTRA_SETS, B0_433, (gp, 10, caps))
-    assert partitions._general_b_window(gp.lam, B0_433)[1:] == (10, 21)
-    # a period of lam + 1 alone would reuse wrong verdicts by n = 60
-    series = general_B_series(gp, 60, B0_433)
-    assert series == _b_series(gp, B0_433, 60, False) == search_general_series(gp, 60, B0_433)[1]
+def test_the_default_general_cases_hold_at_most_40_states(monkeypatch):
+    # far below the budget of _value_dp; both extra sets reach 40 by value 8
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", 40)
+    for gp, extra, _ in DEFAULT_GENERAL_CASES:
+        general_B_series(gp, 300, extra)
+        general_A_series(gp, 300)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))

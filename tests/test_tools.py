@@ -3,6 +3,8 @@
 import sys
 from pathlib import Path
 
+from sixfold.partitions import count_table, is_valid_B
+
 TOOLS = Path(__file__).parent.parent / "tools"
 PACKAGE = Path(__file__).parent.parent / "src" / "sixfold"
 sys.path.insert(0, str(TOOLS))
@@ -85,6 +87,21 @@ def test_a_cap_that_skips_window_0_is_a_config_error():
     assert source.count(cap) == 1
     mutant = source.replace(cap, "        if j and g(base + 5, 0) + g(base + 7, 0) > 1:\n")
     assert run(PACKAGE, mutant) == ("", "error: is_valid_B judges windows 0 and 1 differently\n", 2)
+
+
+def test_the_census_gap_shows_in_the_value_dp_over_is_valid_B():
+    # the one survivor of verify --suite all that is not equivalent: the
+    # window loop stops at parts[0] // 7 + 1, so the part 69 = 6*11 + 3 is
+    # admitted; the window plan reads windows 0..2 and the default bounds
+    # never reach 69, so only the value DP over is_valid_B at q = 120 sees it
+    source = (PACKAGE / "partitions.py").read_text()
+    (mutant,) = [t for label, t in mutants(source) if label.endswith("'parts[0] // 6' 6 -> 7")]
+    module = {"__name__": "sixfold.mutant", "__package__": "sixfold"}
+    exec(compile(mutant, "partitions.py", "exec"), module)
+    valid = module["is_valid_B"]
+    assert valid([69]) and not is_valid_B([69])
+    dp = module["_value_dp"](120, 9, valid, lambda v: module["profile_B"]([v]))
+    assert dp != count_table("B", 120)
 
 
 def test_digests_name_each_output_once_and_repeat_on_cheap_ones():
