@@ -70,7 +70,6 @@ def _emit(reports: list[verify.Report]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # all reads both bounds, theorem3 only --q-max, a per-level suite only --n-max
     unread = {"all": (), "theorem3": ("--n-max",)}.get(args.suite, ("--q-max",))
     for flag, value in (("--n-max", args.n_max), ("--q-max", args.q_max)):
         if value is not None and value < 0:

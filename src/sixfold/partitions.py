@@ -248,17 +248,18 @@ def _transfer(
     return dict(zip(nxt, narrow(*nxt.values())))
 
 
-# The most states a layer of _value_dp may hold.  A value step costs about
-# 25-35 us per state of its layer (measured on a 2-core machine, on the wide
-# family-B windows of lam = k = a = 99999, where no verdict is reused), so
-# past 50,000 states each value takes 1.3-1.8 s, and a run with tens of
-# values left is past the 60 s of a desk run: that triple at n = 60 passes
-# 50,000 states at value 20, peaks at 102,000 and would take 150 s.  The
-# budget judges a layer, not the run, so it also ends some runs whose layers
-# thin out again and that would finish sooner: (20, 20, 20) at n = 70 peaks
-# at 126,580 states and takes 17.5 s.  The seven default general cases peak
-# at 4-40 states.
-_STATE_BUDGET = 50_000
+# The most states _value_dp may visit, summed over its value steps.  The
+# runs that reach it are those whose layers grow to tens of thousands of
+# states, and these cost 22-34 us a visited state over the run (measured
+# on a 2-core machine, in-process: lam = k = a = 20 at n = 70 visits
+# 737,850 states in 16.5-18.8 s, 99 at n = 50 979,491 in 24.6-25.8 s, and
+# 99999 at n = 60 passes the budget at value 42 after 67 s), so a run
+# that passes 2,000,000 states has run for 44-68 s, about the 60 s of a
+# desk run.  The budget bounds the number of states, not the size of the
+# series they carry: at n = 2,000 the seven default general cases visit
+# 8,000-43,000 states, and the count tables at q = 1,000 1,000-1,900,
+# where the time goes into the polynomials.
+_STATE_BUDGET = 2_000_000
 
 
 def _value_dp(
@@ -306,14 +307,22 @@ def _value_dp(
     key, without a call: a count below its value's cap is exact, and the
     cap only shrinks as v grows.
 
-    A layer of more than _STATE_BUDGET states raises ValueError.
+    A run that visits more than _STATE_BUDGET states, summed over its
+    value steps, raises ValueError.
     """
     if not valid([]):
         return ZERO
     span = max(1, min(span, n_max))
     layer = {(0,) * (span - 1): ONE}
     accepted: dict[int, dict[tuple[int, ...], int]] = {}  # v mod period -> state -> most
+    visited = 0
     for v in range(1, n_max + 1):
+        visited += len(layer)
+        if visited > _STATE_BUDGET:
+            raise ValueError(
+                f"n_max={n_max} is out of reach: the value DP has visited {visited} states"
+                f" by value {v}, past its budget of {_STATE_BUDGET}"
+            )
         mu, nu = weight(v)
         # the states by their last span - 2 entries, then by the most copies
         # of v they accept
@@ -347,11 +356,6 @@ def _value_dp(
                 targets.append((t, m * mu, m * nu, m * v, base, by_most.get(m, ())))
                 base = len(targets) - 1
         layer = _transfer(layer, targets, n_max)
-        if len(layer) > _STATE_BUDGET:
-            raise ValueError(
-                f"n_max={n_max} is out of reach: the value DP holds {len(layer)} states"
-                f" at value {v}, past its budget of {_STATE_BUDGET}"
-            )
     return sum(layer.values(), ZERO)
 
 
@@ -679,8 +683,9 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         depths = sorted((min(p, step - p) for p in first_window), reverse=True)
         if any(i + d > a for i, d in enumerate(depths, 1)):
             return False
+    top = parts[0] if parts else 0
     for offsets, bound, j0 in _EXTRA_SETS[extra][1] if extra is not None else ():
-        for j in range(j0, (max(parts, default=0) - min(offsets)) // step + 1):
+        for j in range(j0, (top - min(offsets)) // step + 1):
             if sum(f.get(step * j + off, 0) for off in offsets) > bound:
                 return False
     return True

@@ -404,14 +404,14 @@ def test_general_at_a_huge_lambda_exits_within_seconds(n_max):
 
 
 def test_general_past_the_state_budget_exits_2(monkeypatch):
-    # at n = 20 the layers of lam = k = a = 99999 peak at 370 states
-    monkeypatch.setattr(partitions, "_STATE_BUDGET", 300)
+    # at n = 20, lam = k = a = 99999 visits 3,941 states
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", 1000)
     argv = ["general", "--lambda", "99999", "--k", "99999", "--a", "99999", "--n-max", "20"]
     code, out, err = _run_captured(argv)
     assert (code, out) == (2, "")
     assert err == (
-        "error: n_max=20 is out of reach: the value DP holds 310 states at value 12,"
-        " past its budget of 300\n"
+        "error: n_max=20 is out of reach: the value DP has visited 1143 states by value 12,"
+        " past its budget of 1000\n"
     )
 
 

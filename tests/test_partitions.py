@@ -764,12 +764,35 @@ def test_general_b_calls_stop_growing_with_n():
         assert top < low + span + period, (gp, extra)
 
 
-def test_the_default_general_cases_hold_at_most_40_states(monkeypatch):
-    # far below the budget of _value_dp; both extra sets reach 40 by value 8
-    monkeypatch.setattr(partitions, "_STATE_BUDGET", 40)
+def test_the_default_general_cases_stay_far_below_the_state_budget(monkeypatch):
+    # b0-433 visits the most states, 6,311 at n = 300
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", 6_400)
     for gp, extra, _ in DEFAULT_GENERAL_CASES:
         general_B_series(gp, 300, extra)
         general_A_series(gp, 300)
+
+
+def test_the_state_budget_counts_the_states_of_the_whole_run(monkeypatch):
+    # (20, 20, 20) fits the budget at n = 30 (0.3 s); its largest layer
+    # holds far fewer states than the run visits, so a budget on one layer
+    # would let the run through one state below its total
+    gp = GeneralParams(20, 20, 20)
+    layers = []
+    transfer = partitions._transfer
+
+    def counted(layer, targets, q_max=None):
+        layers.append(len(layer))
+        return transfer(layer, targets, q_max)
+
+    monkeypatch.setattr(partitions, "_transfer", counted)
+    series = general_B_series(gp, 30)
+    total = sum(layers)
+    assert max(layers) < total - 1
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", total)
+    assert general_B_series(gp, 30) == series
+    monkeypatch.setattr(partitions, "_STATE_BUDGET", total - 1)
+    with pytest.raises(ValueError, match=f"visited {total} states by value 30,"):
+        general_B_series(gp, 30)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=40), max_size=8))
