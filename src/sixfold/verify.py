@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from . import partitions, recurrence
@@ -24,8 +23,7 @@ class ConfigError(ValueError):
     """Invalid suite configuration or check parameters."""
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     """Outcome of one identity check.
 
     `n` is the check parameter: the level for per-level checks, the q bound
@@ -34,6 +32,9 @@ class Report:
     slot).  No two reports of one run share (identity, n): SuiteConfig
     rejects general cases that would (see _general_key).  `detail` and
     `diff` are diagnostics and not part of the serialized line.
+
+    A NamedTuple like GeneralParams and Suite: immutable, equal to the
+    plain tuple of its fields, and copied with `_replace`.
     """
 
     identity: str
@@ -286,9 +287,12 @@ DEFAULT_GENERAL_CASES: tuple[tuple[GeneralParams, str | None, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Bounds for a full verification run (defaults are desk scale)."""
+class SuiteConfig(NamedTuple):
+    """Bounds for a full verification run (defaults are desk scale).
+
+    A NamedTuple like GeneralParams and Suite: immutable, equal to the
+    plain tuple of its fields, and copied with `_replace`.
+    """
 
     n_max_lemmas: int = 6  # J, K and the linking identity
     n_max_fourth_order: int = 4  # the three fourth-order residual checks

@@ -5,6 +5,7 @@ since the tests may run on a newer one."""
 
 import ast
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -38,6 +39,24 @@ def test_sources_parse_at_the_declared_python_floor():
     floor = (int(declared[1]), int(declared[2]))
     for path in sorted(SOURCE_DIR.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=floor)
+
+
+def test_a_fresh_import_loads_no_introspection_module():
+    """dataclasses pulls in inspect, ast, dis and tokenize, a cold start of
+    several ms in every fresh process.  Checked in a subprocess, as pytest
+    itself has loaded them all."""
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import sixfold, sixfold.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis', 'tokenize')"
+        " if m in sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == []
 
 
 def test_benchmark_tracer_wraps_and_restores_every_target():

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 import time
@@ -61,6 +60,16 @@ def test_report_json_line_schema():
     assert list(json.loads(line)) == ["identity", "n", "pass", "residual_terms", "ms"]
 
 
+@pytest.mark.parametrize(
+    "record, field",
+    [(SuiteConfig(), "q_max_theorem"), (Report("J", 3, True, 0, 12, "d", ("x",)), "passed")],
+)
+def test_reports_and_configs_are_immutable_and_hashable(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    assert hash(record) == hash(record._replace())
+
+
 def test_pass_iff_no_residual_terms():
     for r in run_all(SMALL):
         assert r.passed == (r.residual_terms == 0)
@@ -79,11 +88,9 @@ def test_run_all_is_deterministic():
 
 def test_report_order_does_not_depend_on_the_case_order():
     # the report order is IDENTITY_ORDER, derived from SUITES
-    reordered = dataclasses.replace(SMALL, general_cases=SMALL.general_cases[::-1])
+    reordered = SMALL._replace(general_cases=SMALL.general_cases[::-1])
     forward, backward = run_all(SMALL), run_all(reordered)
-    assert [dataclasses.replace(r, ms=0) for r in backward] == [
-        dataclasses.replace(r, ms=0) for r in forward
-    ]
+    assert [r._replace(ms=0) for r in backward] == [r._replace(ms=0) for r in forward]
     for entry in SUITES.values():
         for identity, _ in entry.checks:
             assert IDENTITY_ORDER.count(identity) == 1, identity
@@ -161,9 +168,7 @@ def test_link_reports_equal_a_fresh_memo_evaluation():
             verify._residual_report("Link", n, recurrence.link_residual(n, SeriesMemo(rules)), 0)
             for n in range(3)
         ]
-        assert [dataclasses.replace(r, ms=0) for r in held] == [
-            dataclasses.replace(r, ms=0) for r in fresh
-        ]
+        assert [r._replace(ms=0) for r in held] == [r._replace(ms=0) for r in fresh]
         assert all_passed(held) == (rules is REC_RULES)
 
 
@@ -293,7 +298,7 @@ def test_general_reports_are_pinned():
 
 def test_wrappers_return_the_general_case_report():
     def same(r):
-        return dataclasses.replace(r, ms=0)
+        return r._replace(ms=0)
 
     gp = GeneralParams(2, 3, 2)
     assert same(theorem1_check(gp, 12)) == same(general_case(gp, None, 12))
