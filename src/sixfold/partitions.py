@@ -60,16 +60,16 @@ class GeneralParams(NamedTuple):
 
 # Extra multiplicity restriction sets for the two refined B-families: each
 # is the one parameter triple it belongs to and its caps, each cap (offsets,
-# bound, smallest window index j0): for every window index j >= j0, the
-# multiplicities of the values (lam+1)*j + offset sum to at most bound.
+# bound): for every window index j >= 0, the multiplicities of the values
+# (lam+1)*j + offset sum to at most bound.  The widest cap is stated from
+# j = 1, as for side B (is_valid_B); its j = 0 instance, f(lam+1) +
+# f(lam+2) <= 3, always holds, since the k = 3 difference rule admits at
+# most two parts among any lam+1 consecutive values.
 B0_433 = "b0-433"
 B0_533 = "b0-533"
 _EXTRA_SETS = {
-    B0_433: (GeneralParams(4, 3, 3), (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1))),
-    B0_533: (
-        GeneralParams(5, 3, 3),
-        (((3,), 0, 0), ((2, 4), 1, 0), ((5, 7), 1, 0), ((-1, 0, 6, 7), 3, 1)),
-    ),
+    B0_433: (GeneralParams(4, 3, 3), (((2, 3), 1), ((4, 6), 1), ((-1, 0, 5, 6), 3))),
+    B0_533: (GeneralParams(5, 3, 3), (((3,), 0), ((2, 4), 1), ((5, 7), 1), ((-1, 0, 6, 7), 3))),
 }
 # each set's parameter triple, read-only
 EXTRA_PARAMS: Mapping[str, GeneralParams] = MappingProxyType(
@@ -268,7 +268,6 @@ def _value_dp(
     valid: Callable[[list[int]], bool],
     weight: Callable[[int], tuple[int, int]],
     period: int | None = None,
-    low: int = 0,
 ) -> TriPoly:
     """Generating polynomial of the weakly decreasing lists of positive parts
     summing to at most n_max that `valid` accepts, by the transfer-matrix
@@ -301,11 +300,12 @@ def _value_dp(
     adding parts only makes a constraint worse, and the result is zero.
 
     With a `period`, `valid` must keep its verdict on a window whose parts
-    all exceed `low` when they all move up by `period`.  Such a state's
-    most copies of v are then recorded under (state, v mod period) and
-    read back, capped at n_max // v, at the higher values that meet the
-    key, without a call: a count below its value's cap is exact, and the
-    cap only shrinks as v grows.
+    all exceed `period` when they all move up by `period`.  At v > period,
+    a state with no part at or below period has its most copies of v
+    recorded under (state, v mod period) and read back, capped at
+    n_max // v, at the higher values that meet the key, without a call: a
+    count below its value's cap is exact, and the cap only shrinks as v
+    grows.
 
     A run that visits more than _STATE_BUDGET states, summed over its
     value steps, raises ValueError.
@@ -328,10 +328,10 @@ def _value_dp(
         # of v they accept
         chains: dict[tuple[int, ...], dict[int, list[tuple[int, ...]]]] = {}
         top = n_max // v
-        # a state whose first `cut` entries, the values <= low, are empty
+        # a state whose first `cut` entries, the values <= period, are empty
         # has the verdicts of its key one period down and up
-        memo = accepted.setdefault(v % period, {}) if period and v > low else None
-        cut = max(0, low + span - v)
+        memo = accepted.setdefault(v % period, {}) if period and v > period else None
+        cut = max(0, period + span - v) if period else 0
         for state in layer:
             shared = memo is not None and not any(state[:cut])
             if shared and state in memo:
@@ -579,6 +579,13 @@ def validate_case(gp: GeneralParams, extra: str | None) -> None:
 
 
 def _general_a_rules(gp: GeneralParams):
+    """(distinct_mod, m, banned) of family A at gp: no part repeats off the
+    multiples of distinct_mod, and no part's residue mod m is banned.
+    banned is the set {0, r, -r} mod m and a range of residues, empty for
+    even lam.  For odd lam the range bans the parts = lam+1 mod 2(lam+1):
+    m is then a multiple of 2(lam+1), since 2k - lam + 1 is even, so those
+    are the residues lam+1, 3(lam+1), ... mod m.  A range, unlike a set,
+    does not grow with k."""
     lam, k, a = gp
     m = (2 * k - lam + 1) * (lam + 1)
     if m <= 0:
@@ -586,12 +593,12 @@ def _general_a_rules(gp: GeneralParams):
     if lam % 2 == 0:
         distinct_mod = lam + 1
         r = (a - lam // 2) * (lam + 1)
-        extra_ban = None
+        odd_ban = range(0)
     else:
         distinct_mod = (lam + 1) // 2
-        r = (2 * a - lam) * ((lam + 1) // 2)
-        extra_ban = (lam + 1, 2 * lam + 2)  # (residue, modulus)
-    return distinct_mod, m, {0, r % m, (-r) % m}, extra_ban
+        r = (2 * a - lam) * distinct_mod
+        odd_ban = range(lam + 1, m, 2 * lam + 2)
+    return distinct_mod, m, ({0, r % m, -r % m}, odd_ban)
 
 
 def _is_valid_general_A(parts: Sequence[int], rules) -> bool:
@@ -600,12 +607,10 @@ def _is_valid_general_A(parts: Sequence[int], rules) -> bool:
     multiples of distinct_mod) bounds the multiplicity of one value, so a
     list is valid exactly when each of its values is: the predicate is
     local to windows of one value."""
-    distinct_mod, m, banned, extra_ban = rules
+    distinct_mod, m, (residues, odd_ban) = rules
     prev = None
     for p in parts:
-        if p % m in banned:
-            return False
-        if extra_ban is not None and p % extra_ban[1] == extra_ban[0]:
+        if p % m in residues or p % m in odd_ban:
             return False
         if p == prev and p % distinct_mod:
             return False
@@ -645,20 +650,23 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
     * an extra cap at window index j holds the values (lam+1)*j + off, so
       none above floor((parts[0] - min(offsets)) / (lam+1)) reaches the
       parts, and every extra bound is >= 0: each extra cap is checked from
-      its smallest index up to that one.
+      j = 0 up to that one.
 
     So a call costs time in proportion to its parts plus, with extra caps,
     its top part over lam+1.  The value DP asks only windows whose top
-    part is below low + span + period (see Period), so its calls cost the
-    same at every n.
+    part is below span + 2(lam+1) (see Period), so its calls cost the same
+    at every n.
 
-    Period: above low (_general_b_window) no first-window cap and no extra
-    cap below its smallest index reaches a part, and the repeat rule, the
-    difference rule and the extra caps repeat every lam+1 values, so
-    moving every part of such a list up by lam+1 keeps its verdict.  The
-    value DP reuses verdicts on it (_value_dp): from value low + span on,
-    every window lies above low, so after one period of such values every
-    verdict is read back.  A change that breaks the period above low
+    Period: above lam+1 no first-window cap reaches a part, and the repeat
+    rule, the difference rule and the extra caps repeat every lam+1
+    values, so moving every part of such a list up by lam+1 keeps its
+    verdict.  The moved list meets the extra caps at j >= 0 as the list
+    meets them at j >= -1, and at j = -1 a cap holds values at most
+    max(offsets) - (lam+1) <= lam+1, which no part reaches: every extra
+    cap has max(offsets) <= 2(lam+1).  The value DP reuses verdicts on
+    such lists (_value_dp, period lam+1): from value span + lam+1 on,
+    every window lies above lam+1, so after one period of such values
+    every verdict is read back.  A change that breaks the period
     therefore shows only in the first period; the tests of the period and
     of the DP with and without it catch that.
     """
@@ -684,36 +692,27 @@ def _is_valid_general_B(parts: Sequence[int], lam: int, k: int, a: int, extra: s
         if any(i + d > a for i, d in enumerate(depths, 1)):
             return False
     top = parts[0] if parts else 0
-    for offsets, bound, j0 in _EXTRA_SETS[extra][1] if extra is not None else ():
-        for j in range(j0, (top - min(offsets)) // step + 1):
+    for offsets, bound in _EXTRA_SETS[extra][1] if extra is not None else ():
+        for j in range((top - min(offsets)) // step + 1):
             if sum(f.get(step * j + off, 0) for off in offsets) > bound:
                 return False
     return True
 
 
-def _general_b_window(lam: int, extra: str | None) -> tuple[int, int, int]:
-    """(span, period, low) of the family-B predicate (see _is_valid_general_B):
-    the values a constraint can span, lam + 2 for the difference rule and
-    the first-window caps, widened to the widest extra cap; lam + 1; and
-    the largest of lam + 1 and the values that each extra cap reaches one
-    index below its smallest.  No extra set is the empty tuple of caps."""
-    step = lam + 1
+def _general_b_window(lam: int, extra: str | None) -> int:
+    """The span of the family-B predicate (see _is_valid_general_B): the
+    values a constraint can span, lam + 2 for the difference rule and the
+    first-window caps, widened to the widest extra cap."""
     caps = _EXTRA_SETS[extra][1] if extra is not None else ()
-    span = max((step + 1, *(max(offsets) - min(offsets) + 1 for offsets, _, _ in caps)))
-    low = max((step, *(step * (j0 - 1) + max(offsets) for offsets, _, j0 in caps)))
-    return span, step, low
+    return max((lam + 2, *(max(offsets) - min(offsets) + 1 for offsets, _ in caps)))
 
 
 def _series(
-    n_max: int,
-    span: int,
-    valid: Callable[[list[int]], bool],
-    period: int | None = None,
-    low: int = 0,
+    n_max: int, span: int, valid: Callable[[list[int]], bool], period: int | None = None
 ) -> list[int]:
     """Counts of the lists `valid` accepts, for every n in 0..n_max."""
     counts = [0] * (n_max + 1)
-    for c, _, _, n in _value_dp(n_max, span, valid, lambda v: (0, 0), period, low).terms():
+    for c, _, _, n in _value_dp(n_max, span, valid, lambda v: (0, 0), period).terms():
         counts[n] = c
     return counts
 
@@ -733,13 +732,11 @@ def general_A_series(gp: GeneralParams, n_max: int) -> list[int]:
 def general_B_series(gp: GeneralParams, n_max: int, extra: str | None = None) -> list[int]:
     """Family-B counts for every n in 0..n_max, by the transfer matrix over
     part values with windows of span values (see _is_valid_general_B for
-    why they suffice), each window's verdict reused one period up; span,
-    period and low from _general_b_window."""
+    why they suffice, span from _general_b_window), each window's verdict
+    reused one period, lam + 1 values, up."""
     validate_case(gp, extra)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     lam, k, a = gp
-    span, period, low = _general_b_window(lam, extra)
-    return _series(
-        n_max, span, lambda parts: _is_valid_general_B(parts, lam, k, a, extra), period, low
-    )
+    span = _general_b_window(lam, extra)
+    return _series(n_max, span, lambda parts: _is_valid_general_B(parts, lam, k, a, extra), lam + 1)

@@ -238,10 +238,20 @@ def s_oracle_dfs(n: int, j: int) -> TriPoly:
     return TriPoly(terms)
 
 
+# The extra caps as stated, independently of partitions._EXTRA_SETS: for
+# every window index j >= j0, the multiplicities of the values
+# (lam+1)*j + offset sum to at most bound.
+REF_EXTRA_CAPS = {
+    "b0-433": (((2, 3), 1, 0), ((4, 6), 1, 0), ((-1, 0, 5, 6), 3, 1)),
+    "b0-533": (((3,), 0, 0), ((2, 4), 1, 0), ((5, 7), 1, 0), ((-1, 0, 6, 7), 3, 1)),
+}
+
+
 def ref_is_valid_general_B(parts, lam: int, k: int, a: int, extra) -> bool:
-    """partitions._is_valid_general_B with every cap checked everywhere: the
-    first-window caps whatever the parts, and every extra cap at every
-    window index from its smallest up to the top part."""
+    """The family-B rule as stated, with every cap checked everywhere: the
+    first-window caps whatever the parts, and every extra cap of
+    REF_EXTRA_CAPS at every window index from its smallest up to the top
+    part."""
     step = lam + 1
     f: dict[int, int] = {}
     for p in parts:
@@ -260,11 +270,31 @@ def ref_is_valid_general_B(parts, lam: int, k: int, a: int, extra) -> bool:
     if sum(g(i, 0) for i in range(1, lam + 2)) > a - 1:
         return False
     if extra is not None and parts:
-        _, caps = partitions._EXTRA_SETS[extra]
-        for offsets, bound, j0 in caps:
+        for offsets, bound, j0 in REF_EXTRA_CAPS[extra]:
             for j in range(j0, parts[0] // step + 2):
                 if sum(g(step * j + off, 0) for off in offsets) > bound:
                     return False
+    return True
+
+
+def ref_is_valid_general_A(parts, lam: int, k: int, a: int) -> bool:
+    """The family-A rule as stated: with m = (2k - lam + 1)(lam + 1), no
+    part = 0 or +-r mod m and no repeat off the multiples of lam + 1, where
+    r = (a - lam/2)(lam + 1), for even lam; for odd lam r = (2a - lam)(lam +
+    1)/2, repeats only on the multiples of (lam + 1)/2, and no part = lam + 1
+    mod 2(lam + 1)."""
+    m = (2 * k - lam + 1) * (lam + 1)
+    if lam % 2 == 0:
+        r, repeat_mod = (a - lam // 2) * (lam + 1), lam + 1
+    else:
+        r, repeat_mod = (2 * a - lam) * (lam + 1) // 2, (lam + 1) // 2
+    for i, p in enumerate(parts):
+        if p % m in (0, r % m, -r % m):
+            return False
+        if lam % 2 and p % (2 * lam + 2) == lam + 1:
+            return False
+        if p in parts[:i] and p % repeat_mod:
+            return False
     return True
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from itertools import accumulate, combinations_with_replacement, product
 
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
     PAPER_WINDOW_CLASSES,
     ref_add,
     ref_count_table_b,
+    ref_is_valid_general_A,
     ref_is_valid_general_B,
     ref_mul,
     ref_s_oracle,
@@ -38,7 +40,7 @@ from sixfold.partitions import (
     s_oracle,
 )
 from sixfold.poly import ONE, TriPoly
-from sixfold.verify import DEFAULT_GENERAL_CASES
+from sixfold.verify import DEFAULT_GENERAL_CASES, conj433_check, thm2_consistency
 
 
 # ----------------------------------------------------------- side A
@@ -593,9 +595,14 @@ def test_general_series_equal_the_part_search_under_theorem1(gp, n_max):
 
 
 def test_general_b_span_reads_the_widest_rule():
-    assert partitions._general_b_window(5, None)[0] == 7
-    assert partitions._general_b_window(5, B0_533)[0] == 9
-    assert partitions._general_b_window(4, B0_433)[0] == 8
+    # lam + 2 for the difference rule and the first-window caps, widened to
+    # the widest extra cap: f(6j-1) + f(6j) + f(6j+6) + f(6j+7) for b0-533
+    spans = {
+        (gp.lam, extra): partitions._general_b_window(gp.lam, extra)
+        for gp, extra, _ in DEFAULT_GENERAL_CASES
+    }
+    assert spans == {(2, None): 4, (3, None): 5, (4, B0_433): 8, (5, B0_533): 9}
+    assert partitions._general_b_window(5, None) == 7
 
 
 def _local(parts, span, valid) -> bool:
@@ -637,7 +644,7 @@ def test_value_predicates_are_local_to_their_span(parts, gp, extra):
     def valid_a(p):
         return partitions._is_valid_general_A(p, rules)
 
-    span_b, _, _ = partitions._general_b_window(lam, extra)
+    span_b = partitions._general_b_window(lam, extra)
     assert valid_b(parts) == _local(parts, span_b, valid_b)
     assert valid_a(parts) == _local(parts, 1, valid_a)
     assert is_valid_A(parts) == _local(parts, 1, is_valid_A)
@@ -675,42 +682,35 @@ def test_skipping_the_caps_that_miss_the_parts_changes_no_verdict(parts, case):
 
 
 def test_general_b_period_reads_lambda_and_the_extra_set():
-    # (span, period, low): every extra cap sits on windows of lam + 1 values,
-    # so the period is lam + 1, and low reads the extra caps
-    windows = {
-        (gp.lam, extra): partitions._general_b_window(gp.lam, extra)
-        for gp, extra, _ in DEFAULT_GENERAL_CASES
-    }
-    assert windows == {
-        (2, None): (4, 3, 3),
-        (3, None): (5, 4, 4),
-        (4, B0_433): (8, 5, 6),
-        (5, B0_533): (9, 6, 7),
-    }
-    # at low itself a first-window cap can still reach a part: [3, 3]
+    # every extra cap sits on windows of lam + 1 values, and its unchecked
+    # j = -1 instance holds values at most max(offsets) - (lam + 1), which
+    # is at most lam + 1 while max(offsets) <= 2(lam + 1): no part above
+    # lam + 1 reaches it, so the period is lam + 1 above lam + 1
+    for (lam, _, _), caps in partitions._EXTRA_SETS.values():
+        assert caps and all(max(offsets) <= 2 * (lam + 1) for offsets, _ in caps)
+    # at lam + 1 itself a first-window cap can still reach a part: [3, 3]
     # breaks f(1) + f(2) + f(3) <= a - 1, one period up it is valid
     assert not partitions._is_valid_general_B([3, 3], 2, 3, 2, None)
     assert partitions._is_valid_general_B([6, 6], 2, 3, 2, None)
 
 
 # Every default case, each extra set's triple without it, and _PARAMS;
-# the lists reach up to 84, so many lie wholly above low.
+# the lists reach up to 84, so many lie wholly above lam + 1.
 @given(
     st.tuples(_DESCENDING, st.integers(min_value=0, max_value=24)).map(
         lambda t: [p + t[1] for p in t[0]]
     ),
     st.one_of(st.sampled_from(_FAMILY_CASES), st.tuples(_PARAMS, st.none())),
 )
-# smallest part low, where the period is not promised, and low + 1
-@example([13, 7], (GeneralParams(5, 3, 3), B0_533))
+# smallest part lam + 1, where the period is not promised, and lam + 2
+@example([12, 6], (GeneralParams(5, 3, 3), B0_533))
 @example([3, 3], (GeneralParams(2, 3, 2), None))
-@example([14, 8], (GeneralParams(5, 3, 3), B0_533))
+@example([13, 7], (GeneralParams(5, 3, 3), B0_533))
 @example([4, 4], (GeneralParams(2, 3, 2), None))
 def test_general_b_predicate_repeats_every_period_above_low(parts, case):
     (lam, k, a), extra = case
-    _, period, low = partitions._general_b_window(lam, extra)
-    if parts and parts[-1] > low:
-        up = [p + period for p in parts]
+    if parts and parts[-1] > lam + 1:
+        up = [p + lam + 1 for p in parts]
         valid = partitions._is_valid_general_B
         assert valid(parts, lam, k, a, extra) == valid(up, lam, k, a, extra)
 
@@ -718,12 +718,11 @@ def test_general_b_predicate_repeats_every_period_above_low(parts, case):
 def _b_series(gp, extra, n_max, periodic):
     """general_B_series through the value DP, with or without the period."""
     lam, k, a = gp
-    span, *period = partitions._general_b_window(lam, extra)
     return partitions._series(
         n_max,
-        span,
+        partitions._general_b_window(lam, extra),
         lambda parts: partitions._is_valid_general_B(parts, lam, k, a, extra),
-        *(period if periodic else ()),
+        lam + 1 if periodic else None,
     )
 
 
@@ -754,14 +753,84 @@ def _general_b_calls(gp, extra, n_max) -> tuple[int, int]:
 
 
 def test_general_b_calls_stop_growing_with_n():
-    # 1,242 calls when every window was asked at every value
-    assert _general_b_calls(EXTRA_PARAMS[B0_433], B0_433, 45)[0] == 673
-    # past low + span + period every verdict is read back (see _value_dp)
+    # 1,242 calls when every window was asked at every value, 4,181 for the
+    # seven default cases
+    b0_433 = EXTRA_PARAMS[B0_433]
+    assert [_general_b_calls(b0_433, B0_433, n)[0] for n in (45, 300, 600)] == [609] * 3
+    calls = [_general_b_calls(gp, extra, 45)[0] for gp, extra, _ in DEFAULT_GENERAL_CASES]
+    assert sum(calls) == 1662
+    # past span + 2(lam + 1) every verdict is read back (see _value_dp)
     for gp, extra, _ in DEFAULT_GENERAL_CASES:
-        span, period, low = partitions._general_b_window(gp.lam, extra)
+        span = partitions._general_b_window(gp.lam, extra)
         calls, top = _general_b_calls(gp, extra, 300)
         assert (calls, top) == _general_b_calls(gp, extra, 600), (gp, extra)
-        assert top < low + span + period, (gp, extra)
+        assert top < span + 2 * (gp.lam + 1), (gp, extra)
+
+
+# Every (lam, k, a) in 1..8 whose family-A modulus (2k - lam + 1)(lam + 1)
+# is positive: 416 triples.
+_FAMILY_A_TRIPLES = [
+    GeneralParams(lam, k, a)
+    for lam in range(1, 9)
+    for k in range(1, 9)
+    for a in range(1, 9)
+    if 2 * k - lam + 1 > 0
+]
+
+
+@given(_DESCENDING)
+# 4 = lam + 1 mod 2(lam + 1) at lam = 3, banned for odd lam only
+@example([4])
+# a repeated multiple of (lam + 1)/2 off the multiples of lam + 1
+@example([3, 3])
+def test_general_a_predicate_is_the_stated_rule(parts):
+    assert len(_FAMILY_A_TRIPLES) == 416
+    for gp in _FAMILY_A_TRIPLES:
+        rules = partitions._general_a_rules(gp)
+        assert partitions._is_valid_general_A(parts, rules) == ref_is_valid_general_A(parts, *gp)
+
+
+def test_general_a_rules_do_not_grow_with_k():
+    # the odd-lam ban holds (2k - lam + 1)/2 residues mod m, 50,000 here;
+    # as a set they would take megabytes, and at k = 10^9 gigabytes
+    tracemalloc.start()
+    try:
+        rules = partitions._general_a_rules(GeneralParams(1, 50_000, 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10_000
+    # m = 200,000, and the ban is on the parts = 2 mod 4
+    assert not partitions._is_valid_general_A([99_998], rules)
+    assert partitions._is_valid_general_A([99_999], rules)
+
+
+def _extra_set_mutants():
+    """Every +-1 mutation of an offset or a bound of an extra cap, as (extra,
+    the mutated cap, _EXTRA_SETS with it)."""
+    for extra, (gp, caps) in partitions._EXTRA_SETS.items():
+        for c, (offsets, bound) in enumerate(caps):
+            for d in (-1, 1):
+                mutated = [(offsets, bound + d)]
+                for i, o in enumerate(offsets):
+                    mutated.append(((*offsets[:i], o + d, *offsets[i + 1 :]), bound))
+                for cap in mutated:
+                    sets = {**partitions._EXTRA_SETS, extra: (gp, (*caps[:c], cap, *caps[c + 1 :]))}
+                    yield extra, cap, sets
+
+
+def test_every_extra_cap_mutant_fails_its_check(monkeypatch):
+    # the census of _EXTRA_SETS, 48 mutants: each must fail Conj433 (b0-433)
+    # or Thm2Consistency (b0-533) at n = 40
+    checks = {B0_433: conj433_check, B0_533: thm2_consistency}
+    census = list(_extra_set_mutants())
+    survivors = []
+    for extra, cap, sets in census:
+        monkeypatch.setattr(partitions, "_EXTRA_SETS", sets)
+        if checks[extra](40).passed:
+            survivors.append((extra, cap))
+    assert len(census) == 48
+    assert survivors == []
 
 
 def test_the_default_general_cases_stay_far_below_the_state_budget(monkeypatch):

@@ -22,13 +22,17 @@ prints one `name sha256` line per output, in this order:
 * general_A_series and general_B_series at n = 1000 for each of the seven
   default general cases (verify.DEFAULT_GENERAL_CASES): the five Theorem1
   triples, whose first-window caps reach the small parts, then b0-433 and
-  b0-533 with their extra caps.
+  b0-533 with their extra caps;
+* general_A_series at n = 200 for each of the 416 triples with lam, k and
+  a in 1..8 whose family-A modulus (2k - lam + 1)(lam + 1) is positive,
+  and general_B_series at n = 60 for each of the 154 Theorem1 triples
+  (lam/2 < a <= k, lam <= k) with k at most 8, one output each.
 
 Each output is digested piece by piece, a polynomial at a time as its
 canonical JSON, so no more than one of them is held as text.  No bytecode
 is written, so the package is left without a __pycache__.  The package's
-path goes to stderr.  A run takes about 60-75 s and peaks at about
-530 MiB (s_oracle at level 18) on a 2-core machine.
+path goes to stderr.  A run prints 83 lines, takes about 65-80 s and
+peaks at about 530 MiB (s_oracle at level 18) on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import hashlib
 import json
 import random
 import sys
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterator
 
@@ -56,7 +61,7 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
     output in pieces, each polynomial as its canonical JSON, computed with
     the sixfold that is imported; the CLI runs the one under src."""
     from sixfold import partitions, recurrence
-    from sixfold.partitions import count_table, s_oracle
+    from sixfold.partitions import GeneralParams, count_table, s_oracle
     from sixfold.verify import DEFAULT_GENERAL_CASES
 
     package = src / "sixfold"
@@ -104,6 +109,14 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
         case = extra or "lam={} k={} a={}".format(*gp)
         out.append((f"general_A_series {case} n=1000", _once(partitions.general_A_series, gp, 1000)))
         out.append((f"general_B_series {case} n=1000", _once(partitions.general_B_series, gp, 1000, extra)))
+    triples = [GeneralParams(*t) for t in product(range(1, 9), repeat=3)]
+    family_a = [gp for gp in triples if 2 * gp.k - gp.lam + 1 > 0]
+    theorem1 = [gp for gp in triples if gp.lam <= gp.k and gp.lam < 2 * gp.a and gp.a <= gp.k]
+    for name, f, n, gps in (
+        ("general_A_series lam,k,a in 1..8 n=200", partitions.general_A_series, 200, family_a),
+        ("general_B_series Theorem1 k<=8 n=60", partitions.general_B_series, 60, theorem1),
+    ):
+        out.append((name, lambda f=f, n=n, gps=gps: (json.dumps(f(gp, n)) for gp in gps)))
     return out
 
 
