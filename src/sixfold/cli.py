@@ -24,6 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run verification suites; one JSON report line per check")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument(
         "--suite",
         choices=["all", *verify.SUITES, "theorem3"],
@@ -35,17 +36,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-max", type=int, help=f"q bound of Product and Theorem3 (default {q_max})")
 
     p = sub.add_parser("counts", help="refined (mu, nu, N) count table for one side")
+    p.set_defaults(run=_cmd_counts)
     p.add_argument("--side", choices=["A", "B"], required=True)
     p.add_argument("--n-max", type=int, default=40)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("series", help="one windowed series, from either computation path")
+    p.set_defaults(run=_cmd_series)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", type=int, required=True, help="top-window class bound, 0..15")
     p.add_argument("--source", choices=["oracle", "recurrence"], default="oracle")
     p.add_argument("--format", choices=["text", "json"], default="text")
 
     p = sub.add_parser("general", help="desk check of one general-family case")
+    p.set_defaults(run=_cmd_general)
     p.add_argument("--lambda", dest="lam", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
@@ -53,6 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=40)
 
     p = sub.add_parser("product", help="truncated product of the side-A generating factors")
+    p.set_defaults(run=_cmd_product)
     p.add_argument("--q-max", type=int, default=q_max)
 
     return parser
@@ -125,19 +130,10 @@ def _cmd_product(args: argparse.Namespace) -> int:
     return 0
 
 
-_HANDLERS = {
-    "verify": _cmd_verify,
-    "counts": _cmd_counts,
-    "series": _cmd_series,
-    "general": _cmd_general,
-    "product": _cmd_product,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ValueError as exc:  # includes ConfigError
         print(f"error: {exc}", file=sys.stderr)
         return 2

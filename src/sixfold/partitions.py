@@ -224,8 +224,8 @@ def _transfer(
     narrowest width that holds the sum of their bounds, and no sum of the
     next step widens them one term at a time.  Sums and products never
     narrow, so without this a layer keeps the widest slots its values ever
-    needed; the count tables sat at q = 1000 in 512-bit (side B) and
-    1024-bit (side A) slots for coefficients of 54 bits.
+    needed, many times wider than its coefficients (poly module docstring,
+    Narrowing).
     """
     nxt: dict[Hashable, TriPoly] = {}
     last = {target[4]: i for i, target in enumerate(targets)}  # each base's last reader

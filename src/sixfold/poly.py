@@ -69,19 +69,20 @@ after every step: that is where the count tables, the value DPs and the
 side-B oracle keep their values, and a layer's values are summed together
 at the next step.  The rows are re-encoded by the same strided copy that
 widens them.  Count tables are long runs of doubling sums, and without
-narrowing they sat at q = 1000 in 512-bit (side B) and 1024-bit (side A)
-slots for coefficients of 54 bits; narrowed, in 64-bit slots,
+narrowing they would sit at q = 1000 in 512-bit (side B) and 1024-bit
+(side A) slots for coefficients of 54 bits; narrowed, in 64-bit slots,
 count_table("B", 1000) takes 5-8 s against 8-11 s.  The oracle's
 levels 0..11 stay in 32-bit slots and levels 12..18 in 64.
 
 Canonical form: no row is 0 and slot 0 of every row is non-zero, so two
 equal polynomials of equal width have equal rows, and zero is the empty
 dict.  Terms are decoded only to print, count, hash or look one up, and
-for the norm and the cuts of a general product's smaller operand, all from
-the biased bytes (`_biased`): the biased value x + 2^(W-1) * sum_i 2^(W*i)
-has digits c_i + 2^(W-1) in [0, 2^W), so `to_bytes` and one array
-conversion read every slot in linear time.  Printing, counting and lookup
-read them as signed slots (`_slots`, Printing below).
+for the norm and the cuts of a general product's smaller operand, all by
+one decoder, `_slots`, which reads every slot of a row as a signed number
+in linear time (Printing, below).  It reads the biased value
+x + 2^(W-1) * sum_i 2^(W*i), whose digits are c_i + 2^(W-1) in [0, 2^W);
+a cut reads the pieces of its row from those digits too (`_biased`,
+Products below).
 
 Products (`_cut`, GAP).  The factor tables of the identities carry
 x = q^(6n) (`ONE_MINUS_X`, and p1..p3 inside), so their rows are mostly
@@ -89,29 +90,22 @@ zero slots: a row of 1 - q^(6n) holds 2 terms in 6n + 1 slots, P3 at
 level 7 23 terms in 127, and P3 * (1 - x)(1 - x') 79 in 673.  Over the
 `recurrence-deep` benchmark the smaller operands of the general products
 hold 1,875 terms in 6,731 slots, and whole rows make 32.9 M slot products
-with the other operands' slots (3,146 terms, 15,792 slots and 49.2 M when
-recurrence._combination multiplied each 1 - q^(6n) into them, not into
-the series).  So a general product cuts each row of its operand with
-fewer rows at every run of GAP or more zero slots, and multiplies each
-piece, at its own q offset, by the other operand's rows into the same
-accumulator row: there, 799 pieces from 663 rows and 11.0 M slot
-products (1,037 pieces and 13.2 M then).  A piece is read from the
-biased digits of its slots, so it is exactly their balanced numeral,
-whatever the borrow of the slots below the cut; a row with no such run
-is one piece, the row itself.
+with the other operands' slots.  So a general product cuts each row of
+its operand with fewer rows at every run of GAP or more zero slots, and
+multiplies each piece, at its own q offset, by the other operand's rows
+into the same accumulator row: there, 799 pieces from 663 rows and 11.0 M
+slot products.  A piece is read from the biased digits of its slots, so
+it is exactly their balanced numeral, whatever the borrow of the slots
+below the cut; a row with no such run is one piece, the row itself.
 GAP = 16 because a piece costs one more int product and one more shift-add
 into its accumulator row for each row of the other operand, which a short
-zero run does not repay.  On `recurrence-deep`'s residuals, when the
-1 - q^(6n) factors were still multiplied into the smaller operands (2-core
-VM, fresh processes, least CPU time over seven fresh memos) GAP = 12..24 took
-0.065-0.069 s against 0.087 s uncut; GAP = 1 and 4 took 0.072-0.075 s
-(GAP = 1 leaves 9.6 M slot products, in 1,574 pieces), and GAP = 48 lost
-the gain (0.092-0.097 s): at level 7 the zero runs between the x terms are
-about 6n = 42 slots less the widths of the runs.  Swept again with the
-1 - q^(6n) factors in the series (the whole `recurrence-deep` run, fresh
-processes, least CPU time of seven, six rounds), GAP = 1..24 took
-0.09-0.15 s, with no value apart from 16 beyond the drift between
-rounds, GAP = 32 0.11-0.15 s, and GAP = 48 and uncut 0.15-0.18 s.
+zero run does not repay, and a GAP near the length of the zero runs cuts
+too few of them: at level 7 the zero runs between the x terms are about
+6n = 42 slots less the widths of the runs.  Over the whole
+`recurrence-deep` run (2-core VM, fresh processes, least CPU time of
+seven, six rounds), GAP = 1..24 took 0.09-0.15 s, with no value apart
+from 16 beyond the drift between rounds, GAP = 32 0.11-0.15 s, and
+GAP = 48 and uncut 0.15-0.18 s.
 
 Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
 and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
@@ -124,8 +118,8 @@ order are in canonical order.  Decoding every term to a tuple and sorting
 those made `sixfold series --n 9 --format json` spend twice as long
 printing its 69,452 terms as filling the memo.
 
-A row is decoded to its coefficients in C, with no Python step per slot
-(`_slots`).  XOR with the bias flips the top bit of each biased digit
+A row is decoded to its coefficients by `_slots`, in C with no Python
+step per slot up to 64-bit slots.  XOR with the bias flips the top bit of each biased digit
 c + 2^(W-1): for c >= 0 that leaves c, for c < 0 it leaves c + 2^W, which
 is c in W-bit two's complement.  So the slots of (x + bias) ^ bias, read
 as signed W-bit numbers (array "i" or "q", or int.from_bytes(signed=True)
@@ -133,9 +127,8 @@ past 64 bits), are exactly the c_i, and `itertools.compress` skips the
 zero ones.  The text forms format each row's (e_a, e_b) part once and
 each q exponent once, so a term costs one f-string (`_format`).  On
 S(9, 15), in-process on a 2-core VM, `to_json` takes 21-24 ms and
-`to_text` 19-26 ms (best of seven), against 41-49 ms and 37-50 ms when a
-callback formatted each term from its biased digit, so printing the
-series costs less than filling it.
+`to_text` 19-26 ms (best of seven), so printing the series costs less
+than filling it.
 """
 
 from __future__ import annotations
@@ -176,30 +169,24 @@ def _biased(x: int, w: int) -> bytes:
     return (x + _bias(w, k)).to_bytes(k * w // 8, "little")
 
 
-def _digits(raw: bytes, w: int, signed: bool = False):
-    """The w-bit digits of the little-endian bytes raw, lowest first, in one
-    pass, read as unsigned or as two's-complement signed numbers."""
+def _slots(x: int, w: int):
+    """The coefficients c_i of the row x, lowest first (the last slot may be
+    padding, which reads as 0), in one pass: the biased digits
+    c_i + 2^(w-1) of _biased, their top bits flipped, read as signed w-bit
+    numbers (module docstring, Printing)."""
+    k = x.bit_length() // w + 1
+    bias = _bias(w, k)
+    raw = ((x + bias) ^ bias).to_bytes(k * w // 8, "little")
     if w > 64:
         size = w // 8
         return [
-            int.from_bytes(raw[i : i + size], "little", signed=signed)
+            int.from_bytes(raw[i : i + size], "little", signed=True)
             for i in range(0, len(raw), size)
         ]
-    code = "I" if w == 32 else "Q"
-    units = array(code.lower() if signed else code, raw)
+    units = array("i" if w == 32 else "q", raw)
     if sys.byteorder == "big":
         units.byteswap()
     return units
-
-
-def _slots(x: int, w: int):
-    """The coefficients c_i of the row x, lowest first (the last slot may be
-    padding, which reads as 0): the biased digits c_i + 2^(w-1) of _biased,
-    their top bits flipped, read as signed w-bit numbers (module docstring,
-    Printing)."""
-    k = x.bit_length() // w + 1
-    bias = _bias(w, k)
-    return _digits(((x + bias) ^ bias).to_bytes(k * w // 8, "little"), w, signed=True)
 
 
 def _reencode(x: int, w: int, w2: int) -> int:
@@ -211,8 +198,10 @@ def _reencode(x: int, w: int, w2: int) -> int:
     digit c + 2^(v-1) in [0, 2^v), which fills the low v bits of a w-bit and
     of a w2-bit slot alike; its low v/32 units are copied into the low end of
     a w2-bit slot, and the bias is taken off again at w2.  Any row can
-    widen; a row narrows only if its slots fit w2.  (Decoding and encoding
-    instead makes `recurrence-deep` about 1.6 times slower.)"""
+    widen; a row narrows only if its slots fit w2.  (Decoding to signed
+    slots and encoding again takes about 2.4 times as long: 354-395 ms
+    against 150-154 ms over the 9,148 rows that `verify --suite lemma2
+    --n-max 14` widens, in-process, best of seven.)"""
     k = x.bit_length() // w + 1
     v = min(w, w2)
     units = array("I", (x + (_bias(w, k) >> (w - v))).to_bytes(k * w // 8, "little"))
@@ -238,11 +227,8 @@ def _cut(x: int, w: int) -> tuple[int, list[tuple[int, int]]]:
     the digits of its slots, less 2^(w-1) in each, are exactly its balanced
     numeral, whatever the signs of the slots below the cut.  A row with no
     such run is one piece, x itself."""
-    raw = _biased(x, w)
-    half = 1 << (w - 1)
-    slots = _digits(raw, w)
-    occupied = [i for i, u in enumerate(slots) if u != half]
-    norm = sum(abs(slots[i] - half) for i in occupied)
+    cs = _slots(x, w)
+    norm, occupied = sum(map(abs, cs)), list(compress(range(len(cs)), cs))
     runs, start = [], 0  # slot 0 of a canonical row is occupied
     for prev, i in zip(occupied, occupied[1:]):
         if i - prev > GAP:
@@ -251,7 +237,7 @@ def _cut(x: int, w: int) -> tuple[int, list[tuple[int, int]]]:
     if not runs:
         return norm, [(0, x)]
     runs.append((start, occupied[-1] + 1))
-    size = w // 8
+    raw, size = _biased(x, w), w // 8
     return norm, [
         (i, int.from_bytes(raw[i * size : end * size], "little") - _bias(w, end - i))
         for i, end in runs
@@ -303,6 +289,15 @@ def _tight(p: "TriPoly") -> int:
     its rows and its width do not change (0 for a zero value)."""
     p._bound = min(p._bound, 1 << (_slot_bits(p) - 1)) if p._rows else 0
     return p._bound
+
+
+def _operand(other: object) -> "TriPoly | None":
+    """other as an operand of +, - and *: an int as the constant, a TriPoly
+    as it is, and None for any other type (the operator returns
+    NotImplemented)."""
+    if isinstance(other, int):
+        return monomial(other, 0, 0, 0)
+    return other if isinstance(other, TriPoly) else None
 
 
 def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
@@ -466,9 +461,7 @@ class TriPoly:
     # ---------------------------------------------------- ring operations
 
     def __add__(self, other: "TriPoly | int") -> "TriPoly":
-        if isinstance(other, int):
-            other = monomial(other, 0, 0, 0)
-        if not isinstance(other, TriPoly):
+        if (other := _operand(other)) is None:
             return NotImplemented
         if not self._rows:
             return other
@@ -503,9 +496,7 @@ class TriPoly:
         )
 
     def __sub__(self, other: "TriPoly | int") -> "TriPoly":
-        if isinstance(other, int):
-            other = monomial(other, 0, 0, 0)
-        if not isinstance(other, TriPoly):
+        if (other := _operand(other)) is None:
             return NotImplemented
         return self + (-other)
 
@@ -513,9 +504,7 @@ class TriPoly:
         return (-self) + other
 
     def __mul__(self, other: "TriPoly | int") -> "TriPoly":
-        if isinstance(other, int):
-            other = monomial(other, 0, 0, 0)
-        if not isinstance(other, TriPoly):
+        if (other := _operand(other)) is None:
             return NotImplemented
         if not self._rows or not other._rows:
             return ZERO

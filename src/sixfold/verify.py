@@ -65,12 +65,19 @@ def _elapsed_ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
+def _report(
+    identity: str, n: int, bad: int, lines: list[str], t0: float, detail: str = ""
+) -> Report:
+    """The report of a check that found `bad` mismatches, timed from t0,
+    with the first 20 of its diagnostic lines."""
+    return Report(identity, n, not bad, bad, _elapsed_ms(t0), detail, tuple(lines[:20]))
+
+
 def _residual_report(
     identity: str, n: int, residual: TriPoly, t0: float, detail: str = ""
 ) -> Report:
-    terms = residual.terms()
-    diff = tuple(f"{c}*a^{ea}*b^{eb}*q^{eq}" for c, ea, eb, eq in terms[:20])
-    return Report(identity, n, not terms, len(terms), _elapsed_ms(t0), detail, diff)
+    lines = residual.to_text().split(" + ") if residual else []
+    return _report(identity, n, len(residual), lines, t0, detail)
 
 
 # ------------------------------------------------------------------ suites
@@ -202,18 +209,15 @@ def _theorem3(q_max: int, product: TriPoly, t0: float) -> Report:
                 f"{name} (mu={mu}, nu={nu}, N={n}): "
                 f"{lhs.coeff(mu, nu, n)} != {rhs.coeff(mu, nu, n)}"
             )
-    return Report(
-        "Theorem3",
-        q_max,
-        not bad,
-        len(bad),
-        _elapsed_ms(t0),
-        detail=f"{compared} coefficient triples compared three ways",
-        diff=tuple(diffs[:20]),
-    )
+    detail = f"{compared} coefficient triples compared three ways"
+    return _report("Theorem3", q_max, len(bad), diffs, t0, detail)
 
 
-def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> None:
+def _general_key(gp: GeneralParams, extra: str | None, n_max: int) -> tuple[str, int]:
+    """(identity, n) of one general case's report, once the case's
+    parameters are checked (ConfigError): n is 100*lam + 10*k + a for
+    Theorem1, unique only while k and a are at most 9, and n_max for the
+    extra sets."""
     if n_max < 0:
         raise ConfigError(f"general case {gp}: n_max must be >= 0")
     try:
@@ -222,12 +226,6 @@ def _check_general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Non
         raise ConfigError(str(exc)) from None
     if extra is None and not (2 * gp.a > gp.lam and gp.a <= gp.k and gp.k >= gp.lam):
         raise ConfigError(f"params {gp} violate lam/2 < a <= k and k >= lam")
-
-
-def _general_key(gp: GeneralParams, extra: str | None, n_max: int) -> tuple[str, int]:
-    """(identity, n) of one general case's report: n is 100*lam + 10*k + a
-    for Theorem1, unique only while k and a are at most 9, and n_max for
-    the extra sets."""
     return GENERAL_CHECKS[extra][0], (100 * gp.lam + 10 * gp.k + gp.a if extra is None else n_max)
 
 
@@ -236,7 +234,6 @@ def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
     GENERAL_CHECKS): family A against family B, or B0 with an extra
     restriction set, pointwise for all n <= n_max; with b0-533, also the
     refined side-B table's row sums against B0."""
-    _check_general_case(gp, extra, n_max)
     identity, key = _general_key(gp, extra, n_max)
     t0 = time.perf_counter()
     left = partitions.general_A_series(gp, n_max)
@@ -254,7 +251,7 @@ def general_case(gp: GeneralParams, extra: str | None, n_max: int) -> Report:
         if totals[n] != right[n]:
             bad.append(f"n={n}: refined-table-sum={totals[n]} {name}={right[n]}")
     detail = GENERAL_CHECKS[extra][1].format(**gp._asdict(), n_max=n_max)
-    return Report(identity, key, not bad, len(bad), _elapsed_ms(t0), detail, tuple(bad[:20]))
+    return _report(identity, key, len(bad), bad, t0, detail)
 
 
 def theorem1_check(gp: GeneralParams, n_max: int) -> Report:
@@ -306,7 +303,6 @@ class SuiteConfig(NamedTuple):
                 raise ConfigError(f"{name} must be >= 0")
         seen: dict[tuple[str, int], GeneralParams] = {}
         for gp, extra, n_max in self.general_cases:
-            _check_general_case(gp, extra, n_max)
             identity, n = key = _general_key(gp, extra, n_max)
             if key in seen:
                 raise ConfigError(f"general cases {seen[key]} and {gp} both emit {identity} n={n}")

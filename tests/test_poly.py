@@ -205,6 +205,10 @@ def test_int_operands_coerce():
     assert ONE + 1 == monomial(2, 0, 0, 0)
     assert 1 - monomial(1, 0, 0, 6) == poly_of([(1, 0, 0, 0), (-1, 0, 0, 6)])
     assert 3 * monomial(1, 1, 0, 1) == monomial(3, 1, 0, 1)
+    # any other type is NotImplemented, so Python raises TypeError
+    for operation in (lambda: ONE + "x", lambda: "x" - ONE, lambda: ONE * 1.5):
+        with pytest.raises(TypeError):
+            operation()
 
 
 # ------------------------------------- cross-check against the dict reference

@@ -104,6 +104,34 @@ def test_the_census_gap_shows_in_the_value_dp_over_is_valid_B():
     assert dp != count_table("B", 120)
 
 
+# the 11 survivors of verify --suite all that tools/mutants.py names as
+# equivalent, by their labels less the source position
+EQUIVALENT = (
+    "'parts[0] // 6' 6 -> 5",
+    "'parts[0] // 6 + 2' 2 -> 1",
+    "'parts[0] // 6 + 2' 2 -> 3",
+    *(
+        f"'g({v}, 0)' 0 -> -1"
+        # the values of the two two-value caps, then of the widest cap
+        for v in ("base + 2", "base + 4", "base + 5", "base + 7")
+        + ("base - 1", "base", "base + 6", "base + 7")
+    ),
+)
+
+
+def test_the_equivalent_survivors_count_side_B_alike():
+    source = (PACKAGE / "partitions.py").read_text()
+    census = [(label.split(" ", 2)[2], text) for label, text in mutants(source)]
+    equivalent = [(label, text) for label, text in census if label in EQUIVALENT]
+    assert sorted(label for label, _ in equivalent) == sorted(EQUIVALENT)
+    table = count_table("B", 120)
+    for label, text in equivalent:
+        module = {"__name__": "sixfold.mutant", "__package__": "sixfold"}
+        exec(compile(text, "partitions.py", "exec"), module)
+        dp = module["_value_dp"](120, 9, module["is_valid_B"], lambda v: module["profile_B"]([v]))
+        assert dp == table, label
+
+
 def test_digests_name_each_output_once_and_repeat_on_cheap_ones():
     # 7 CLI runs, Link on 17 memos, J to Lemma4 on 16, 6 count-table groups,
     # 21 oracle levels, 14 general series, two for each default case, and

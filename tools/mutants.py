@@ -23,17 +23,38 @@ those of the unmutated package.
 prints one line per survivor, one per mutant that ended in an internal
 error (exit 3) or ran out of time, and a summary line.
 
-12 of the 71 mutants survive.  One of them is a known gap, not an
-equivalent predicate: `parts[0] // 7 + 2` in the window loop checks the
-caps only up to window index parts[0] // 7 + 1, which for the list [69]
-is 10, so the cap f(6*11 + 3) = 0 goes unchecked and the predicate admits
-the part 69.  `verify --suite all` cannot see it: the window plan reads
-the predicate at windows 0..2 only (parts up to 18), and the default
-bounds never reach the part 69.  The tier-1 test
+12 of the 71 mutants survive.  Eleven of them state the same side B, so
+no check can catch them.  Here top = parts[0], the largest part, and a
+value above it has multiplicity 0:
+
+* `parts[0] // 6` 6 -> 5, and `parts[0] // 6 + 2` 2 -> 3, only check
+  more windows.  Every value in the extra windows lies above top, so
+  every cap there sums to 0.
+* `parts[0] // 6 + 2` 2 -> 1 skips only the window J = top // 6 + 1.
+  There every value of a cap except 6J - 1 lies above top, so the widest
+  cap sums to f(6J - 1) <= 1, and the others to 0.
+* The eight `g(v, 0)` -> `g(v, -1)` in the three summed caps change a
+  cap's sum only where its value v is absent, and lower it there by 1.
+  On a list that passes the repeat rule and the two-apart rule, both
+  checked first, a cap with an absent value already sums within its
+  bound, so the lowered sum passes exactly where the unmutated one does.
+
+The tier-1 test
+tests/test_tools.py::test_the_equivalent_survivors_count_side_B_alike
+runs these 11 in-process: the value DP over each one's `is_valid_B`
+gives count_table("B", 120).
+
+The twelfth is a known gap, not an equivalent predicate:
+`parts[0] // 7 + 2` in the window loop checks the caps only up to window
+index parts[0] // 7 + 1, which for the list [69] is 10, so the cap
+f(6*11 + 3) = 0 goes unchecked and the predicate admits the part 69.
+`verify --suite all` cannot see it: the window plan reads the predicate
+at windows 0..2 only (parts up to 18), and the default bounds never
+reach the part 69.  The tier-1 test
 tests/test_partitions.py::test_count_table_b_equals_the_value_dp_over_is_valid_B
 catches it, at q = 120, and
 tests/test_tools.py::test_the_census_gap_shows_in_the_value_dp_over_is_valid_B
-pins that it does.  The other 11 survivors are not classified here.
+pins that it does.
 """
 
 from __future__ import annotations
