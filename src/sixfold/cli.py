@@ -14,6 +14,7 @@ import sys
 
 from . import partitions, recurrence, verify
 from .partitions import GeneralParams
+from .poly import TriPoly
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,17 +106,27 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print(poly: TriPoly, form: str = "text") -> None:
+    """print(poly.to_text()) or print(poly.to_json()), written q exponent
+    by q exponent (TriPoly.write)."""
+    poly.write(sys.stdout, form)
+    sys.stdout.write("\n")
+
+
 def _cmd_series(args: argparse.Namespace) -> int:
     if args.n < -1:
         raise ValueError(f"--n must be >= -1, got {args.n}")
     if args.source == "oracle":
         poly = partitions.s_oracle(args.n, args.j)
     else:
-        poly = recurrence.SeriesMemo().s(args.n, args.j)
-    if args.format == "text":
-        print(poly.to_text())
-    else:
-        print(poly.to_json())
+        memo = recurrence.SeriesMemo()
+        memo.s(-1, args.j)  # checks the class before any level is filled
+        for level in range(args.n):  # hold only what the next levels read
+            memo.s(level, 15)
+            memo.release(level + 1)
+        poly = memo.s(args.n, args.j)
+        del memo  # free the other entries before printing
+    _print(poly, args.format)
     return 0
 
 
@@ -126,7 +137,7 @@ def _cmd_general(args: argparse.Namespace) -> int:
 
 
 def _cmd_product(args: argparse.Namespace) -> int:
-    print(recurrence.product_truncated(args.q_max).to_text())
+    _print(recurrence.product_truncated(args.q_max))
     return 0
 
 

@@ -107,16 +107,25 @@ seven, six rounds), GAP = 1..24 took 0.09-0.15 s, with no value apart
 from 16 beyond the drift between rounds, GAP = 32 0.11-0.15 s, and
 GAP = 48 and uncut 0.15-0.18 s.
 
-Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`
-and `to_json` list the terms ascending in (e_q, e_a, e_b) without sorting
-them: the few hundred row keys are sorted once, each row is decoded once,
-and each non-zero slot becomes one term, appended to the bucket of its q
-exponent (offset by the smallest q0, as q may be negative).  A row holds
-at most one term per q exponent and the rows come in ascending (e_a, e_b),
-so each bucket is ascending in (e_a, e_b), and the buckets joined in q
-order are in canonical order.  Decoding every term to a tuple and sorting
-those made `sixfold series --n 9 --format json` spend twice as long
-printing its 69,452 terms as filling the memo.
+Printing (the canonical walk, `_walk`).  `terms`, `to_text`, `to_json_terms`,
+`to_json` and `write` list the terms ascending in (e_q, e_a, e_b) without
+sorting them, one q exponent at a time.  The few hundred rows are sorted
+once by (q0, e_a, e_b).  A row joins the active list when the walk reaches
+its q0, and is decoded then, and leaves after its top slot; the list is
+kept in (e_a, e_b) order.  At each q exponent the walk reads the next slot
+of every active row, and the non-zero ones are that exponent's terms,
+already in (e_a, e_b) order, since a row holds at most one term per q
+exponent.  Between one join or leave and the next the active rows stay the
+same, so the walk reads those exponents' slots through one zip of the
+rows' slot iterators, in C.  A join re-sorts the list (a merge of two
+ascending runs) and a leave filters it, once per q exponent at which rows
+join or leave, each in time linear in the active rows, every one of which
+holds a slot at that exponent: the walk is O(slots).  `write` writes each
+q exponent's terms to its stream as soon as they are formatted, so it
+holds one exponent's strings, where collecting every term's string before
+joining them held 69,452 of them for S(9, 15).  Decoding every term to a
+tuple and sorting those made `sixfold series --n 9 --format json` spend
+twice as long printing as filling the memo.
 
 A row is decoded to its coefficients by `_slots`, in C with no Python
 step per slot up to 64-bit slots.  XOR with the bias flips the top bit of each biased digit
@@ -125,7 +134,7 @@ is c in W-bit two's complement.  So the slots of (x + bias) ^ bias, read
 as signed W-bit numbers (array "i" or "q", or int.from_bytes(signed=True)
 past 64 bits), are exactly the c_i, and `itertools.compress` skips the
 zero ones.  The text forms format each row's (e_a, e_b) part once and
-each q exponent once, so a term costs one f-string (`_format`).  On
+each q exponent once, so a term costs one f-string (`_pieces`).  On
 S(9, 15), in-process on a 2-core VM, `to_json` takes 21-24 ms and
 `to_text` 19-26 ms (best of seven), so printing the series costs less
 than filling it.
@@ -135,15 +144,24 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import chain, compress
-from typing import Callable, Iterator, TypeVar
+from itertools import compress, islice
+from math import inf
+from operator import itemgetter
+from typing import Callable, Iterator, TextIO, TypeVar
 
 Key = tuple[int, int, int]  # (e_a, e_b, e_q)
 Row = tuple[int, int]  # (q0, x)
-T = TypeVar("T")
 L = TypeVar("L")
 
 GAP = 16  # zero slots at which a general product cuts a row (module docstring, Products)
+
+_TOP, _SLOTS, _LABEL = itemgetter(2), itemgetter(3), itemgetter(4)  # of an active row (TriPoly._walk)
+
+# (lead, mid, tail, separator, opening, closing, zero) of each printed form (TriPoly._pieces)
+_FORMS = {
+    "text": ("", "*a^{}*b^{}*q^", "{}", " + ", "", "", "0"),
+    "json": ('["', '", {}, {}, ', "{}]", ", ", "[", "]", "[]"),
+}
 
 
 def _width(bound: int, floor: int = 32) -> int:
@@ -392,39 +410,57 @@ class TriPoly:
         return {key: (q0, _reencode(x, self._w, w)) for key, (q0, x) in self._rows.items()}
 
     def _walk(
-        self,
-        fill: Callable[[int, int, Iterator[tuple[int, L, list[T]]]], None],
-        label: Callable[[int], L],
-    ) -> list[T]:
-        """The terms fill puts in the buckets of the canonical walk (module
-        docstring, Printing), the buckets joined in q order.  fill(e_a, e_b,
-        slots) is called once per row, in key order; slots yields
-        (c, label(e_q), bucket) for each non-zero slot, and fill appends
-        that term to bucket.  label is called once per q exponent."""
-        if not self._rows:
-            return []
+        self, label: Callable[[tuple[int, int]], L]
+    ) -> Iterator[tuple[int, Iterator[tuple[int, L]]]]:
+        """(e_q, pairs) for each q exponent of the canonical walk (module
+        docstring, Printing), ascending, from the lowest q0 to the highest
+        top slot, skipping the exponents no row spans: pairs yields
+        (c, label(key)) for each non-zero slot at e_q, in (e_a, e_b) order.
+        label is called once per row."""
         w = self._w
-        q_min = min(q0 for q0, _ in self._rows.values())
-        # _slots reads x.bit_length() // w + 1 slots
-        q_top = max(q0 + x.bit_length() // w for q0, x in self._rows.values())
-        buckets: list[list[T]] = [[] for _ in range(q_top - q_min + 1)]
-        labels = list(map(label, range(q_min, q_top + 1)))
-        for (e_a, e_b), (q0, x) in sorted(self._rows.items()):
-            cs, i = _slots(x, w), q0 - q_min
-            fill(e_a, e_b, compress(zip(cs, labels[i:], buckets[i:]), cs))
-        return list(chain.from_iterable(buckets))
+        joins = sorted((q0, key, x) for key, (q0, x) in self._rows.items())
+        joins.append((inf, None, None))  # a sentinel past the last join
+        active: list[tuple[int, int, int, Iterator[int], L]] = []  # (e_a, e_b, top, slots, label)
+        i = 0
+        while joins[i][0] < inf or active:
+            if not active:
+                q = joins[i][0]
+            if joins[i][0] == q:
+                while joins[i][0] == q:
+                    _, key, x = joins[i]
+                    cs = _slots(x, w)  # x.bit_length() // w + 1 slots
+                    active.append((*key, q + len(cs) - 1, iter(cs), label(key)))
+                    i += 1
+                active.sort()  # the kept rows and the joining ones, two ascending runs
+            labels = list(map(_LABEL, active))
+            # the same rows are active up to the first top slot or the next join
+            first_top = min(map(_TOP, active))
+            end = min(first_top + 1, joins[i][0])
+            for cs in islice(zip(*map(_SLOTS, active)), end - q):
+                yield q, compress(zip(cs, labels), cs)
+                q += 1
+            if first_top < q:  # keep the rows whose top slot is q or above
+                active = list(compress(active, map(q.__le__, map(_TOP, active))))
 
-    def _format(self, lead: str, mid: str, tail: str) -> list[str]:
-        """Every term as the string lead + c + mid.format(e_a, e_b) +
-        tail.format(e_q), in canonical order: mid is formatted once per row
-        and tail once per q exponent, so a term is one f-string."""
-
-        def fill(e_a, e_b, slots):
-            row = mid.format(e_a, e_b)
-            for c, q, bucket in slots:
-                bucket.append(f"{lead}{c}{row}{q}")
-
-        return self._walk(fill, tail.format)
+    def _pieces(self, form: str) -> Iterator[str]:
+        """The text of `form` ("text" or "json", `_FORMS`) in pieces: the
+        opening, one piece per q exponent that has terms, and the closing
+        (one piece for zero).  Each term is one f-string, lead + c +
+        mid.format(e_a, e_b) + tail.format(e_q), with mid formatted once per
+        row and tail once per q exponent."""
+        lead, mid, tail, sep, opening, closing, zero = _FORMS[form]
+        if not self._rows:
+            yield zero
+            return
+        yield opening
+        before = ""  # the separator before a q exponent's first term
+        for e_q, pairs in self._walk(lambda key: mid.format(*key)):
+            q = tail.format(e_q)
+            group = [f"{lead}{c}{row}{q}" for c, row in pairs]
+            if group:
+                yield before + sep.join(group)
+                before = sep
+        yield closing
 
     # ------------------------------------------------------------ queries
 
@@ -451,12 +487,8 @@ class TriPoly:
 
     def terms(self) -> list[tuple[int, int, int, int]]:
         """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
-
-        def fill(e_a, e_b, slots):
-            for c, e_q, bucket in slots:
-                bucket.append((c, e_a, e_b, e_q))
-
-        return self._walk(fill, int)
+        pairs_by_q = self._walk(lambda key: key)
+        return [(c, e_a, e_b, e_q) for e_q, pairs in pairs_by_q for c, (e_a, e_b) in pairs]
 
     # ---------------------------------------------------- ring operations
 
@@ -576,9 +608,7 @@ class TriPoly:
 
     def to_text(self) -> str:
         """Canonical text form: "c*a^i*b^j*q^k" terms joined by " + "."""
-        if not self._rows:
-            return "0"
-        return " + ".join(self._format("", "*a^{}*b^{}*q^", "{}"))
+        return "".join(self._pieces("text"))
 
     def to_json_terms(self) -> list[list]:
         """Canonical JSON form: [coeff-as-decimal-string, e_a, e_b, e_q] rows."""
@@ -587,7 +617,14 @@ class TriPoly:
     def to_json(self) -> str:
         """json.dumps(self.to_json_terms()), byte for byte, with each term
         one f-string ("[]" for zero)."""
-        return "[" + ", ".join(self._format('["', '", {}, {}, ', "{}]")) + "]"
+        return "".join(self._pieces("json"))
+
+    def write(self, out: TextIO, form: str) -> None:
+        """Write `to_text()` (form "text") or `to_json()` (form "json") to
+        the text stream out, one q exponent's terms at a time, so no more
+        than one q exponent's strings are held at once."""
+        for piece in self._pieces(form):
+            out.write(piece)
 
     # ----------------------------------------------------------- identity
 

@@ -219,6 +219,18 @@ class SeriesMemo:
     (`combination`), so J(n) and K(n) are summed once however many checks
     read them.
 
+    By default the memo holds every entry it filled.  `release(n)` drops
+    the entries that no level from n on reads: S(l, c) is read by the
+    rules of levels l + 1 .. l + reach[c], where reach[c] is the largest
+    dn of a rule term that reads the class c (0 for a class no rule
+    reads; for REC_RULES 3 for class 9 and 1 for classes 3, 5, 8 and
+    11..15), and by S(l, c + 1) within its own level.  So a caller that
+    has filled every class of level n - 1 may release(n), which keeps at
+    most 3 levels of class 9 and the last level of the other read
+    classes.  A released entry keeps its index, and reading it again
+    raises LookupError naming it: it is never recomputed and never
+    returned wrong.  The held identity values are never released.
+
     The memo carries both halves of the transcription: `rules` fill the
     entries and `p_tables` (p1..p3) enter the identities `_combination`
     sums, so a mutation of either enters through the memo.  A memo built
@@ -238,23 +250,42 @@ class SeriesMemo:
             raise ValueError("every rule term must refer to a lower level (dn >= 1)")
         self.rules = rules
         self.p_tables = p_tables
-        self._table: list[TriPoly] = []  # S(n, j) at index 16n + j
+        reach: dict[int, int] = {}
+        for rule in rules:
+            for *_, dn, jref in rule:
+                reach[jref] = max(reach.get(jref, 0), dn)
+        self.reach = tuple(reach.get(c, 0) for c in range(16))
+        self._table: list[TriPoly | None] = []  # S(n, j) at index 16n + j; None once released
         self._held: dict[tuple[tuple[IdentityTerm, ...], int], TriPoly] = {}
 
     def s(self, n: int, j: int) -> TriPoly:
-        """S(n, j) per the recurrence rules; 1 at n == -1, 0 below."""
+        """S(n, j) per the recurrence rules; 1 at n == -1, 0 below.  Raises
+        LookupError for an entry `release` dropped."""
         if not 0 <= j <= 15:
             raise ValueError(f"window class must be in 0..15, got {j}")
         if n < 0:
             return ONE if n == -1 else ZERO
         index = 16 * n + j
         if index < len(self._table):
-            return self._table[index]
+            value = self._table[index]
+            if value is None:
+                raise LookupError(f"S({n}, {j}) was released from the memo")
+            return value
         for earlier in range(len(self._table), index):
             self.s(*divmod(earlier, 16))
         value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
         self._table.append(value)
         return value
+
+    def release(self, n: int) -> None:
+        """Drop every entry S(l, c) with l + reach[c] < n: those that no
+        rule of level n or above reads.  Call it once level n - 1 is filled,
+        since an entry of an unread class is read by the next class of its
+        own level."""
+        for index in range(min(16 * n, len(self._table))):
+            level, c = divmod(index, 16)
+            if level + self.reach[c] < n:
+                self._table[index] = None
 
     def combination(self, terms: tuple[IdentityTerm, ...], n: int) -> TriPoly:
         """`_combination(terms, n, self)`, summed on the first call for the

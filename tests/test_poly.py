@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -28,7 +29,7 @@ from sixfold.poly import (
     monomial,
     narrow,
 )
-from sixfold.recurrence import P2_TERMS, SeriesMemo, _at, product_truncated
+from sixfold.recurrence import P2_TERMS, P3_TERMS, SeriesMemo, _at, product_truncated
 
 
 def test_monomial_single_term():
@@ -447,6 +448,77 @@ def test_the_walk_reads_the_extreme_slots_of_each_width(w):
 def test_zero_serialises_as_empty():
     assert ZERO.to_json() == "[]" and ZERO.to_json_terms() == [] and ZERO.terms() == []
     assert ZERO.to_text() == "0"
+
+
+# ------------------------------------------------------------- the writer
+
+
+class _Pieces(list):
+    """A text stream that keeps each string written to it."""
+
+    write = list.append
+
+
+def _written(p, form):
+    out = io.StringIO()
+    p.write(out, form)
+    return out.getvalue()
+
+
+def _reference_forms(ref):
+    """(text, json) of a reference dict, formatted from ref_terms."""
+    terms = ref_terms(ref)
+    text = " + ".join(f"{c}*a^{ea}*b^{eb}*q^{eq}" for c, ea, eb, eq in terms)
+    return text or "0", json.dumps([[str(c), ea, eb, eq] for c, ea, eb, eq in terms])
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        ZERO,
+        ONE,
+        _at(P3_TERMS, 0),  # q exponents down to -21
+        TriPoly({(0, 0, 0): 2**200, (1, 0, 1): -(2**200) + 1, (0, 2, -3): 1}),  # 256-bit slots
+        # sparse and wide: rows that join and leave far apart, one of them
+        # with a long run of zero slots
+        TriPoly({(0, 0, 0): 1, (0, 0, 5000): -1, (3, 1, 2500): 7, (1, 0, -40): 2, (1, 0, -39): 3}),
+    ],
+    ids=["zero", "one", "p3-level-0", "2^200", "sparse-wide"],
+)
+def test_the_writer_prints_to_json_and_to_text_byte_for_byte(p):
+    assert _written(p, "json") == p.to_json() and _written(p, "text") == p.to_text()
+    assert (p.to_text(), p.to_json()) == _reference_forms({(ea, eb, eq): c for c, ea, eb, eq in p.terms()})
+    # one piece per q exponent with terms, between the opening and closing brackets
+    pieces = _Pieces()
+    p.write(pieces, "json")
+    if not p:
+        assert pieces == ["[]"]
+        return
+    assert (pieces[0], pieces[-1]) == ("[", "]")
+    exponents = []
+    for piece in pieces[1:-1]:
+        (e_q,) = {t[3] for t in json.loads("[" + piece.removeprefix(", ") + "]")}
+        exponents.append(e_q)
+    assert exponents == sorted({e_q for *_, e_q in p.terms()})
+
+
+_sparse_wide = st.dictionaries(
+    st.tuples(
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=-200, max_value=400),
+    ),
+    st.one_of(_coeffs, st.integers(min_value=-(2**200), max_value=2**200)),
+    max_size=30,
+)
+
+
+@settings(max_examples=200)
+@given(_sparse_wide, _term_dicts)
+def test_the_writer_matches_the_reference_kernel(p_terms, q_terms):
+    (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
+    for value, ref in ((p, rp), (p + q, ref_add(rp, rq)), (p * q, ref_mul(rp, rq))):
+        assert (_written(value, "text"), _written(value, "json")) == _reference_forms(ref)
 
 
 # ------------------------------------------ slot bits, monomials and widths

@@ -86,6 +86,70 @@ def test_fresh_memo_fill_keeps_the_stack_shallow(memo):
     assert fresh == memo.s(6, 15)
 
 
+# the largest dn of a REC_RULES term reading each class; 0 for the others
+REC_REACH = {3: 1, 5: 1, 8: 1, 9: 3, 11: 1, 12: 1, 13: 1, 14: 1, 15: 1}
+
+
+def _fill_releasing(memo, levels):
+    """Fill levels 0..levels - 1 as `sixfold series` does: each level whole,
+    then release what the next levels do not read."""
+    for level in range(levels):
+        memo.s(level, 15)
+        memo.release(level + 1)
+
+
+def test_release_keeps_exactly_what_later_levels_read():
+    assert SeriesMemo().reach == tuple(REC_REACH.get(c, 0) for c in range(16))
+    fresh, memo = SeriesMemo(), SeriesMemo()
+    memo.s(5, 15)
+    for n in range(8):
+        memo.release(n)
+        for level in range(6):
+            for c in range(16):
+                if level + REC_REACH.get(c, 0) >= n:
+                    assert memo.s(level, c) == fresh.s(level, c), (n, level, c)
+                else:
+                    with pytest.raises(LookupError, match=rf"^S\({level}, {c}\) was released"):
+                        memo.s(level, c)
+
+
+def test_each_memo_derives_its_reach_from_its_own_rules():
+    # rule 0 reads class 15 two levels down and rule 4 class 0 one level
+    # down: reach 2 for class 15 and 1 for class 0, where REC_RULES have 1 and 0
+    moved = (((1, 0, 0, 0, 0, 2, 15),), *REC_RULES[1:4], ((1, 0, 1, 6, 4, 1, 0),), *REC_RULES[5:])
+    mutated = mutate_rec_rules(REC_RULES, random.Random(0))[0]
+    for rules in (REC_RULES, mutated, moved):
+        memo = SeriesMemo(rules)
+        assert memo.reach == tuple(
+            max((dn for rule in rules for *_, dn, jref in rule if jref == c), default=0)
+            for c in range(16)
+        )
+        _fill_releasing(memo, 6)
+        fresh = SeriesMemo(rules)
+        assert memo.s(6, 15) == fresh.s(6, 15)
+        for level in range(7):
+            for c in range(16):
+                if level + memo.reach[c] >= 6:
+                    assert memo.s(level, c) == fresh.s(level, c), (level, c)
+                else:
+                    with pytest.raises(LookupError):
+                        memo.s(level, c)
+    assert SeriesMemo(moved).reach[0] == 1 and SeriesMemo(moved).reach[15] == 2
+    assert SeriesMemo(mutated).reach == SeriesMemo().reach
+
+
+def test_a_released_entry_is_never_recomputed():
+    memo = SeriesMemo()
+    _fill_releasing(memo, 4)
+    with pytest.raises(LookupError, match=r"^S\(2, 15\) was released from the memo$") as info:
+        memo.s(2, 15)
+    assert not isinstance(info.value, ValueError)  # the CLI's exit 3, not a config error
+    # class 9 is read up to three levels up: after level 3, level 1 is kept and level 0 gone
+    assert memo.s(1, 9) == SeriesMemo().s(1, 9)
+    with pytest.raises(LookupError, match=r"S\(0, 9\)"):
+        memo.s(0, 9)
+
+
 def test_every_rule_term_refers_to_a_lower_level():
     # dn >= 1 is what makes the (n, j) fill order of SeriesMemo valid
     mutated = [mutate_rec_rules(REC_RULES, random.Random(seed))[0] for seed in range(5)]

@@ -8,8 +8,10 @@ prints one `name sha256` line per output, in this order:
 
 * `sixfold verify --suite all`, and `sixfold verify --suite S --n-max 12`
   for S = link, lemma2 and lemma3, then the printed polynomials of
-  `sixfold series --n 9 --j 15 --source recurrence` as text and as JSON and
-  of `sixfold product --q-max 300`, each run in a fresh process: stdout
+  `sixfold series --n 9 --j 15 --source recurrence` as text and as JSON, of
+  the same at `--n 12` as JSON (the level whose entries take 64-bit slots,
+  filled while the levels below are released) and of
+  `sixfold product --q-max 300`, each run in a fresh process: stdout
   with every `ms` zeroed, stderr and the exit code (see mutants.run);
 * link_residual at levels 0..6 on the pristine memo; then for seeds 0..7,
   on the memos of mutate_rec_rules and of mutate_p_tables, link_residual at
@@ -31,7 +33,7 @@ prints one `name sha256` line per output, in this order:
 Each output is digested piece by piece, a polynomial at a time as its
 canonical JSON, so no more than one of them is held as text.  No bytecode
 is written, so the package is left without a __pycache__.  The package's
-path goes to stderr.  A run prints 83 lines, takes about 65-80 s and
+path goes to stderr.  A run prints 84 lines, takes about 65-80 s and
 peaks at about 530 MiB (s_oracle at level 18) on a 2-core machine.
 """
 
@@ -86,6 +88,7 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
                 ("series", "--n", "9", "--j", "15", "--source", "recurrence", "--format", form)
                 for form in ("text", "json")
             ),
+            ("series", "--n", "12", "--j", "15", "--source", "recurrence", "--format", "json"),
             ("product", "--q-max", "300"),
         )
     ]
