@@ -121,6 +121,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
     else:
         memo = recurrence.SeriesMemo()
         memo.s(-1, args.j)  # checks the class before any level is filled
+        memo.hold_only(last=(args.n, args.j))
         for level in range(args.n):  # hold only what the next levels read
             memo.s(level, 15)
             memo.release(level + 1)

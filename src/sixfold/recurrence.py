@@ -19,7 +19,8 @@ wrong coefficient or exponent.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from itertools import chain
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .poly import ONE, TriPoly, ZERO, _times_monomial, monomial
 
@@ -202,6 +203,30 @@ def _at(table: tuple[PolyTerm, ...], n: int, shift: int = 0) -> TriPoly:
 
 # ---------------------------------------------------------- series memo
 
+# A read (jref, dn): the series S(n - dn, jref), or the value at level
+# n - dn of the identity table jref.
+Read = tuple[int | tuple, int]
+
+
+def reads(refs: Iterable[Read]) -> Iterator[Read]:
+    """Each read of `refs` and, for one that names an identity table, the
+    reads of that table's terms, their dn added to its own: everything
+    summing the table at that level reads.  A dn of -1 reads the level
+    above (Link reads K(n+1) so)."""
+    for jref, dn in refs:
+        yield jref, dn
+        if not isinstance(jref, int):
+            yield from reads((ref, dn + d) for _, _, _, _, _, d, ref, *_ in jref)
+
+
+def read_window(refs: Iterable[Read]) -> dict[int | tuple, int]:
+    """The largest dn at which `refs` read each window class and each
+    identity table, following every table they name (`reads`)."""
+    window: dict[int | tuple, int] = {}
+    for key, dn in reads(refs):
+        window[key] = max(window.get(key, dn), dn)
+    return window
+
 
 class SeriesMemo:
     """Memoized table of windowed series values, filled in (n, j) order.
@@ -219,17 +244,24 @@ class SeriesMemo:
     (`combination`), so J(n) and K(n) are summed once however many checks
     read them.
 
-    By default the memo holds every entry it filled.  `release(n)` drops
-    the entries that no level from n on reads: S(l, c) is read by the
-    rules of levels l + 1 .. l + reach[c], where reach[c] is the largest
-    dn of a rule term that reads the class c (0 for a class no rule
-    reads; for REC_RULES 3 for class 9 and 1 for classes 3, 5, 8 and
-    11..15), and by S(l, c + 1) within its own level.  So a caller that
-    has filled every class of level n - 1 may release(n), which keeps at
-    most 3 levels of class 9 and the last level of the other read
-    classes.  A released entry keeps its index, and reading it again
-    raises LookupError naming it: it is never recomputed and never
-    returned wrong.  The held identity values are never released.
+    One rule says what the memo may drop, read off the tables: `window`
+    maps each window class and each identity table to the largest dn at
+    which anything declared reads it (`read_window`).  S(l, c) is read by
+    S(l, c + 1) and by what reads class c, up to level l + window[c]; a
+    held value of the table T at level l up to level l + window[T].  The
+    rules alone give `reach`, their window per class (0 for a class no
+    rule reads; for REC_RULES 3 for class 9 and 1 for classes 3, 5, 8
+    and 11..15), and `window` starts as theirs.
+
+    By default the memo holds every entry and every value it computed.
+    `release(n)` drops those that nothing at level n or above reads: call
+    it once every read of level n - 1 is done.  `hold_only` declares what
+    the caller reads besides the rules, and turns on the drops inside a
+    level: an entry of a class that nothing declared reads goes as soon
+    as the next class of its level is filled, and, at the caller's last
+    level, every entry below the one it asks for.  A dropped entry or
+    value keeps its place, and reading it again raises LookupError naming
+    it: it is never recomputed and never returned wrong.
 
     The memo carries both halves of the transcription: `rules` fill the
     entries and `p_tables` (p1..p3) enter the identities `_combination`
@@ -250,17 +282,29 @@ class SeriesMemo:
             raise ValueError("every rule term must refer to a lower level (dn >= 1)")
         self.rules = rules
         self.p_tables = p_tables
-        reach: dict[int, int] = {}
-        for rule in rules:
-            for *_, dn, jref in rule:
-                reach[jref] = max(reach.get(jref, 0), dn)
-        self.reach = tuple(reach.get(c, 0) for c in range(16))
+        self._rule_reads = [(jref, dn) for rule in rules for *_, dn, jref in rule]
+        self.window = read_window(self._rule_reads)
+        self.reach = tuple(self.window.get(c, 0) for c in range(16))
+        self._unread: frozenset[int] = frozenset()  # classes dropped inside a level
+        self._last = (-1, 0)  # the caller's last entry; level -1: none
         self._table: list[TriPoly | None] = []  # S(n, j) at index 16n + j; None once released
-        self._held: dict[tuple[tuple[IdentityTerm, ...], int], TriPoly] = {}
+        self._held: dict[tuple[tuple[IdentityTerm, ...], int], TriPoly | None] = {}
+
+    def hold_only(self, refs: Iterable[int | tuple] = (), last: tuple[int, int] | None = None) -> None:
+        """Hold only what the rules and the caller read from now on.  The
+        caller reads each of `refs`, a window class or an identity table,
+        at every level it reads (so a table's terms read at their dn), and
+        no entry past `last` = (N, J) if it is given.  `window` becomes the
+        rules' and the refs' window; an entry of a class outside it goes
+        once the next class of its level is filled, and an entry of level
+        N below S(N, J) once the next one is."""
+        self.window = read_window(chain(self._rule_reads, ((ref, 0) for ref in refs)))
+        self._unread = frozenset(c for c in range(16) if c not in self.window)
+        self._last = last or (-1, 0)
 
     def s(self, n: int, j: int) -> TriPoly:
         """S(n, j) per the recurrence rules; 1 at n == -1, 0 below.  Raises
-        LookupError for an entry `release` dropped."""
+        LookupError for an entry the memo dropped."""
         if not 0 <= j <= 15:
             raise ValueError(f"window class must be in 0..15, got {j}")
         if n < 0:
@@ -275,25 +319,35 @@ class SeriesMemo:
             self.s(*divmod(earlier, 16))
         value = (self.s(n, j - 1) if j else ZERO) + _combination(self.rules[j], n, self)
         self._table.append(value)
+        if j and (j - 1 in self._unread or (n == self._last[0] and j <= self._last[1])):
+            self._table[index - 1] = None
         return value
 
     def release(self, n: int) -> None:
-        """Drop every entry S(l, c) with l + reach[c] < n: those that no
-        rule of level n or above reads.  Call it once level n - 1 is filled,
-        since an entry of an unread class is read by the next class of its
-        own level."""
+        """Drop every entry S(l, c) with l + window[c] < n and every held
+        value of a table T at level l with l + window[T] < n (window 0 for
+        what nothing declared reads, which its own level reads): all that
+        nothing at level n or above reads.  Call it once every read of
+        level n - 1 is done."""
         for index in range(min(16 * n, len(self._table))):
             level, c = divmod(index, 16)
-            if level + self.reach[c] < n:
+            if level + self.window.get(c, 0) < n:
                 self._table[index] = None
+        for terms, level in self._held:
+            if level + self.window.get(terms, 0) < n:
+                self._held[terms, level] = None
 
     def combination(self, terms: tuple[IdentityTerm, ...], n: int) -> TriPoly:
         """`_combination(terms, n, self)`, summed on the first call for the
-        table and the level and held from then on."""
+        table and the level and held from then on.  Raises LookupError for
+        a value `release` dropped."""
         key = (terms, n)
         if key not in self._held:
             self._held[key] = _combination(terms, n, self)
-        return self._held[key]
+        value = self._held[key]
+        if value is None:
+            raise LookupError(f"the {len(terms)}-term identity at level {n} was released from the memo")
+        return value
 
 
 # ------------------------------------------------------ identity terms

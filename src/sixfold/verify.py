@@ -91,12 +91,20 @@ class Suite(NamedTuple):
 
     `checks` lists (identity, residual) pairs in emit order; each residual
     is zero when its identity holds at level n.  The default top level is
-    the SuiteConfig field `level_field` plus `offset`.
+    the SuiteConfig field `level_field` plus `offset`.  `reads` names what
+    the checks read at level n: window classes, and identity tables by
+    their name in the recurrence module, looked up at run time like the
+    residuals, so each table's terms read at their dn (`_run`).  Lemma4,
+    written as code, names nothing: its S(n, 15) and S(n - 1, 9) lie
+    inside the rules' own reach.  `prepare(n)`, if given, does the work
+    the checks of level n share before they are timed.
     """
 
     level_field: str
     offset: int
     checks: tuple[tuple[str, Residual], ...]
+    reads: tuple[int | str, ...] = ()
+    prepare: Callable[[int], object] | None = None
 
     def top_level(self, cfg: "SuiteConfig") -> int:
         return getattr(cfg, self.level_field) + self.offset
@@ -115,14 +123,35 @@ def _recurrence_check(identity: str, name: str) -> tuple[str, Residual]:
 
 # Listed in emit order; IDENTITY_ORDER starts with their identities, in this order.
 SUITES: dict[str, Suite] = {
-    "oracle": Suite("n_max_oracle", 0, tuple(_oracle_check(j) for j in range(16))),
+    "oracle": Suite(
+        "n_max_oracle",
+        0,
+        tuple(_oracle_check(j) for j in range(16)),
+        tuple(range(16)),
+        lambda n: partitions.s_oracle(n, 0),  # steps the enumeration to level n
+    ),
     "lemma1": Suite(
-        "n_max_lemmas", 0, (_recurrence_check("J", "J_poly"), _recurrence_check("K", "K_poly"))
+        "n_max_lemmas",
+        0,
+        (_recurrence_check("J", "J_poly"), _recurrence_check("K", "K_poly")),
+        ("J_TERMS", "K_TERMS"),
     ),
     # Link(n) involves K(n+1), so it stops one level below J and K.
-    "link": Suite("n_max_lemmas", -1, (_recurrence_check("Link", "link_residual"),)),
-    "lemma2": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma2", "lemma2_residual"),)),
-    "lemma3": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma3", "lemma3_residual"),)),
+    "link": Suite(
+        "n_max_lemmas", -1, (_recurrence_check("Link", "link_residual"),), ("LINK_TERMS",)
+    ),
+    "lemma2": Suite(
+        "n_max_fourth_order",
+        0,
+        (_recurrence_check("Lemma2", "lemma2_residual"),),
+        ("LEMMA2_TERMS",),
+    ),
+    "lemma3": Suite(
+        "n_max_fourth_order",
+        0,
+        (_recurrence_check("Lemma3", "lemma3_residual"),),
+        ("LEMMA3_TERMS",),
+    ),
     "lemma4": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma4", "lemma4_residual"),)),
 }
 
@@ -144,8 +173,51 @@ IDENTITY_ORDER: tuple[str, ...] = (
 _ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
 
+def _suite_reads(entries: list[Suite]) -> list[int | tuple]:
+    """What the suites' checks read at a level: classes and identity tables."""
+    return [getattr(recurrence, r) if isinstance(r, str) else r for e in entries for r in e.reads]
+
+
+def _run(tops: dict[str, int], memo: SeriesMemo | None = None) -> list[Report]:
+    """Reports of each suite in `tops` at levels 0..tops[name], level by
+    level, the suites of a level in SUITES order.
+
+    At level n the runner makes each suite's `prepare(n)`, then fills the
+    memo to level n, or to n + 1 when a check due reads the level above
+    (Link reads K(n+1)); only then does it time each check, so a report's
+    `ms` is its own residual's.  The oracle's window step comes first
+    because it holds two layers at once: so it meets the memo's entries
+    that level n's rules read, not all of level n.  A memo passed in keeps
+    every entry and value.  Otherwise the runner's memo holds only what
+    the checks due at level n or later read (`SeriesMemo.hold_only`), and
+    after each level releases what no later level reads.
+    """
+    owned = memo is None
+    memo = memo or SeriesMemo()
+    out = []
+    for n in range(max(tops.values(), default=-1) + 1):
+        due = [entry for name, entry in SUITES.items() if tops.get(name, -1) >= n]
+        refs = _suite_reads(due)
+        if owned:
+            memo.hold_only(refs)
+        for entry in due:
+            if entry.prepare:
+                entry.prepare(n)
+        dns = [dn for ref, dn in recurrence.reads((ref, 0) for ref in refs) if isinstance(ref, int)]
+        memo.s(n - min(dns + [0]), 15)  # level n, or the level above that a check reads
+        for entry in due:
+            for identity, residual in entry.checks:
+                t0 = time.perf_counter()
+                out.append(_residual_report(identity, n, residual(n, memo), t0))
+        if owned:
+            memo.release(n + 1)
+    return out
+
+
 def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """Reports of suite `name` for every level 0..n_max, level by level.
+    """Reports of suite `name` for every level 0..n_max, level by level
+    (`_run`): on a memo passed in, which keeps every entry, or on one of
+    its own that holds only what the later levels read.
 
     n_max = -1 runs no level (run_all asks the link suite for it when
     n_max_lemmas is 0); a lower n_max is a ConfigError, not an empty pass.
@@ -154,13 +226,7 @@ def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]
         raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
     if n_max < -1:
         raise ConfigError(f"n_max must be >= -1, got {n_max}")
-    memo = memo or SeriesMemo()
-    out = []
-    for n in range(n_max + 1):
-        for identity, residual in SUITES[name].checks:
-            t0 = time.perf_counter()
-            out.append(_residual_report(identity, n, residual(n, memo), t0))
-    return out
+    return _run({name: n_max}, memo)
 
 
 def _product_check(q_max: int) -> tuple[Report, TriPoly]:
@@ -312,14 +378,12 @@ class SuiteConfig(NamedTuple):
 def run_all(cfg: SuiteConfig) -> list[Report]:
     """Run every suite; report content is a pure function of cfg.
 
-    The per-level suites share one memo; the merged report list is sorted
-    canonically by (identity, n).
+    The per-level suites run together, level by level, on one memo that
+    holds only what their later levels read (`_run`); the merged report
+    list is sorted canonically by (identity, n).
     """
     cfg.validate()
-    memo = SeriesMemo()
-    reports = []
-    for name, entry in SUITES.items():
-        reports += suite(name, entry.top_level(cfg), memo)
+    reports = _run({name: entry.top_level(cfg) for name, entry in SUITES.items()})
     # the Product check builds the product to q_max_theorem; Theorem3 reuses it
     report, product = _product_check(cfg.q_max_theorem)
     reports += [report, _theorem3(cfg.q_max_theorem, product, time.perf_counter())]

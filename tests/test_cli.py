@@ -90,12 +90,13 @@ class _Digest:
 
 
 # Tracemalloc peak of `series --n 9 --j 15 --source recurrence --format json`
-# in-process, its output hashed as it is written (Python 3.11): 5.6-5.8 MiB
-# when, after each level, the entries no later level reads are released and
-# the value is printed q by q, against 10.0-10.2 MiB when every entry was held
-# and every term's string built before printing.  The bound is the first plus
-# 1.2 MiB, about 20 %.
-SERIES_9_PEAK_BOUND = 7.0 * 2**20
+# in-process, its output hashed as it is written (Python 3.11): 2.88 MiB when
+# the memo drops each entry of a class no later level reads as soon as the
+# next class is filled, and at the last level every entry below S(9, 15),
+# against 5.78 MiB when it released only between levels (and 10.0-10.2 MiB
+# when every entry was held and every term's string built before printing).
+# The bound is the first plus 0.62 MiB, about 20 %.
+SERIES_9_PEAK_BOUND = 3.5 * 2**20
 
 
 def test_series_output_stays_in_bounded_memory():

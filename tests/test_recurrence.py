@@ -42,6 +42,8 @@ from sixfold.recurrence import (
     mutate_p_tables,
     mutate_rec_rules,
     product_truncated,
+    read_window,
+    reads,
 )
 from sixfold import recurrence
 from sixfold.recurrence import _at, _combination
@@ -148,6 +150,55 @@ def test_a_released_entry_is_never_recomputed():
     assert memo.s(1, 9) == SeriesMemo().s(1, 9)
     with pytest.raises(LookupError, match=r"S\(0, 9\)"):
         memo.s(0, 9)
+
+
+def test_hold_only_drops_unread_classes_inside_each_level():
+    # classes 0, 1, 2, 4, 6, 7 and 10 are read only by the next class of their level
+    fresh, memo = SeriesMemo(), SeriesMemo()
+    memo.hold_only()
+    assert memo.window == REC_REACH
+    assert memo.s(3, 15) == fresh.s(3, 15)
+    for level in range(4):
+        for c in range(16):
+            if c in REC_REACH:
+                assert memo.s(level, c) == fresh.s(level, c), (level, c)
+            else:
+                with pytest.raises(LookupError, match=rf"^S\({level}, {c}\) was released"):
+                    memo.s(level, c)
+
+
+def test_hold_only_drops_the_last_level_below_the_last_entry():
+    fresh, memo = SeriesMemo(), SeriesMemo()
+    memo.hold_only(last=(3, 9))
+    _fill_releasing(memo, 3)
+    assert memo.s(3, 9) == fresh.s(3, 9)
+    for c in range(9):
+        with pytest.raises(LookupError, match=rf"^S\(3, {c}\) was released"):
+            memo.s(3, c)
+    # what later levels read of level 2 stays, and the entry asked for
+    assert memo.s(2, 9) == fresh.s(2, 9) and memo.s(3, 9) == fresh.s(3, 9)
+
+
+def test_the_window_follows_identity_tables_into_their_terms():
+    # Link reads J(n) and K(n) at dn 0 and K(n+1) at dn -1, and through them
+    # class 9 up to three levels down and class 15 one
+    window = read_window([(LINK_TERMS, 0)])
+    assert window == {LINK_TERMS: 0, J_TERMS: 0, K_TERMS: 0, 9: 3, 15: 1}
+    assert min(dn for ref, dn in reads([(LINK_TERMS, 0)]) if ref == 15) == -1
+    memo = SeriesMemo()
+    memo.hold_only([LINK_TERMS])
+    assert memo.window == {**REC_REACH, LINK_TERMS: 0, J_TERMS: 0, K_TERMS: 0}
+
+
+def test_a_released_identity_value_is_never_recomputed():
+    memo = SeriesMemo()
+    memo.hold_only([J_TERMS])
+    held = [J_poly(n, memo) for n in range(3)]
+    memo.release(2)  # J is read at its own level only
+    assert J_poly(2, memo) is held[2]
+    for n in range(2):
+        with pytest.raises(LookupError, match=rf"^the 5-term identity at level {n} was released"):
+            J_poly(n, memo)
 
 
 def test_every_rule_term_refers_to_a_lower_level():

@@ -1,6 +1,7 @@
 import json
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -127,6 +128,103 @@ def test_suite_below_level_minus_one_is_a_config_error():
 def test_unknown_suite_is_a_config_error():
     with pytest.raises(ConfigError, match="unknown suite 'bogus'; choose from oracle, lemma1, link"):
         suite("bogus", 2)
+
+
+# The largest dn at which the rules and the suites' tables read each class:
+# the rules read the classes of REC_REACH in test_recurrence (class 9 three
+# levels down), Lemma2 class 9 and Lemma3 class 15 four levels down, and the
+# oracle every class at its own level.  J and K are read at their own level
+# (Link reads K(n+1) a level early, at dn -1).
+LEMMA_WINDOW = {3: 1, 5: 1, 8: 1, 9: 4, 11: 1, 12: 1, 13: 1, 14: 1, 15: 4}
+ALL_WINDOW = {**dict.fromkeys(range(16), 0), **LEMMA_WINDOW}
+
+
+def _window(names):
+    memo = SeriesMemo()
+    memo.hold_only(verify._suite_reads([SUITES[name] for name in names]))
+    return memo.window
+
+
+def test_the_read_window_of_the_default_tables_is_pinned():
+    window = _window(SUITES)
+    assert {c: window[c] for c in range(16) if c in window} == ALL_WINDOW
+    assert window[recurrence.J_TERMS] == window[recurrence.K_TERMS] == 0
+    lemmas = _window(name for name in SUITES if name != "oracle")
+    assert {c: lemmas[c] for c in range(16) if c in lemmas} == LEMMA_WINDOW
+
+
+def _same_reports(name, n_max):
+    releasing = suite(name, n_max)
+    holding = suite(name, n_max, SeriesMemo())
+    assert [r._replace(ms=0) for r in releasing] == [r._replace(ms=0) for r in holding]
+    return releasing
+
+
+def test_a_lemma2_term_moved_a_level_back_widens_the_window(monkeypatch):
+    # the S(n-4, 9) term of Lemma2 moved to S(n-5, 9): the window of class 9
+    # widens to 5 with it, and a releasing run still reads every entry
+    table = list(recurrence.LEMMA2_TERMS)
+    (i,) = [i for i, term in enumerate(table) if term[5] == 4]
+    table[i] = table[i][:5] + (5,) + table[i][6:]
+    original = recurrence.LEMMA2_TERMS
+    monkeypatch.setattr(recurrence, "LEMMA2_TERMS", tuple(table))
+    assert _window(["lemma2"])[9] == 5
+    reports = _same_reports("lemma2", 9)
+    assert not all_passed(reports)  # the moved term breaks the identity
+    # a window read off the unmoved table drops S(n-5, 9) too early
+    monkeypatch.setattr(verify, "_suite_reads", lambda entries: [original])
+    with pytest.raises(LookupError, match=r"S\(\d+, 9\) was released"):
+        suite("lemma2", 9)
+
+
+@pytest.mark.parametrize("name", ["lemma4", "link"])
+def test_releasing_runs_report_as_holding_runs(name):
+    assert all_passed(_same_reports(name, 12))
+
+
+def test_lemma4_reads_inside_the_rules_window():
+    # Lemma4 is code, not a table, and names no reads: its S(n, 15) and
+    # S(n-1, 9) must lie inside the window the rules alone give
+    memo = SeriesMemo()
+    memo.hold_only(verify._suite_reads([SUITES["lemma4"]]))
+    read = []
+    fill = memo.s
+    memo.s = lambda n, j: read.append((n, j)) or fill(n, j)
+    for n in range(6):
+        fill(n, 15)  # through the unwrapped fill, so only the residual's reads are recorded
+        read.clear()
+        recurrence.lemma4_residual(n, memo)
+        assert read and all(0 <= n - level <= memo.window[c] for level, c in read), read
+
+
+def test_a_memo_passed_in_keeps_every_entry_and_value():
+    memo = SeriesMemo()
+    suite("lemma1", 4, memo)
+    suite("link", 3, memo)
+    suite("oracle", 4, memo)
+    assert len(memo._table) == 16 * 5 and None not in memo._table
+    assert len(memo._held) == 10 and None not in memo._held.values()
+    assert all(memo.s(n, j) == SeriesMemo().s(n, j) for n in range(5) for j in range(16))
+
+
+# Tracemalloc peak of run_all with J, K, Link and Lemma2-4 to level 10 and the
+# oracle at level 0 only (Python 3.11): 9.16 MiB when the runner goes level by
+# level and releases what no later level reads, against 17.39 MiB when each
+# suite ran on its own over one memo that held every level.  The bound is the
+# first plus 1.84 MiB, about 20 %.
+LEMMAS_10_PEAK_BOUND = 11.0 * 2**20
+
+
+def test_run_all_lemma_suites_stay_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        reports = run_all(SuiteConfig(10, 10, 0, 0, ()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [(r.identity, r.n) for r in reports if not r.passed] == [("Lemma3", 0)]
+    assert len(reports) == 83
+    assert peak < LEMMAS_10_PEAK_BOUND, f"{peak / 2**20:.2f} MiB"
 
 
 def _count_jk_sums(monkeypatch) -> Counter:

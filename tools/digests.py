@@ -6,8 +6,9 @@ package: run the tool on each and diff what it prints.
 imports sixfold from SRC_DIR, the directory that holds the package, and
 prints one `name sha256` line per output, in this order:
 
-* `sixfold verify --suite all`, and `sixfold verify --suite S --n-max 12`
-  for S = link, lemma2 and lemma3, then the printed polynomials of
+* `sixfold verify --suite all`, `sixfold verify --suite S --n-max 12`
+  for S = lemma1, link, lemma2, lemma3 and lemma4, and
+  `sixfold verify --suite oracle --n-max 10`, then the printed polynomials of
   `sixfold series --n 9 --j 15 --source recurrence` as text and as JSON, of
   the same at `--n 12` as JSON (the level whose entries take 64-bit slots,
   filled while the levels below are released) and of
@@ -33,7 +34,7 @@ prints one `name sha256` line per output, in this order:
 Each output is digested piece by piece, a polynomial at a time as its
 canonical JSON, so no more than one of them is held as text.  No bytecode
 is written, so the package is left without a __pycache__.  The package's
-path goes to stderr.  A run prints 84 lines, takes about 65-80 s and
+path goes to stderr.  A run prints 87 lines, takes about 50-80 s and
 peaks at about 530 MiB (s_oracle at level 18) on a 2-core machine.
 """
 
@@ -83,7 +84,11 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
         (" ".join(argv), _once(run, package, None, argv))
         for argv in (
             ("verify", "--suite", "all"),
-            *(("verify", "--suite", suite, "--n-max", "12") for suite in ("link", "lemma2", "lemma3")),
+            *(
+                ("verify", "--suite", suite, "--n-max", "12")
+                for suite in ("lemma1", "link", "lemma2", "lemma3", "lemma4")
+            ),
+            ("verify", "--suite", "oracle", "--n-max", "10"),
             *(
                 ("series", "--n", "9", "--j", "15", "--source", "recurrence", "--format", form)
                 for form in ("text", "json")
