@@ -210,13 +210,13 @@ def _transfer(
     step holds only the sums still to be read.  A target with dq = 0
     passes its sum on as it is; it places no part, so mu = nu = 0.  With a
     bound q_max, a target with dq > q_max is dropped, its source sum still
-    built for the targets that build on it, and the sum is truncated to
-    q^(q_max - dq) before the product, so no term above q_max is ever built
-    from a layer that has none.  The product re-keys the packed rows of the
-    sum (poly._times_monomial), so it costs time in proportion to the rows,
-    not to the terms, and builds no monomial to multiply by.  A target may
-    appear more than once, with a different weight each time (the value
-    steps of span 1 do so); its terms are summed.  Zero terms are skipped:
+    built for the targets that build on it.  The product re-keys the packed
+    rows of the sum and cuts them at q_max as it does
+    (poly._times_monomial), one call per target, so it costs time in
+    proportion to the rows, not to the terms, builds no monomial to
+    multiply by, and builds no term above q_max from a layer that has
+    none.  A target may appear more than once, with a different weight
+    each time (the value steps of span 1 do so); its terms are summed.  Zero terms are skipped:
     a state that only they reach is left out of the next layer.
 
     After the step the layer is narrowed as one group (poly.narrow): its
@@ -238,11 +238,9 @@ def _transfer(
         if i in last:
             sums[i] = term
         if dq:
-            if q_max is not None:
-                if dq > q_max:
-                    continue
-                term = term.truncate(q_max - dq)
-            term = _times_monomial(term, 1, mu, nu, dq)
+            if q_max is not None and dq > q_max:
+                continue
+            term = _times_monomial(term, 1, mu, nu, dq, q_max=q_max)
         if term:
             nxt[t] = nxt[t] + term if t in nxt else term
     return dict(zip(nxt, narrow(*nxt.values())))
@@ -398,11 +396,14 @@ def _window_plan() -> tuple[
     A state is the class c of the last window placed together with the row
     of classes allowed in the window above it, which is all the future
     depends on; the (previous class, class) pairs sharing a row merge into
-    one state.  The row of a pair is read from is_valid_B when the pair is
-    entered: the classes nxt for which it accepts the parts of prev, cls
-    and nxt placed at windows 0, 1 and 2 (_window_targets says why windows
-    0..2 stand for every position).  Each state's sources, the states that
-    move into it, are recorded as it is entered.
+    one state.  The row of a pair is read from is_valid_B: the classes nxt
+    for which it accepts the parts of prev, cls and nxt placed at windows
+    0, 1 and 2 (_window_targets says why windows 0..2 stand for every
+    position).  The 16 pair rows, of (empty, cls), are read first; a later
+    row asks only the classes of cls's pair row, since (cls, nxt) is the
+    top run of the three windows' parts and a run that fails fails the
+    whole list.  Each state's sources, the states that move into it, are
+    recorded as it is entered.
 
     The targets are (t, weight, base, extras) in the order _transfer builds
     them.  Every move into t places t's class, so t has one weight (mu, nu,
@@ -423,9 +424,10 @@ def _window_plan() -> tuple[
     it accepts at windows 0..1 are the pairs it accepts at windows 1..2.
     Those are the rows of the states entered from the start, whose windows
     below are empty.  Either difference raises ValueError.  Built on first
-    use, from 16 calls of is_valid_B for the start and for each of the 165
-    moves, 2656, and 307 for the check, 51 for the classes of window 1 and
-    256 for the pairs: 2963 in all.
+    use, from 256 calls of is_valid_B for the pair rows, 1505 for the rows
+    of the moves out of a state whose class is not empty, and 307 for the
+    check, 51 for the classes of window 1 and 256 for the pairs: 2068 in
+    all.
     """
     weights = [(*profile_B(cls), sum(cls), len(cls)) for cls in WINDOW_CLASSES]
     placed = [[[off + 6 * k for off in cls] for cls in WINDOW_CLASSES] for k in range(3)]
@@ -433,13 +435,20 @@ def _window_plan() -> tuple[
     states: list[tuple[int, tuple[int, ...]]] = []
     sources: list[set[int]] = []
 
-    def admitted(k: int, below: list[int]) -> tuple[int, ...]:
-        """The classes nxt for which is_valid_B accepts nxt at window k on `below`."""
-        return tuple(nxt for nxt, part in enumerate(placed[k]) if is_valid_B(part + below))
+    def admitted(k: int, below: list[int], among=range(len(WINDOW_CLASSES))) -> tuple[int, ...]:
+        """The classes nxt among `among` for which is_valid_B accepts nxt at
+        window k on `below`."""
+        return tuple(nxt for nxt in among if is_valid_B(placed[k][nxt] + below))
+
+    # the pair rows: cls at window 1 on an empty window 0
+    pair_rows = [admitted(2, placed[1][cls]) for cls in range(len(WINDOW_CLASSES))]
 
     def enter(prev: int, cls: int) -> set[int]:
         """The sources of the state of the pair (prev, cls), added if new."""
-        key = (cls, admitted(2, placed[1][cls] + placed[0][prev]))
+        row = pair_rows[cls]
+        if prev:  # class 0 is the empty one, whose row is the pair row
+            row = admitted(2, placed[1][cls] + placed[0][prev], row)
+        key = (cls, row)
         if key not in index:
             index[key] = len(states)
             states.append(key)

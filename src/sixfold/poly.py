@@ -47,7 +47,9 @@ its operands':
   does it (`_times_monomial`), for `*` and for the callers that hold the
   monomial as its exponents (partitions._transfer and
   recurrence.product_truncated), which would otherwise build a monomial
-  only for `*` to take it apart again;
+  only for `*` to take it apart again.  With a bound q_max it drops each
+  row's slots above q_max as it re-keys, so those callers cut and re-key
+  in one call (truncate is that cut with the monomial 1);
 * monomial(c, ...): |c|; negation, shift and truncate: unchanged.
 
 Tracked bounds outgrow the coefficients: a sum adds the bounds of its
@@ -331,16 +333,36 @@ def _product_bound(norm: int, p: "TriPoly", floor: int) -> tuple[int, int]:
 
 
 def _times_monomial(
-    p: "TriPoly", c: int, e_a: int, e_b: int, e_q: int, floor: int = 32
+    p: "TriPoly",
+    c: int,
+    e_a: int,
+    e_b: int,
+    e_q: int,
+    floor: int = 32,
+    q_max: int | None = None,
 ) -> "TriPoly":
     """c * a^e_a * b^e_b * q^e_q times p (c != 0), in slots at least floor
-    and p's width wide: p's rows re-keyed and scaled by c (module
-    docstring, product by a monomial)."""
-    bound, w = _product_bound(abs(c), p, max(floor, p._w))
-    rows = p._rows_at(w).items()
-    if c != 1:  # x * 1 would copy x
-        rows = [(key, (q0, x * c)) for key, (q0, x) in rows]
-    return _make({(ea + e_a, eb + e_b): (q0 + e_q, x) for (ea, eb), (q0, x) in rows}, w, bound)
+    and p's width wide, with every term above q^q_max dropped: p's rows
+    re-keyed, cut and scaled by c (module docstring, product by a
+    monomial).  The width and bound are those of the uncut product."""
+    if c == 1 and p._w >= floor:  # a re-key by 1 keeps p's width and bound
+        bound, w, rows = p._bound, p._w, p._rows
+    else:
+        bound, w = _product_bound(abs(c), p, max(floor, p._w))
+        rows = p._rows_at(w)
+    out = {}
+    for (ea, eb), (q0, x) in rows.items():
+        if q_max is not None:
+            bits = (q_max - e_q - q0 + 1) * w  # the slots kept
+            if bits <= 0:
+                continue
+            if x.bit_length() >= bits:
+                # low slots of a balanced numeral: the low bits, read signed
+                x &= (1 << bits) - 1
+                if x >> (bits - 1):
+                    x -= 1 << bits
+        out[ea + e_a, eb + e_b] = (q0 + e_q, x if c == 1 else x * c)  # slot 0 is kept, so x != 0
+    return _make(out, w, bound)
 
 
 def narrow(*values: "TriPoly") -> tuple["TriPoly", ...]:
@@ -486,7 +508,11 @@ class TriPoly:
         return cs[i] if i < len(cs) else 0
 
     def terms(self) -> list[tuple[int, int, int, int]]:
-        """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b)."""
+        """Terms as (coeff, e_a, e_b, e_q), ascending in (e_q, e_a, e_b).
+        One row is read slot by slot, without the walk."""
+        if len(self._rows) == 1:
+            ((e_a, e_b), (q0, x)), = self._rows.items()
+            return [(c, e_a, e_b, e_q) for e_q, c in enumerate(_slots(x, self._w), q0) if c]
         pairs_by_q = self._walk(lambda key: key)
         return [(c, e_a, e_b, e_q) for e_q, pairs in pairs_by_q for c, (e_a, e_b) in pairs]
 
@@ -500,12 +526,16 @@ class TriPoly:
         if not other._rows:
             return self
         bound = self._bound + other._bound
-        w = max(self._w, other._w)
-        if bound >> (w - 1):  # about to widen: re-derive both bounds first
-            bound = _tight(self) + _tight(other)
-        w = _width(bound, w)
-        out = dict(self._rows_at(w))
-        for key, (q2, x2) in other._rows_at(w).items():
+        w = self._w
+        if w == other._w and not bound >> (w - 1):  # the sum fits the shared width
+            out, rows = dict(self._rows), other._rows
+        else:
+            w = max(w, other._w)
+            if bound >> (w - 1):  # about to widen: re-derive both bounds first
+                bound = _tight(self) + _tight(other)
+            w = _width(bound, w)
+            out, rows = dict(self._rows_at(w)), other._rows_at(w)
+        for key, (q2, x2) in rows.items():
             if key not in out:
                 out[key] = q2, x2
                 continue
@@ -590,19 +620,7 @@ class TriPoly:
         """Drop every term whose q exponent exceeds q_max (q_max >= 0)."""
         if q_max < 0:
             raise ValueError(f"q_max must be >= 0, got {q_max}")
-        w = self._w
-        out = {}
-        for key, (q0, x) in self._rows.items():
-            bits = (q_max - q0 + 1) * w  # the slots kept
-            if bits <= 0:
-                continue
-            if x.bit_length() >= bits:
-                # low slots of a balanced numeral: the low bits, read signed
-                x &= (1 << bits) - 1
-                if x >> (bits - 1):
-                    x -= 1 << bits
-            out[key] = q0, x  # slot 0 is kept, so x != 0
-        return _make(out, w, self._bound)
+        return _times_monomial(self, 1, 0, 0, 0, q_max=q_max)
 
     # -------------------------------------------------------- serialization
 

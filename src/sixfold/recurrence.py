@@ -554,9 +554,9 @@ def product_truncated(q_max: int) -> TriPoly:
 
     Only windows whose smallest factor exponent 6n+1 is <= q_max can
     contribute, so the product stops after them.  Each factor 1 + m, for a
-    monomial m = a^i b^k q^e, adds m times the product so far cut at
-    q_max - e, so every step is a sum and a product by a monomial, which
-    re-keys the rows of the cut product (poly._times_monomial).  Each sum
+    monomial m = a^i b^k q^e, adds m times the product so far, cut at
+    q_max, so every step is a sum and one product by a monomial, which
+    re-keys the rows and cuts them as it goes (poly._times_monomial).  Each sum
     doubles the tracked bound, and one about to widen re-derives its
     operands' bounds first (see the poly module), so product_truncated(300)
     stays in 32-bit slots for coefficients of 26 bits, where the tracked
@@ -574,7 +574,7 @@ def product_truncated(q_max: int) -> TriPoly:
         for _, e_a, e_b, slope, offset in WINDOW[1:]:
             e = slope * n + offset
             if e <= q_max:
-                out = out + _times_monomial(out.truncate(q_max - e), 1, e_a, e_b, e)
+                out = out + _times_monomial(out, 1, e_a, e_b, e, q_max=q_max)
     return out
 
 

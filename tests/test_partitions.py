@@ -179,13 +179,15 @@ def test_window_automaton_rejects_a_predicate_that_moves_with_the_window(monkeyp
         partitions._window_plan.__wrapped__()
 
 
-def test_window_plan_asks_is_valid_B_2963_times(monkeypatch):
-    # 16 for the start and 16 for each of the 165 moves, then 51 for the
-    # classes of window 1 and 256 for the pairs of windows 0..1
+def test_window_plan_asks_is_valid_B_2068_times(monkeypatch):
+    # 256 for the 16 pair rows, 1505 for the rows of the moves out of a
+    # non-empty class, each among its pair row's classes, then 307 for the
+    # check: 51 for the classes of window 1 and 256 for the pairs of
+    # windows 0..1
     valid, calls = partitions.is_valid_B, []
     monkeypatch.setattr(partitions, "is_valid_B", lambda parts: calls.append(1) or valid(parts))
     partitions._window_plan.__wrapped__()
-    assert len(calls) == 2963
+    assert len(calls) == 256 + 1505 + 307 == 2068
 
 
 def test_window_automaton_is_pinned():

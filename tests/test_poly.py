@@ -10,13 +10,15 @@ from helpers import (
     DISPLAY_S0_15,
     poly_of,
     ref_add,
+    ref_count_table_b,
     ref_mul,
     ref_neg,
     ref_shift,
     ref_terms,
     ref_truncate,
+    search_general_series,
 )
-from sixfold.partitions import count_table
+from sixfold.partitions import GeneralParams, count_table, general_A_series, general_B_series
 from sixfold.poly import (
     GAP,
     ONE,
@@ -228,6 +230,11 @@ _term_dicts = st.dictionaries(
 )
 
 
+# one row, read by terms() slot by slot: from a negative q0, with zero
+# slots inside it and a coefficient that takes 128-bit slots
+_ONE_ROW = {(1, 2, -3): 5, (1, 2, -1): -(2**100), (1, 2, 7): 1, (1, 2, 40): -3}
+
+
 def _pair(terms):
     """(TriPoly, reference dict) of a term dict that may hold zero coefficients."""
     return TriPoly(terms), {k: c for k, c in terms.items() if c}
@@ -242,6 +249,7 @@ def _assert_matches(poly, ref):
 
 @settings(max_examples=300)
 @given(_term_dicts, _term_dicts, _shifts, _shifts)
+@example(_ONE_ROW, {(1, 2, 0): -5}, 1, -2)
 def test_every_operation_matches_the_reference_kernel(p_terms, q_terms, s, t):
     (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
     _assert_matches(p, rp)
@@ -397,6 +405,8 @@ def _assert_serialised(p, ref):
 
 @settings(max_examples=200)
 @given(_term_dicts, st.sampled_from([None, 64, 128, 256]))
+@example({(3, 0, 5): -1, (3, 0, 6): 2**31 - 1, (3, 0, 9): 4}, None)  # one row, 32-bit slots
+@example(_ONE_ROW, 256)
 def test_the_walk_serialises_in_the_reference_order(terms, w):
     p, ref = _pair(terms)
     if w is not None:
@@ -515,6 +525,7 @@ _sparse_wide = st.dictionaries(
 
 @settings(max_examples=200)
 @given(_sparse_wide, _term_dicts)
+@example(_ONE_ROW, {})
 def test_the_writer_matches_the_reference_kernel(p_terms, q_terms):
     (p, rp), (q, rq) = _pair(p_terms), _pair(q_terms)
     for value, ref in ((p, rp), (p + q, ref_add(rp, rq)), (p * q, ref_mul(rp, rq))):
@@ -668,6 +679,49 @@ def test_times_monomial_builds_the_product_by_a_monomial(w, mono):
     got, want = _times_monomial(value(), *mono), monomial(*mono) * value()
     assert (got._rows, got._w, got._bound) == (want._rows, want._w, want._bound)
     assert value()._w == (w or 32)
+
+
+_CUT_ROWS = {(0, 0, -5): 3, (0, 0, 2): -1, (1, 0, 4): 2**70, (1, 0, 9): -7, (2, 1, 12): 1}
+
+
+@settings(max_examples=150)
+@given(
+    _sparse_wide,
+    st.sampled_from([1, -1, 5, -(2**40), 2**100 + 1]),
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(-30, 30)),
+    st.sampled_from([32, 64, 128, 256]),
+)
+# three rows from three q0, so a cut below one row's q0 removes that row whole
+@example(_CUT_ROWS, 1, (0, 0, 0), 32)
+@example(_CUT_ROWS, -3, (1, 2, -4), 128)
+def test_times_monomial_cuts_as_it_re_keys(terms, c, key, w):
+    # the product by c * a^e_a * b^e_b * q^e_q, cut at q_max, is the
+    # reference product cut there, in the width and bound of the uncut one:
+    # cuts below, at the edges of, inside and above every row
+    p, rp = _pair(terms)
+    big = monomial(2 ** (w - 3), 0, 0, 0)
+    p = (p + big) - big  # the same value in slots of at least w bits
+    full = ref_mul({key: c}, rp)
+    uncut = _times_monomial(p, c, *key)
+    edges = {e + d for _, _, e in full for d in (-1, 0, 1)}
+    for q_max in sorted(edges | {min(edges, default=0) + 5}):
+        got = _times_monomial(p, c, *key, q_max=q_max)
+        _assert_matches(got, ref_truncate(full, q_max))
+        assert (got._w, got._bound) == (uncut._w, uncut._bound)
+
+
+def test_the_transfer_steps_and_the_product_cut_without_truncate(monkeypatch):
+    # each step cuts inside its re-key: no caller goes through truncate
+    def refuse(self, q_max):
+        raise AssertionError("truncate called")
+
+    monkeypatch.setattr(TriPoly, "truncate", refuse)
+    gp = GeneralParams(5, 3, 3)
+    assert count_table("A", 60) == product_truncated(60)
+    assert count_table("B", 60) == ref_count_table_b(60)
+    assert [general_A_series(gp, 60), general_B_series(gp, 60, "b0-533")] == list(
+        search_general_series(gp, 60, "b0-533")
+    )
 
 
 def test_product_truncated_holds_in_32_bit_slots():
