@@ -28,9 +28,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_verify)
     p.add_argument(
         "--suite",
-        choices=["all", *verify.SUITES, "theorem3"],
+        choices=["all", *verify.SUITES],
         default="all",
-        help="all reads --n-max and --q-max, theorem3 only --q-max, every other suite only --n-max",
+        help="all reads every suite's flag, each other suite its own: "
+        + ", ".join(f"{name} {entry.flag}" for name, entry in verify.SUITES.items()),
     )
     p.add_argument("--n-max", type=int, help="largest level checked (suite default if omitted)")
     q_max = verify.SuiteConfig().q_max_theorem
@@ -76,25 +77,7 @@ def _emit(reports: list[verify.Report]) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    unread = {"all": (), "theorem3": ("--n-max",)}.get(args.suite, ("--q-max",))
-    for flag, value in (("--n-max", args.n_max), ("--q-max", args.q_max)):
-        if value is not None and value < 0:
-            raise verify.ConfigError(f"{flag} must be >= 0")
-        if value is not None and flag in unread:
-            raise verify.ConfigError(f"--suite {args.suite} does not read {flag}")
-    q_max = verify.SuiteConfig().q_max_theorem if args.q_max is None else args.q_max
-    if args.suite == "all":
-        overrides = {}
-        if args.n_max is not None:
-            overrides = {entry.level_field: args.n_max for entry in verify.SUITES.values()}
-        cfg = verify.SuiteConfig(q_max_theorem=q_max, **overrides)
-        return _emit(verify.run_all(cfg))
-    if args.suite == "theorem3":
-        return _emit([verify.theorem3_check(q_max)])
-    n_max = args.n_max
-    if n_max is None:
-        n_max = verify.SUITES[args.suite].top_level(verify.SuiteConfig())
-    return _emit(verify.suite(args.suite, n_max))
+    return _emit(verify.run_choice(args.suite, {"--n-max": args.n_max, "--q-max": args.q_max}))
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:

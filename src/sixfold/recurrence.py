@@ -9,11 +9,12 @@ an identity table in place of the class j, that identity's value at level
 n - dn (Link reads J and K so).  Every q exponent is q_slope*n + q_offset
 with q_slope a multiple of 6, so each term is a polynomial in a, b, q and
 x = q^(6n) times a series or an identity.  One evaluator, `_combination`,
-sums every such table, the memo's rules included; only Lemma4, a shifted
-series, is written as code.  That makes the transcription reviewable term
-by term and lets the verification harness inject single-term mutations
-into the rules and the p-tables to confirm the suites actually notice a
-wrong coefficient or exponent.
+sums every such table, the memo's rules included, and Lemma4 too: its
+shifted series (a -> a*q^6, b -> b*q^6) is a pseudo-factor (SHIFT, 6) of
+its term, so no identity is written as code.  That makes the transcription
+reviewable term by term and lets the verification harness inject
+single-term mutations into the rules and the p-tables to confirm the
+suites actually notice a wrong coefficient or exponent.
 """
 
 from __future__ import annotations
@@ -248,10 +249,9 @@ class SeriesMemo:
     maps each window class and each identity table to the largest dn at
     which anything declared reads it (`read_window`).  S(l, c) is read by
     S(l, c + 1) and by what reads class c, up to level l + window[c]; a
-    held value of the table T at level l up to level l + window[T].  The
-    rules alone give `reach`, their window per class (0 for a class no
-    rule reads; for REC_RULES 3 for class 9 and 1 for classes 3, 5, 8
-    and 11..15), and `window` starts as theirs.
+    held value of the table T at level l up to level l + window[T].
+    `window` starts as the rules' own (for REC_RULES 3 for class 9 and 1
+    for classes 3, 5, 8 and 11..15; a class no rule reads is absent).
 
     By default the memo holds every entry and every value it computed.
     `release(n)` drops those that nothing at level n or above reads: call
@@ -284,21 +284,20 @@ class SeriesMemo:
         self.p_tables = p_tables
         self._rule_reads = [(jref, dn) for rule in rules for *_, dn, jref in rule]
         self.window = read_window(self._rule_reads)
-        self.reach = tuple(self.window.get(c, 0) for c in range(16))
         self._unread: frozenset[int] = frozenset()  # classes dropped inside a level
         self._last = (-1, 0)  # the caller's last entry; level -1: none
         self._table: list[TriPoly | None] = []  # S(n, j) at index 16n + j; None once released
         self._held: dict[tuple[tuple[IdentityTerm, ...], int], TriPoly | None] = {}
 
-    def hold_only(self, refs: Iterable[int | tuple] = (), last: tuple[int, int] | None = None) -> None:
-        """Hold only what the rules and the caller read from now on.  The
-        caller reads each of `refs`, a window class or an identity table,
-        at every level it reads (so a table's terms read at their dn), and
-        no entry past `last` = (N, J) if it is given.  `window` becomes the
-        rules' and the refs' window; an entry of a class outside it goes
-        once the next class of its level is filled, and an entry of level
-        N below S(N, J) once the next one is."""
-        self.window = read_window(chain(self._rule_reads, ((ref, 0) for ref in refs)))
+    def hold_only(self, refs: Iterable[Read] = (), last: tuple[int, int] | None = None) -> None:
+        """Hold only what the rules and the caller read from now on.  At
+        each level n the caller reads each (ref, dn) of `refs`, the window
+        class or identity table ref at level n - dn (and a table's terms at
+        their own dn added to it), and no entry past `last` = (N, J) if it
+        is given.  `window` becomes the rules' and the refs' window; an entry
+        of a class outside it goes once the next class of its level is
+        filled, and an entry of level N below S(N, J) once the next one is."""
+        self.window = read_window(chain(self._rule_reads, refs))
         self._unread = frozenset(c for c in range(16) if c not in self.window)
         self._last = last or (-1, 0)
 
@@ -406,20 +405,31 @@ LINK_BRACKET: tuple[PolyTerm, ...] = (  # 1 + a*q^(6n+2) + b*q^(6n+4) + b*q^(6n+
     (1, 0, 1, 6, 5),
 )
 
+# (1 + a*q)(1 + a*q^2)(1 + b*q^4)(1 + b*q^5) as a table in q-slope 0: the
+# product of 1 + t over the non-constant WINDOW terms t at level 0, multiplied
+# out once at import
+WINDOW_PRODUCT: tuple[PolyTerm, ...] = tuple(
+    (c, a, b, 0, e) for c, a, b, e in math.prod(ONE + _at((t,), 0) for t in WINDOW[1:]).terms()
+)
+
 P1, P2, P3 = 1, 2, 3  # factor tables that name p_i in the memo's `p_tables`
+SHIFT = "shift"  # the pseudo-factor (SHIFT, s): the series itself under a -> a*q^s, b -> b*q^s
 
 # An identity term is a RuleTerm whose jref names a window class or an
 # identity table, times factors (table, d) or (table, d, s): the table at
 # level n - d, with a -> a*q^s and b -> b*q^s when s is given.  A named
-# identity stands for its value at level n - dn, held by the memo.
+# identity stands for its value at level n - dn, held by the memo.  The
+# pseudo-factor (SHIFT, s) shifts that series or value instead: a -> a*q^s
+# and b -> b*q^s in it (Lemma4's S(n - 1, 9) under a -> a*q^6, b -> b*q^6).
 IdentityTerm = tuple[int | tuple, ...]
 
 
 def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> TriPoly:
     """Sum of the terms at level n >= 0, each times the series S(n - dn, jref)
     or, when jref is an identity table, that identity's value at level
-    n - dn (`SeriesMemo.combination`).  A term whose series or identity value
-    is zero is skipped before its factors are built.
+    n - dn (`SeriesMemo.combination`), shifted by a (SHIFT, s) factor.  A
+    term whose series or identity value is zero is skipped before its
+    factors are built.
 
     A factor table in q alone (`ONE_MINUS_X`, 1 - q^(6n): every term has
     e_a = e_b = 0) is multiplied into the series, every other factor into
@@ -444,11 +454,12 @@ def _combination(terms: tuple[IdentityTerm, ...], n: int, memo: SeriesMemo) -> T
         for table, d, *shift in factors:
             if isinstance(table, int):
                 table = memo.p_tables[table - 1]
-            value = _at(table, n - d, *shift)
-            if any(t[1] or t[2] for t in table):
-                small = small * value
+            if table == SHIFT:
+                series = series.shift(d, d)
+            elif any(t[1] or t[2] for t in table):
+                small = small * _at(table, n - d, *shift)
             else:
-                series = series * value
+                series = series * _at(table, n - d, *shift)
         acc = acc + small * series
     return acc
 
@@ -534,15 +545,16 @@ def lemma3_residual(n: int, memo: SeriesMemo) -> TriPoly:
     return _combination(LEMMA3_TERMS, n, memo)
 
 
-# (1 + a*q)(1 + a*q^2)(1 + b*q^4)(1 + b*q^5): 1 + t for each non-constant WINDOW term t
-_LEMMA4_FACTORS = math.prod((ONE + _at((t,), 0) for t in WINDOW[1:]), start=ONE)
+# S(n, 15) = F * S(n - 1, 9) under a -> a*q^6, b -> b*q^6; left-hand side last.
+LEMMA4_TERMS: tuple[IdentityTerm, ...] = (
+    (-1, 0, 0, 0, 0, 1, 9, (SHIFT, 6), (WINDOW_PRODUCT, 0)),
+    (1, 0, 0, 0, 0, 0, 15),
+)
 
 
 def lemma4_residual(n: int, memo: SeriesMemo) -> TriPoly:
     """Class-15 series minus its product form over the shifted class-9 series."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    return memo.s(n, 15) - _LEMMA4_FACTORS * memo.s(n - 1, 9).shift(6, 6)
+    return _combination(LEMMA4_TERMS, n, memo)
 
 
 # ------------------------------------------------------- truncated product

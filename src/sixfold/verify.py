@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from . import partitions, recurrence
 from .partitions import B0_433, B0_533, EXTRA_PARAMS, GeneralParams, count_table
@@ -87,27 +87,32 @@ Residual = Callable[[int, SeriesMemo], TriPoly]
 
 
 class Suite(NamedTuple):
-    """Per-level identities that run together.
+    """One `verify --suite` choice: identities that run together.
 
-    `checks` lists (identity, residual) pairs in emit order; each residual
-    is zero when its identity holds at level n.  The default top level is
-    the SuiteConfig field `level_field` plus `offset`.  `reads` names what
-    the checks read at level n: window classes, and identity tables by
-    their name in the recurrence module, looked up at run time like the
-    residuals, so each table's terms read at their dn (`_run`).  Lemma4,
-    written as code, names nothing: its S(n, 15) and S(n - 1, 9) lie
-    inside the rules' own reach.  `prepare(n)`, if given, does the work
-    the checks of level n share before they are timed.
+    `checks` lists (identity, check) pairs in emit order.  `flag` is the
+    verify flag that bounds the suite, and the SuiteConfig field
+    `level_field` gives its default bound.  A per-level suite's checks are
+    residuals, each zero when its identity holds at level n, and the
+    per-level suites run together level by level over a shared memo
+    (`_run`).  `reads` names what its checks read at level n: window
+    classes, and identity tables by their name in the recurrence module,
+    looked up at run time like the residuals, so each table's terms read
+    at their dn.  A suite whose tables read above their own level runs
+    `_lag` levels late, so its default top level is `level_field` minus
+    its lag.  `prepare(n)`, if given, does the work the checks of level n
+    share before they are timed.  A suite that is not `per_level` makes
+    one report per check, check(bound), at its bound.
     """
 
     level_field: str
-    offset: int
-    checks: tuple[tuple[str, Residual], ...]
+    checks: tuple[tuple[str, Callable], ...]
     reads: tuple[int | str, ...] = ()
     prepare: Callable[[int], object] | None = None
+    flag: str = "--n-max"
+    per_level: bool = True
 
     def top_level(self, cfg: "SuiteConfig") -> int:
-        return getattr(cfg, self.level_field) + self.offset
+        return getattr(cfg, self.level_field) - _lag(self)
 
 
 def _oracle_check(j: int) -> tuple[str, Residual]:
@@ -121,38 +126,37 @@ def _recurrence_check(identity: str, name: str) -> tuple[str, Residual]:
     return identity, lambda n, memo: getattr(recurrence, name)(n, memo)
 
 
-# Listed in emit order; IDENTITY_ORDER starts with their identities, in this order.
+# Every `verify --suite` choice but `all`, in emit order: IDENTITY_ORDER
+# reads their identities off them.
 SUITES: dict[str, Suite] = {
     "oracle": Suite(
         "n_max_oracle",
-        0,
         tuple(_oracle_check(j) for j in range(16)),
         tuple(range(16)),
         lambda n: partitions.s_oracle(n, 0),  # steps the enumeration to level n
     ),
     "lemma1": Suite(
         "n_max_lemmas",
-        0,
         (_recurrence_check("J", "J_poly"), _recurrence_check("K", "K_poly")),
         ("J_TERMS", "K_TERMS"),
     ),
-    # Link(n) involves K(n+1), so it stops one level below J and K.
-    "link": Suite(
-        "n_max_lemmas", -1, (_recurrence_check("Link", "link_residual"),), ("LINK_TERMS",)
-    ),
+    # Link(n) involves K(n+1), so it runs a level late and stops one level below J and K.
+    "link": Suite("n_max_lemmas", (_recurrence_check("Link", "link_residual"),), ("LINK_TERMS",)),
     "lemma2": Suite(
-        "n_max_fourth_order",
-        0,
-        (_recurrence_check("Lemma2", "lemma2_residual"),),
-        ("LEMMA2_TERMS",),
+        "n_max_fourth_order", (_recurrence_check("Lemma2", "lemma2_residual"),), ("LEMMA2_TERMS",)
     ),
     "lemma3": Suite(
-        "n_max_fourth_order",
-        0,
-        (_recurrence_check("Lemma3", "lemma3_residual"),),
-        ("LEMMA3_TERMS",),
+        "n_max_fourth_order", (_recurrence_check("Lemma3", "lemma3_residual"),), ("LEMMA3_TERMS",)
     ),
-    "lemma4": Suite("n_max_fourth_order", 0, (_recurrence_check("Lemma4", "lemma4_residual"),)),
+    "lemma4": Suite(
+        "n_max_fourth_order", (_recurrence_check("Lemma4", "lemma4_residual"),), ("LEMMA4_TERMS",)
+    ),
+    "theorem3": Suite(
+        "q_max_theorem",
+        (("Theorem3", lambda q_max: theorem3_check(q_max)),),
+        flag="--q-max",
+        per_level=False,
+    ),
 }
 
 # The general-family checks, keyed by their extra restriction set (None for
@@ -165,68 +169,106 @@ GENERAL_CHECKS: dict[str | None, tuple[str, str]] = {
 }
 
 IDENTITY_ORDER: tuple[str, ...] = (
-    *(identity for entry in SUITES.values() for identity, _ in entry.checks),
-    "Product",
-    "Theorem3",
+    *(identity for entry in SUITES.values() if entry.per_level for identity, _ in entry.checks),
+    "Product",  # run_all builds the product once, for this check and Theorem3
+    *(identity for entry in SUITES.values() if not entry.per_level for identity, _ in entry.checks),
     *(identity for identity, _ in GENERAL_CHECKS.values()),
 )
 _ORDER_INDEX = {name: i for i, name in enumerate(IDENTITY_ORDER)}
 
 
-def _suite_reads(entries: list[Suite]) -> list[int | tuple]:
-    """What the suites' checks read at a level: classes and identity tables."""
-    return [getattr(recurrence, r) if isinstance(r, str) else r for e in entries for r in e.reads]
+def _refs(entry: Suite) -> list[int | tuple]:
+    """What the suite's checks read at their level: classes and identity tables."""
+    return [getattr(recurrence, r) if isinstance(r, str) else r for r in entry.reads]
+
+
+def _lag(entry: Suite) -> int:
+    """How many levels late the runner checks the suite: as many as its
+    reads reach above their own level (Link reads K(n+1): 1)."""
+    return -min([0, *(dn for _, dn in recurrence.reads((ref, 0) for ref in _refs(entry)))])
+
+
+def _suite_reads(entries: Iterable[Suite]) -> list[recurrence.Read]:
+    """What the suites' checks read at a level of the runner, each suite's
+    `_lag` levels below it."""
+    return [(ref, _lag(entry)) for entry in entries for ref in _refs(entry)]
 
 
 def _run(tops: dict[str, int], memo: SeriesMemo | None = None) -> list[Report]:
-    """Reports of each suite in `tops` at levels 0..tops[name], level by
-    level, the suites of a level in SUITES order.
+    """Reports of each per-level suite in `tops` at levels 0..tops[name],
+    level by level, the suites of a level in SUITES order.
 
-    At level n the runner makes each suite's `prepare(n)`, then fills the
-    memo to level n, or to n + 1 when a check due reads the level above
-    (Link reads K(n+1)); only then does it time each check, so a report's
-    `ms` is its own residual's.  The oracle's window step comes first
-    because it holds two layers at once: so it meets the memo's entries
-    that level n's rules read, not all of level n.  A memo passed in keeps
-    every entry and value.  Otherwise the runner's memo holds only what
-    the checks due at level n or later read (`SeriesMemo.hold_only`), and
-    after each level releases what no later level reads.
+    At level n the runner checks each suite at level n - `_lag`: a suite
+    whose tables read above their own level runs that many levels late
+    (Link(n - 1) reads K(n), which the K check of level n has summed).  It
+    makes each due suite's `prepare`, then fills the memo to level n, and
+    only then times each check, so a report's `ms` is its own residual's.
+    The oracle's window step comes first because it holds two layers at
+    once: so it meets the memo's entries that level n's rules read, not
+    all of level n.  A memo passed in keeps every entry and value.
+    Otherwise the runner's memo holds only what the suites with levels
+    still to check read (`SeriesMemo.hold_only`), and after each level
+    releases what no later level reads.
     """
     owned = memo is None
     memo = memo or SeriesMemo()
+    lags = {name: _lag(SUITES[name]) for name in tops}
     out = []
-    for n in range(max(tops.values(), default=-1) + 1):
-        due = [entry for name, entry in SUITES.items() if tops.get(name, -1) >= n]
-        refs = _suite_reads(due)
+    for n in range(max((top + lags[s] for s, top in tops.items() if top >= 0), default=-1) + 1):
+        pending = [name for name in SUITES if name in tops and tops[name] + lags[name] >= n]
         if owned:
-            memo.hold_only(refs)
-        for entry in due:
+            memo.hold_only(_suite_reads(SUITES[name] for name in pending))
+        due = [(SUITES[name], n - lags[name]) for name in pending if n >= lags[name]]
+        for entry, level in due:
             if entry.prepare:
-                entry.prepare(n)
-        dns = [dn for ref, dn in recurrence.reads((ref, 0) for ref in refs) if isinstance(ref, int)]
-        memo.s(n - min(dns + [0]), 15)  # level n, or the level above that a check reads
-        for entry in due:
+                entry.prepare(level)
+        memo.s(n, 15)
+        for entry, level in due:
             for identity, residual in entry.checks:
                 t0 = time.perf_counter()
-                out.append(_residual_report(identity, n, residual(n, memo), t0))
+                out.append(_residual_report(identity, level, residual(level, memo), t0))
         if owned:
             memo.release(n + 1)
     return out
 
 
 def suite(name: str, n_max: int, memo: SeriesMemo | None = None) -> list[Report]:
-    """Reports of suite `name` for every level 0..n_max, level by level
-    (`_run`): on a memo passed in, which keeps every entry, or on one of
-    its own that holds only what the later levels read.
+    """Reports of the per-level suite `name` for every level 0..n_max,
+    level by level (`_run`): on a memo passed in, which keeps every entry,
+    or on one of its own that holds only what the later levels read.
 
-    n_max = -1 runs no level (run_all asks the link suite for it when
-    n_max_lemmas is 0); a lower n_max is a ConfigError, not an empty pass.
+    n_max = -1 runs no level, as Link's top under run_all is when
+    n_max_lemmas is 0; a lower n_max is a ConfigError, not an empty pass.
     """
-    if name not in SUITES:
-        raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    per_level = [key for key, entry in SUITES.items() if entry.per_level]
+    if name not in per_level:
+        raise ConfigError(f"unknown suite {name!r}; choose from {', '.join(per_level)}")
     if n_max < -1:
         raise ConfigError(f"n_max must be >= -1, got {n_max}")
     return _run({name: n_max}, memo)
+
+
+def run_choice(name: str, flags: dict[str, int | None]) -> list[Report]:
+    """Reports of `sixfold verify --suite name`, `flags` mapping each bound
+    flag to its value, None when it is not given.  `all` reads the flag of
+    every entry and runs run_all.  Any other choice reads only its entry's
+    flag: a per-level suite checks levels 0..value, a bound suite makes its
+    reports at the value, and without it each checks what `all` checks.  A
+    negative value, or a value for a flag the choice does not read, is a
+    ConfigError.
+    """
+    entries = list(SUITES.values()) if name == "all" else [SUITES[name]]
+    for flag, value in flags.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"{flag} must be >= 0")
+        if value is not None and flag not in {e.flag for e in entries}:
+            raise ConfigError(f"--suite {name} does not read {flag}")
+    given = {e.level_field: flags[e.flag] for e in entries if flags.get(e.flag) is not None}
+    if name == "all":
+        return run_all(SuiteConfig(**given))
+    entry = SUITES[name]
+    bound = given.get(entry.level_field, entry.top_level(SuiteConfig()))
+    return suite(name, bound) if entry.per_level else [check(bound) for _, check in entry.checks]
 
 
 def _product_check(q_max: int) -> tuple[Report, TriPoly]:
@@ -383,7 +425,7 @@ def run_all(cfg: SuiteConfig) -> list[Report]:
     list is sorted canonically by (identity, n).
     """
     cfg.validate()
-    reports = _run({name: entry.top_level(cfg) for name, entry in SUITES.items()})
+    reports = _run({name: e.top_level(cfg) for name, e in SUITES.items() if e.per_level})
     # the Product check builds the product to q_max_theorem; Theorem3 reuses it
     report, product = _product_check(cfg.q_max_theorem)
     reports += [report, _theorem3(cfg.q_max_theorem, product, time.perf_counter())]

@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import DISPLAY_S0_15
-from sixfold import partitions, recurrence
+from sixfold import partitions, recurrence, verify
 from sixfold.cli import main
-from sixfold.verify import SUITES, SuiteConfig
+from sixfold.verify import SuiteConfig
 
 S0_15_TEXT = (
     "1*a^0*b^0*q^0 + 1*a^1*b^0*q^1 + 1*a^1*b^0*q^2 + 1*a^2*b^0*q^3 + "
@@ -193,11 +193,13 @@ def _verdict_rows(out):
     return [(r["identity"], r["n"], r["pass"], r["residual_terms"]) for r in rows]
 
 
+SUITE_HELP = "--suite {all,oracle,lemma1,link,lemma2,lemma3,lemma4,theorem3}"
+
+
 def test_suite_choices_and_defaults_come_from_the_registry(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
-    choices = ",".join(["all", *SUITES, "theorem3"])
-    assert f"--suite {{{choices}}}" in capsys.readouterr().out
+    assert SUITE_HELP in capsys.readouterr().out
 
     _, out, _ = run_cli(capsys, "verify", "--suite", "all")
     full = _verdict_rows(out)
@@ -205,9 +207,16 @@ def test_suite_choices_and_defaults_come_from_the_registry(capsys):
     assert [top[i] for i in ("J", "K", "Link", "Lemma2", "Lemma3", "Lemma4", "Rec31")] == [
         6, 6, 5, 4, 4, 4, 4
     ]
-    # a single suite without --n-max checks exactly what --suite all checks
-    for name, entry in SUITES.items():
-        identities = {identity for identity, _ in entry.checks}
+    # a single suite without a bound flag checks exactly what --suite all checks
+    for name, identities in (
+        ("oracle", {f"Rec{16 + j}" for j in range(16)}),
+        ("lemma1", {"J", "K"}),
+        ("link", {"Link"}),
+        ("lemma2", {"Lemma2"}),
+        ("lemma3", {"Lemma3"}),
+        ("lemma4", {"Lemma4"}),
+        ("theorem3", {"Theorem3"}),
+    ):
         _, out, _ = run_cli(capsys, "verify", "--suite", name)
         rows = _verdict_rows(out)
         assert sorted(rows) == sorted(row for row in full if row[0] in identities), name
@@ -218,19 +227,56 @@ def test_suite_choices_and_defaults_come_from_the_registry(capsys):
     assert default == explicit
 
 
-@pytest.mark.parametrize("suite", ["all", *SUITES, "theorem3"])
+@pytest.mark.parametrize(
+    "suite", ["all", "oracle", "lemma1", "link", "lemma2", "lemma3", "lemma4", "theorem3"]
+)
 def test_verify_rejects_a_negative_q_max_for_every_suite(capsys, suite):
     n_max = [] if suite == "theorem3" else ["--n-max", "0"]  # theorem3 does not read it
     code, out, err = run_cli(capsys, "verify", "--suite", suite, *n_max, "--q-max", "-7")
     assert (code, out, err) == (2, "", "error: --q-max must be >= 0\n")
 
 
-@pytest.mark.parametrize(
-    ("suite", "flag"), [("theorem3", "--n-max"), *((suite, "--q-max") for suite in SUITES)]
-)
+REFUSALS = {
+    ("theorem3", "--n-max"): "error: --suite theorem3 does not read --n-max\n",
+    ("oracle", "--q-max"): "error: --suite oracle does not read --q-max\n",
+    ("lemma1", "--q-max"): "error: --suite lemma1 does not read --q-max\n",
+    ("link", "--q-max"): "error: --suite link does not read --q-max\n",
+    ("lemma2", "--q-max"): "error: --suite lemma2 does not read --q-max\n",
+    ("lemma3", "--q-max"): "error: --suite lemma3 does not read --q-max\n",
+    ("lemma4", "--q-max"): "error: --suite lemma4 does not read --q-max\n",
+}
+
+
+@pytest.mark.parametrize(("suite", "flag"), list(REFUSALS))
 def test_verify_refuses_a_flag_its_suite_does_not_read(capsys, suite, flag):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "5")
-    assert (code, out, err) == (2, "", f"error: --suite {suite} does not read {flag}\n")
+    assert (code, out, err) == (2, "", REFUSALS[suite, flag])
+
+
+def test_a_registry_entry_is_a_suite_choice_with_no_edit_to_the_cli(capsys, monkeypatch):
+    # a per-level copy of lemma4 and a bound entry, patched into the registry
+    bound = verify.Suite(
+        "q_max_theorem",
+        (("Theorem3", lambda q_max: verify.theorem3_check(q_max)._replace(identity="Bound")),),
+        flag="--q-max",
+        per_level=False,
+    )
+    monkeypatch.setitem(verify.SUITES, "lemma4copy", verify.SUITES["lemma4"])
+    monkeypatch.setitem(verify.SUITES, "bound", bound)
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "lemma4,theorem3,lemma4copy,bound}" in capsys.readouterr().out
+
+    _, out, _ = run_cli(capsys, "verify", "--suite", "lemma4")
+    code, copied, err = run_cli(capsys, "verify", "--suite", "lemma4copy", "--n-max", "4")
+    assert (code, _verdict_rows(copied), err) == (0, _verdict_rows(out), "")
+    code, out, err = run_cli(capsys, "verify", "--suite", "bound")
+    assert (code, err) == (0, "") and _verdict_rows(out) == [("Bound", 50, True, 0)]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "bound", "--q-max", "12")
+    assert _verdict_rows(out) == [("Bound", 12, True, 0)]
+    for suite, flag in (("lemma4copy", "--q-max"), ("bound", "--n-max")):
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, flag, "5")
+        assert (code, out, err) == (2, "", f"error: --suite {suite} does not read {flag}\n")
 
 
 def test_verify_determinism_modulo_timing(capsys):

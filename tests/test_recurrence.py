@@ -24,6 +24,7 @@ from sixfold.recurrence import (
     K_TERMS,
     LEMMA2_TERMS,
     LEMMA3_TERMS,
+    LEMMA4_TERMS,
     LINK_BRACKET,
     LINK_TERMS,
     ONE_MINUS_X,
@@ -101,7 +102,8 @@ def _fill_releasing(memo, levels):
 
 
 def test_release_keeps_exactly_what_later_levels_read():
-    assert SeriesMemo().reach == tuple(REC_REACH.get(c, 0) for c in range(16))
+    window = SeriesMemo().window
+    assert [window.get(c, 0) for c in range(16)] == [REC_REACH.get(c, 0) for c in range(16)]
     fresh, memo = SeriesMemo(), SeriesMemo()
     memo.s(5, 15)
     for n in range(8):
@@ -117,12 +119,12 @@ def test_release_keeps_exactly_what_later_levels_read():
 
 def test_each_memo_derives_its_reach_from_its_own_rules():
     # rule 0 reads class 15 two levels down and rule 4 class 0 one level
-    # down: reach 2 for class 15 and 1 for class 0, where REC_RULES have 1 and 0
+    # down: window 2 for class 15 and 1 for class 0, where REC_RULES have 1 and 0
     moved = (((1, 0, 0, 0, 0, 2, 15),), *REC_RULES[1:4], ((1, 0, 1, 6, 4, 1, 0),), *REC_RULES[5:])
     mutated = mutate_rec_rules(REC_RULES, random.Random(0))[0]
     for rules in (REC_RULES, mutated, moved):
         memo = SeriesMemo(rules)
-        assert memo.reach == tuple(
+        assert tuple(memo.window.get(c, 0) for c in range(16)) == tuple(
             max((dn for rule in rules for *_, dn, jref in rule if jref == c), default=0)
             for c in range(16)
         )
@@ -131,13 +133,13 @@ def test_each_memo_derives_its_reach_from_its_own_rules():
         assert memo.s(6, 15) == fresh.s(6, 15)
         for level in range(7):
             for c in range(16):
-                if level + memo.reach[c] >= 6:
+                if level + memo.window.get(c, 0) >= 6:
                     assert memo.s(level, c) == fresh.s(level, c), (level, c)
                 else:
                     with pytest.raises(LookupError):
                         memo.s(level, c)
-    assert SeriesMemo(moved).reach[0] == 1 and SeriesMemo(moved).reach[15] == 2
-    assert SeriesMemo(mutated).reach == SeriesMemo().reach
+    assert SeriesMemo(moved).window.get(0, 0) == 1 and SeriesMemo(moved).window.get(15, 0) == 2
+    assert SeriesMemo(mutated).window == SeriesMemo().window
 
 
 def test_a_released_entry_is_never_recomputed():
@@ -186,13 +188,13 @@ def test_the_window_follows_identity_tables_into_their_terms():
     assert window == {LINK_TERMS: 0, J_TERMS: 0, K_TERMS: 0, 9: 3, 15: 1}
     assert min(dn for ref, dn in reads([(LINK_TERMS, 0)]) if ref == 15) == -1
     memo = SeriesMemo()
-    memo.hold_only([LINK_TERMS])
+    memo.hold_only([(LINK_TERMS, 0)])
     assert memo.window == {**REC_REACH, LINK_TERMS: 0, J_TERMS: 0, K_TERMS: 0}
 
 
 def test_a_released_identity_value_is_never_recomputed():
     memo = SeriesMemo()
-    memo.hold_only([J_TERMS])
+    memo.hold_only([(J_TERMS, 0)])
     held = [J_poly(n, memo) for n in range(3)]
     memo.release(2)  # J is read at its own level only
     assert J_poly(2, memo) is held[2]
@@ -426,6 +428,25 @@ def test_combination_equals_the_terms_in_transcription_order():
 def test_lemma4_residual_vanishes(memo):
     for n in range(4):
         assert lemma4_residual(n, memo).is_zero(), n
+
+
+def test_lemma4_table_sums_the_shifted_product_form():
+    # LEMMA4_TERMS, summed by _combination, against S(n, 15) - F * S(n - 1, 9)
+    # under a -> a*q^6, b -> b*q^6, built with plain TriPoly operations: at
+    # levels 0..14 on the pristine memo, where both are zero, and on memos
+    # whose rules break Lemma4, where they are not
+    f = (
+        (ONE + monomial(1, 1, 0, 1))
+        * (ONE + monomial(1, 1, 0, 2))
+        * (ONE + monomial(1, 0, 1, 4))
+        * (ONE + monomial(1, 0, 1, 5))
+    )
+    broken = [SeriesMemo(mutate_rec_rules(REC_RULES, random.Random(seed))[0]) for seed in range(2)]
+    for memo, levels in ((SeriesMemo(), range(15)), *((m, range(9)) for m in broken)):
+        for n in levels:
+            stated = memo.s(n, 15) - f * memo.s(n - 1, 9).shift(6, 6)
+            assert _combination(LEMMA4_TERMS, n, memo) == stated, n
+    assert all(any(lemma4_residual(n, memo) for n in range(9)) for memo in broken)
 
 
 def test_lemma4_level1_from_pure_oracle_values():

@@ -133,11 +133,11 @@ def test_the_equivalent_survivors_count_side_B_alike():
 
 
 def test_digests_name_each_output_once_and_repeat_on_cheap_ones():
-    # 11 CLI runs, Link on 17 memos, J to Lemma4 on 16, 6 count-table groups,
+    # 23 CLI runs, Link on 17 memos, J to Lemma4 on 16, 6 count-table groups,
     # 21 oracle levels, 14 general series, two for each default case, and
     # the two families over the small triples
     outputs = dict(entries(PACKAGE.parent))
-    assert len(entries(PACKAGE.parent)) == len(outputs) == 87
+    assert len(entries(PACKAGE.parent)) == len(outputs) == 99
     for name in ("link_residual n=0..6 rules seed 0", "s_oracle n=4"):
         assert len(digest(outputs[name])) == 64
         assert digest(outputs[name]) == digest(outputs[name]), name

@@ -133,8 +133,9 @@ def test_unknown_suite_is_a_config_error():
 # The largest dn at which the rules and the suites' tables read each class:
 # the rules read the classes of REC_REACH in test_recurrence (class 9 three
 # levels down), Lemma2 class 9 and Lemma3 class 15 four levels down, and the
-# oracle every class at its own level.  J and K are read at their own level
-# (Link reads K(n+1) a level early, at dn -1).
+# oracle every class at its own level.  Link reads K(n+1), so the runner
+# checks it a level late: at runner level n it reads J(n - 1), K(n - 1) and
+# K(n), and the window of J and K is 1.
 LEMMA_WINDOW = {3: 1, 5: 1, 8: 1, 9: 4, 11: 1, 12: 1, 13: 1, 14: 1, 15: 4}
 ALL_WINDOW = {**dict.fromkeys(range(16), 0), **LEMMA_WINDOW}
 
@@ -148,7 +149,7 @@ def _window(names):
 def test_the_read_window_of_the_default_tables_is_pinned():
     window = _window(SUITES)
     assert {c: window[c] for c in range(16) if c in window} == ALL_WINDOW
-    assert window[recurrence.J_TERMS] == window[recurrence.K_TERMS] == 0
+    assert window[recurrence.J_TERMS] == window[recurrence.K_TERMS] == 1
     lemmas = _window(name for name in SUITES if name != "oracle")
     assert {c: lemmas[c] for c in range(16) if c in lemmas} == LEMMA_WINDOW
 
@@ -172,7 +173,7 @@ def test_a_lemma2_term_moved_a_level_back_widens_the_window(monkeypatch):
     reports = _same_reports("lemma2", 9)
     assert not all_passed(reports)  # the moved term breaks the identity
     # a window read off the unmoved table drops S(n-5, 9) too early
-    monkeypatch.setattr(verify, "_suite_reads", lambda entries: [original])
+    monkeypatch.setattr(verify, "_suite_reads", lambda entries: [(original, 0)])
     with pytest.raises(LookupError, match=r"S\(\d+, 9\) was released"):
         suite("lemma2", 9)
 
@@ -183,8 +184,8 @@ def test_releasing_runs_report_as_holding_runs(name):
 
 
 def test_lemma4_reads_inside_the_rules_window():
-    # Lemma4 is code, not a table, and names no reads: its S(n, 15) and
-    # S(n-1, 9) must lie inside the window the rules alone give
+    # what Lemma4 reads, S(n, 15) and S(n-1, 9), must lie inside the window
+    # its suite declares
     memo = SeriesMemo()
     memo.hold_only(verify._suite_reads([SUITES["lemma4"]]))
     read = []
@@ -268,6 +269,22 @@ def test_link_reports_equal_a_fresh_memo_evaluation():
         ]
         assert [r._replace(ms=0) for r in held] == [r._replace(ms=0) for r in fresh]
         assert all_passed(held) == (rules is REC_RULES)
+
+
+def test_a_slow_k_sum_is_charged_to_the_k_rows(monkeypatch):
+    # Link(n) reads K(n + 1); the runner checks Link a level late, after the
+    # K check of level n + 1 has summed it, so no Link row carries a K sum
+    combination = recurrence._combination
+
+    def slow_k(terms, n, memo):
+        if terms is recurrence.K_TERMS:
+            time.sleep(0.05)
+        return combination(terms, n, memo)
+
+    monkeypatch.setattr(recurrence, "_combination", slow_k)
+    reports = run_all(SuiteConfig(3, 0, 0, 0, ()))
+    assert [r.n for r in reports if r.identity == "K" and r.ms >= 50] == [0, 1, 2, 3]
+    assert [r.n for r in reports if r.identity == "Link" and r.ms < 50] == [0, 1, 2]
 
 
 def test_residual_time_is_charged_to_its_report(monkeypatch):

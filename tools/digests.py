@@ -8,7 +8,12 @@ prints one `name sha256` line per output, in this order:
 
 * `sixfold verify --suite all`, `sixfold verify --suite S --n-max 12`
   for S = lemma1, link, lemma2, lemma3 and lemma4, and
-  `sixfold verify --suite oracle --n-max 10`, then the printed polynomials of
+  `sixfold verify --suite oracle --n-max 10`; `sixfold verify --suite S`
+  with no bound flag for every other choice S (oracle, lemma1, link,
+  lemma2, lemma3, lemma4 and theorem3), `--suite theorem3 --q-max 120`
+  and `--suite all --n-max 3 --q-max 30`; the refusals
+  `--suite theorem3 --n-max 5`, `--suite lemma1 --q-max 5` and
+  `--suite link --n-max -1`; then the printed polynomials of
   `sixfold series --n 9 --j 15 --source recurrence` as text and as JSON, of
   the same at `--n 12` as JSON (the level whose entries take 64-bit slots,
   filled while the levels below are released) and of
@@ -34,7 +39,7 @@ prints one `name sha256` line per output, in this order:
 Each output is digested piece by piece, a polynomial at a time as its
 canonical JSON, so no more than one of them is held as text.  No bytecode
 is written, so the package is left without a __pycache__.  The package's
-path goes to stderr.  A run prints 87 lines, takes about 50-80 s and
+path goes to stderr.  A run prints 99 lines, takes about 50-80 s and
 peaks at about 530 MiB (s_oracle at level 18) on a 2-core machine.
 """
 
@@ -89,6 +94,15 @@ def entries(src: Path) -> list[tuple[str, Callable[[], Iterator[str]]]]:
                 for suite in ("lemma1", "link", "lemma2", "lemma3", "lemma4")
             ),
             ("verify", "--suite", "oracle", "--n-max", "10"),
+            *(
+                ("verify", "--suite", suite)
+                for suite in ("oracle", "lemma1", "link", "lemma2", "lemma3", "lemma4", "theorem3")
+            ),
+            ("verify", "--suite", "theorem3", "--q-max", "120"),
+            ("verify", "--suite", "all", "--n-max", "3", "--q-max", "30"),
+            ("verify", "--suite", "theorem3", "--n-max", "5"),
+            ("verify", "--suite", "lemma1", "--q-max", "5"),
+            ("verify", "--suite", "link", "--n-max", "-1"),
             *(
                 ("series", "--n", "9", "--j", "15", "--source", "recurrence", "--format", form)
                 for form in ("text", "json")
